@@ -8,17 +8,11 @@ contraction coefficient, Doeblin coefficient, or capacity.
 import math
 from dataclasses import dataclass
 
-from .channels import BisoChannel, Channel, canonicalize_biso
-from .coefficients import capacity_biso, eta_kl_biso, eta_kl_binary, h2, h2_inv, binary_convolution
-from .errors import LeakageOutOfRangeError, NotBisoError
+from .channels import canonicalize_biso
+from .coefficients import capacity_biso, eta_kl, eta_kl_biso, h2, h2_inv, binary_convolution
+from .errors import LeakageOutOfRangeError
 
 _LN2 = math.log(2.0)
-
-
-def _as_biso(channel):
-    if isinstance(channel, BisoChannel):
-        return channel
-    return canonicalize_biso(channel)
 
 
 def secrecy_capacity_vs_bec(w):
@@ -28,7 +22,7 @@ def secrecy_capacity_vs_bec(w):
     value would flag a violation of the less-noisy ordering and is returned
     as computed rather than clipped.
     """
-    b = _as_biso(w)
+    b = canonicalize_biso(w)
     return eta_kl_biso(b) - capacity_biso(b)
 
 
@@ -38,7 +32,7 @@ def secrecy_capacity_vs_bsc(w):
     Equals C(w) - 1 + h2((1 - sqrt(eta_KL(w))) / 2); returned as computed,
     negatives flagged to the caller by sign.
     """
-    b = _as_biso(w)
+    b = canonicalize_biso(w)
     eta = eta_kl_biso(b)
     p = (1.0 - math.sqrt(eta)) / 2.0
     return capacity_biso(b) - 1.0 + h2(p)
@@ -117,16 +111,7 @@ def fi_upper_bound(channel, t):
     t = float(t)
     if t < 0.0:
         raise LeakageOutOfRangeError(f"budget t must be nonnegative, got {t!r}")
-    if isinstance(channel, BisoChannel):
-        eta = eta_kl_biso(channel)
-    elif isinstance(channel, Channel):
-        try:
-            eta = eta_kl_biso(canonicalize_biso(channel))
-        except NotBisoError:
-            eta = eta_kl_binary(channel)
-    else:
-        raise TypeError(f"expected Channel or BisoChannel, got {type(channel).__name__}")
-    return eta * min(t, 1.0)
+    return eta_kl(channel) * min(t, 1.0)
 
 
 def fi_curve_bounds(w, t):
@@ -139,7 +124,7 @@ def fi_curve_bounds(w, t):
     t = float(t)
     if t < 0.0:
         raise LeakageOutOfRangeError(f"budget t must be nonnegative, got {t!r}")
-    b = _as_biso(w)
+    b = canonicalize_biso(w)
     eta = eta_kl_biso(b)
     p_eta = (1.0 - math.sqrt(eta)) / 2.0
     residual = h2_inv(max(1.0 - t, 0.0))

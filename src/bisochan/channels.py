@@ -59,6 +59,7 @@ class Channel:
             self.output_labels = labels
         else:
             self.output_labels = None
+        self._canonical = None  # memo of canonicalize_biso: BisoChannel or not-BISO reason
 
     @property
     def n_outputs(self):
@@ -118,45 +119,76 @@ def as_channel(ch):
     raise TypeError(f"expected Channel or BisoChannel, got {type(ch).__name__}")
 
 
-def _match_columns(r0, r1, tol):
-    """Backtracking search for a symmetric pairing of output columns.
+def _pair_columns(rows):
+    """Pair the output columns of a 2 x n matrix symmetrically.
 
-    Column i may pair with column j when r0[i] ~ r1[j] and r0[j] ~ r1[i];
-    i may self-pair (and be split) when r0[i] ~ r1[i].  Returns a list of
-    (i, j) with i == j marking splits, or None when no pairing exists.
+    Returns the paired form as a BisoChannel, or the reason as a str when
+    no pairing within PAIRING_TOL exists.  Matrices already in the flat
+    layout (row 1 equal to row 0 reversed) keep their positional pair order.
+    Otherwise columns with r0 ~ r1 self-pair and are split, and the rest
+    pair by sorting: the r0 > r1 columns by (r0, r1) against the r0 < r1
+    columns by (r1, r0), so a partner is found in O(n log n).
     """
+    tol = PAIRING_TOL
+    r0, r1 = rows
     n = len(r0)
-    unmatched = list(range(n))
+    if np.all(np.abs(r1 - r0[::-1]) <= tol):
+        # positional fast path: flat layout, possibly with an odd middle column
+        flat = r0
+        if n % 2 == 1:
+            mid = n // 2
+            if abs(r0[mid] - r1[mid]) > tol:
+                return "odd output alphabet without an equal-rows middle column"
+            half = 0.5 * (r0[mid] + r1[mid]) / 2.0
+            flat = np.concatenate([r0[:mid], [half, half], r0[mid + 1:]])
+        l = len(flat) // 2
+        pairs = [(flat[l + i], flat[l - 1 - i]) for i in range(l)]
+    else:
+        diff = r0 - r1
+        split = np.abs(diff) <= tol
+        pos = np.nonzero(~split & (diff > 0.0))[0]
+        neg = np.nonzero(~split & (diff < 0.0))[0]
+        # np.lexsort sorts by its last key first and is stable, so equal
+        # columns stay in index order
+        pos = pos[np.lexsort((r1[pos], r0[pos]))]
+        neg = neg[np.lexsort((r0[neg], r1[neg]))]
+        if len(pos) != len(neg) or np.any(
+            (np.abs(r0[pos] - r1[neg]) > tol) | (np.abs(r0[neg] - r1[pos]) > tol)
+        ):
+            return "no symmetric pairing of output columns exists"
+        matching = sorted(
+            [(i, i) for i in np.nonzero(split)[0]]
+            + [(min(i, j), max(i, j)) for i, j in zip(pos, neg)]
+        )
+        pairs = []
+        for i, j in matching:
+            if i == j:
+                v = 0.5 * (r0[i] + r1[i])
+                pairs.append((v / 2.0, v / 2.0))
+            else:
+                # the larger index plays the positive label, as in the flat layout
+                pairs.append((r0[j], r0[i]))
+        pairs.sort(key=lambda pr: (pr[0] + pr[1], pr[0]))
 
-    def solve(remaining):
-        if not remaining:
-            return []
-        i = remaining[0]
-        rest = remaining[1:]
-        # self-pairing (split) first keeps odd alphabets solvable
-        if abs(r0[i] - r1[i]) <= tol:
-            sub = solve(rest)
-            if sub is not None:
-                return [(i, i)] + sub
-        for j in rest:
-            if abs(r0[i] - r1[j]) <= tol and abs(r0[j] - r1[i]) <= tol:
-                sub = solve([k for k in rest if k != j])
-                if sub is not None:
-                    return [(i, j)] + sub
-        return None
-
-    return solve(unmatched)
+    kept = [pr for pr in pairs if pr[0] + pr[1] > 0.0]
+    if not kept:
+        return "all output pairs carry zero probability"
+    return BisoChannel(kept, tol=PAIRING_TOL)
 
 
-def canonicalize_biso(channel, tol=PAIRING_TOL):
+def canonicalize_biso(channel):
     """Recognize a BISO channel and return its paired form.
+
+    This is the one entry point for the BISO decision.  A `BisoChannel` is
+    returned unchanged.  For a `Channel` the output columns are paired once
+    by a sort-and-pair in O(n log n) (see `_pair_columns`), and the outcome,
+    a paired form or a not-BISO verdict, is memoized on the channel, so
+    `is_biso` followed by `canonicalize_biso` pairs the columns once.
 
     Parameters
     ----------
     channel : Channel or BisoChannel
         Binary-input channel to canonicalize.
-    tol : float
-        Tolerance for matching output columns.
 
     Returns
     -------
@@ -170,44 +202,19 @@ def canonicalize_biso(channel, tol=PAIRING_TOL):
     Raises
     ------
     NotBisoError
-        If no symmetric pairing of the output columns exists within `tol`.
+        If no symmetric pairing of the output columns exists within
+        PAIRING_TOL.
+    TypeError
+        If `channel` is neither a Channel nor a BisoChannel.
     """
     if isinstance(channel, BisoChannel):
         return channel
-    r0 = channel.rows[0]
-    r1 = channel.rows[1]
-    n = channel.n_outputs
-
-    pairs = None
-    if np.all(np.abs(r1 - r0[::-1]) <= tol):
-        # positional fast path: flat layout, possibly with an odd middle column
-        flat = r0
-        if n % 2 == 1:
-            mid = n // 2
-            if abs(r0[mid] - r1[mid]) > tol:
-                raise NotBisoError("odd output alphabet without an equal-rows middle column")
-            half = 0.5 * (r0[mid] + r1[mid]) / 2.0
-            flat = np.concatenate([r0[:mid], [half, half], r0[mid + 1:]])
-        l = len(flat) // 2
-        pairs = [(flat[l + i], flat[l - 1 - i]) for i in range(l)]
-    else:
-        matching = _match_columns(r0, r1, tol)
-        if matching is None:
-            raise NotBisoError("no symmetric pairing of output columns exists")
-        pairs = []
-        for i, j in matching:
-            if i == j:
-                v = 0.5 * (r0[i] + r1[i])
-                pairs.append((v / 2.0, v / 2.0))
-            else:
-                # the larger index plays the positive label, as in the flat layout
-                pairs.append((r0[j], r0[i]))
-        pairs.sort(key=lambda pr: (pr[0] + pr[1], pr[0]))
-
-    kept = [pr for pr in pairs if pr[0] + pr[1] > 0.0]
-    if not kept:
-        raise NotBisoError("all output pairs carry zero probability")
-    return BisoChannel(kept, tol=max(tol, STRICT_TOL))
+    channel = as_channel(channel)
+    if channel._canonical is None:
+        channel._canonical = _pair_columns(channel.rows)
+    if isinstance(channel._canonical, str):
+        raise NotBisoError(channel._canonical)
+    return channel._canonical
 
 
 def is_biso(channel):

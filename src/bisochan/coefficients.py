@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, as_channel, canonicalize_biso, is_biso
-from .errors import InfiniteDivergenceError, ParameterOutOfRangeError
+from .channels import as_channel, canonicalize_biso
+from .errors import InfiniteDivergenceError, NotBisoError, ParameterOutOfRangeError
 from .search import scan_then_golden_max
 
 _LN2 = math.log(2.0)
@@ -78,8 +78,7 @@ def eta_kl_biso(biso):
 
     eta = sum over pairs of (p_y - p_-y)^2 / (p_y + p_-y), with 0/0 := 0.
     """
-    if isinstance(biso, Channel):
-        biso = canonicalize_biso(biso)
+    biso = canonicalize_biso(biso)
     p = biso.pairs[:, 0]
     q = biso.pairs[:, 1]
     s = p + q
@@ -208,8 +207,7 @@ def capacity_binary(channel):
 
 def capacity_biso(biso):
     """Closed-form capacity of a BISO channel in bits."""
-    if isinstance(biso, Channel):
-        biso = canonicalize_biso(biso)
+    biso = canonicalize_biso(biso)
     p = biso.pairs[:, 0]
     q = biso.pairs[:, 1]
     s = p + q
@@ -217,6 +215,22 @@ def capacity_biso(biso):
     delta = np.where(keep, p / np.where(keep, s, 1.0), 0.0)
     hterm = _entropy_bits(np.stack([delta, 1.0 - delta], axis=-1))
     return float(1.0 - (s * np.where(keep, hterm, 0.0)).sum())
+
+
+def eta_kl(channel):
+    """KL contraction coefficient: the closed form for BISO channels, the optimizer otherwise."""
+    try:
+        return eta_kl_biso(canonicalize_biso(channel))
+    except NotBisoError:
+        return eta_kl_binary(channel)
+
+
+def capacity(channel):
+    """Capacity in bits: the closed form for BISO channels, the optimizer otherwise."""
+    try:
+        return capacity_biso(canonicalize_biso(channel))
+    except NotBisoError:
+        return capacity_binary(channel)
 
 
 # ----------------------------------------------------------------------
@@ -247,20 +261,13 @@ def coefficient_report(channel):
     binary channels fall back to the scalar optimizers.
     """
     ch = as_channel(channel)
-    if is_biso(ch):
-        b = canonicalize_biso(ch)
-        eta = eta_kl_biso(b)
-        cap = capacity_biso(b)
-    else:
-        eta = eta_kl_binary(ch)
-        cap = capacity_binary(ch)
     return CoefficientReport(
-        eta_kl=eta,
+        eta_kl=eta_kl(ch),
         eta_tv=eta_tv(ch),
         doeblin_alpha=doeblin_alpha(ch),
         alpha_max=alpha_max(ch),
         maximal_leakage=maximal_leakage(ch),
-        capacity=cap,
+        capacity=capacity(ch),
     )
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    BisoChannel,
     Channel,
     DegradingMap,
     as_channel,
@@ -22,10 +21,10 @@ from .channels import (
     make_bsc,
 )
 from .coefficients import (
+    capacity,
     capacity_biso,
-    capacity_binary,
     doeblin_alpha,
-    eta_kl_binary,
+    eta_kl,
     eta_kl_biso,
     eta_tv,
     h2,
@@ -34,7 +33,6 @@ from .coefficients import (
 from .errors import (
     ClassMismatchError,
     DimensionTooLargeError,
-    NotBisoError,
     ParameterOutOfRangeError,
 )
 from .orders import OrderVerdict, is_degraded, is_less_noisy, is_more_capable
@@ -71,15 +69,9 @@ def channel_class(channel, kind):
     if kind == "alpha":
         value = doeblin_alpha(channel)
     elif kind == "eta_kl":
-        try:
-            value = eta_kl_biso(canonicalize_biso(as_channel(channel)))
-        except NotBisoError:
-            value = eta_kl_binary(channel)
+        value = eta_kl(channel)
     elif kind == "capacity":
-        try:
-            value = capacity_biso(canonicalize_biso(as_channel(channel)))
-        except NotBisoError:
-            value = capacity_binary(channel)
+        value = capacity(channel)
     else:
         raise ParameterOutOfRangeError(f"unknown class kind {kind!r}")
     return ChannelClass(kind, float(value))
@@ -120,8 +112,7 @@ def bsc_degrading_map(biso):
     composition lands exactly on the matched BSC.  Rows follow the flat
     output layout of `BisoChannel.to_channel`.
     """
-    if isinstance(biso, Channel):
-        biso = canonicalize_biso(biso)
+    biso = canonicalize_biso(biso)
     p = biso.pairs[:, 0]
     pm = biso.pairs[:, 1]
     a_pos = (p >= pm).astype(float)
@@ -142,8 +133,7 @@ def _dim3_parts(biso, tol=1e-12):
     Accepts one pair, or two pairs of which the tied ones came from a
     0-split.  More than one informative (untied) pair is rejected.
     """
-    if isinstance(biso, Channel):
-        biso = canonicalize_biso(biso)
+    biso = canonicalize_biso(biso)
     p0 = 0.0
     informative = None
     for p, pm in biso.pairs:
@@ -190,8 +180,8 @@ def dim3_less_noisy_compare(f_biso, g_biso, eta_tol=1e-9):
     rho dominates.  Returns the verdict for "first is less noisy than
     second"; swap the arguments for the reverse direction.
     """
-    f_biso = canonicalize_biso(f_biso) if not isinstance(f_biso, BisoChannel) else f_biso
-    g_biso = canonicalize_biso(g_biso) if not isinstance(g_biso, BisoChannel) else g_biso
+    f_biso = canonicalize_biso(f_biso)
+    g_biso = canonicalize_biso(g_biso)
     eta_f = eta_kl_biso(f_biso)
     eta_g = eta_kl_biso(g_biso)
     if abs(eta_f - eta_g) > eta_tol:
@@ -227,8 +217,8 @@ def dim3_degrading_map(f_biso, g_biso, alpha_tol=1e-9):
     matching or flipped orientation; both are row-stochastic by the shared
     total-variation constraint.
     """
-    fb = canonicalize_biso(f_biso) if not isinstance(f_biso, BisoChannel) else f_biso
-    gb = canonicalize_biso(g_biso) if not isinstance(g_biso, BisoChannel) else g_biso
+    fb = canonicalize_biso(f_biso)
+    gb = canonicalize_biso(g_biso)
     f_parts = _dim3_parts(fb)
     g_parts = _dim3_parts(gb)
     alpha_f = 1.0 - abs(f_parts[1] - f_parts[2])
@@ -287,8 +277,7 @@ class ReverseCoefficients:
 
 def reverse_coefficients(biso):
     """Reverse coefficients of a BISO channel via the closed identities."""
-    if isinstance(biso, Channel):
-        biso = canonicalize_biso(biso)
+    biso = canonicalize_biso(biso)
     return ReverseCoefficients(
         alpha_rev=1.0 - eta_tv(biso),
         beta_rev=1.0 - eta_kl_biso(biso),
@@ -298,8 +287,7 @@ def reverse_coefficients(biso):
 
 def verify_reverse_alpha(biso, xtol=2e-7):
     """Bisection for the smallest 2p with the channel degradable onto BSC(p)."""
-    if isinstance(biso, Channel):
-        biso = canonicalize_biso(biso)
+    biso = canonicalize_biso(biso)
     flat = biso.to_channel()
 
     def dominated(p):
@@ -311,8 +299,7 @@ def verify_reverse_alpha(biso, xtol=2e-7):
 
 def verify_reverse_beta(biso, xtol=2e-7):
     """Bisection for the smallest 4p(1-p) with the channel less noisy than BSC(p)."""
-    if isinstance(biso, Channel):
-        biso = canonicalize_biso(biso)
+    biso = canonicalize_biso(biso)
 
     def dominated(p):
         if p >= 0.5:
@@ -329,8 +316,7 @@ def verify_reverse_gamma(biso, grid_points=1000):
     The more-capable check is the expensive one, so the search runs on a
     fixed p-grid by binary search over the monotone verdict.
     """
-    if isinstance(biso, Channel):
-        biso = canonicalize_biso(biso)
+    biso = canonicalize_biso(biso)
     flat = biso.to_channel()
     ps = np.linspace(0.0, 0.5, grid_points + 1)
 

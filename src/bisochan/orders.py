@@ -11,8 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    BisoChannel,
-    Channel,
     DegradingMap,
     as_channel,
     canonicalize_biso,
@@ -94,8 +92,7 @@ def guessing_probability(biso, x):
     Sums the larger joint atom over every output symbol; degradation can only
     shrink it, so a crossing between two channels refutes degradability.
     """
-    if isinstance(biso, Channel):
-        biso = canonicalize_biso(biso)
+    biso = canonicalize_biso(biso)
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise DegenerateParameterError(f"input bias must lie in [0, 1], got {x!r}")
@@ -129,8 +126,8 @@ def less_noisy_criterion_biso(w, v, q):
     q = float(q)
     if q <= 0.0 or q >= 1.0:
         raise DegenerateParameterError(f"criterion bias must lie strictly inside (0, 1), got {q!r}")
-    w = canonicalize_biso(w) if not isinstance(w, BisoChannel) else w
-    v = canonicalize_biso(v) if not isinstance(v, BisoChannel) else v
+    w = canonicalize_biso(w)
+    v = canonicalize_biso(v)
     return float(_criterion_grid(w, v, np.array([q]))[0])
 
 
@@ -157,8 +154,8 @@ def _criterion_grid(w, v, qs):
 
 def criterion_profile(w, v, grid_size=DEFAULT_GRID):
     """Criterion samples for the pair (w, v) on the interior grid."""
-    w = canonicalize_biso(w) if not isinstance(w, BisoChannel) else w
-    v = canonicalize_biso(v) if not isinstance(v, BisoChannel) else v
+    w = canonicalize_biso(w)
+    v = canonicalize_biso(v)
     qs = _interior_grid(grid_size)
     return CriterionProfile(qs, _criterion_grid(w, v, qs))
 
@@ -217,8 +214,8 @@ def is_less_noisy(w, v, grid_size=DEFAULT_GRID):
     q = 1/2 whenever the two channels share a contraction coefficient, so
     tiny negative noise there counts as holds.
     """
-    w = canonicalize_biso(w) if not isinstance(w, BisoChannel) else w
-    v = canonicalize_biso(v) if not isinstance(v, BisoChannel) else v
+    w = canonicalize_biso(w)
+    v = canonicalize_biso(v)
     qs = _interior_grid(grid_size)
     vals = _criterion_grid(w, v, qs)
 
@@ -229,38 +226,27 @@ def is_less_noisy(w, v, grid_size=DEFAULT_GRID):
     return _verdict_from_minimum(best_x, best_v, f)
 
 
-def less_noisy_criterion_fd(w, v, p, q, step=1e-4):
+def less_noisy_criterion_fd(w, v, p, q):
     """Second derivative of the chi-squared difference for general binary channels.
 
-    Central finite difference in the primal bias p of
+    The derivative is in the primal bias p of
     chi2(W o Ber(p) || W o Ber(q)) - chi2(V o Ber(p) || V o Ber(q)).
-    Since both terms are quadratic in p, the difference is exact up to
-    roundoff and independent of p.  Equals twice the BISO closed criterion.
+    Both terms are quadratic in p, so each contributes the constant
+    2 sum (r0 - r1)^2 / out_q over the outputs with
+    out_q = q r0 + (1 - q) r1 > 0; `p` does not change the value.
+    Equals twice the BISO closed criterion.
     """
     q = float(q)
     if q <= 0.0 or q >= 1.0:
         raise DegenerateParameterError("reference bias must lie strictly inside (0, 1)")
-    w = as_channel(w)
-    v = as_channel(v)
 
-    def chi2_diff(pp):
-        return _chi2_outputs(w, pp, q) - _chi2_outputs(v, pp, q)
+    def curvature(channel):
+        r0, r1 = as_channel(channel).rows
+        out_q = q * r0 + (1.0 - q) * r1
+        keep = out_q > 0.0
+        return 2.0 * float(np.sum((r0[keep] - r1[keep]) ** 2 / out_q[keep]))
 
-    p = float(p)
-    h = step
-    return (chi2_diff(p + h) - 2.0 * chi2_diff(p) + chi2_diff(p - h)) / (h * h)
-
-
-def _chi2_outputs(channel, p, q):
-    rows = channel.rows
-    out_p = p * rows[0] + (1.0 - p) * rows[1]
-    out_q = q * rows[0] + (1.0 - q) * rows[1]
-    keep = out_q > 0.0
-    if np.any(~keep & (out_p > 0.0)):
-        return np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(keep, (out_p - out_q) ** 2 / np.where(keep, out_q, 1.0), 0.0)
-    return float(terms.sum())
+    return curvature(w) - curvature(v)
 
 
 # ----------------------------------------------------------------------

@@ -141,6 +141,10 @@ class TestFICurveBounds:
         for t in (0.3, 0.9, 2.0):
             assert abs(fi_upper_bound(z, t) - 0.6 * min(t, 1.0)) < 1e-9
 
+    def test_upper_bound_rejects_non_channels(self):
+        with pytest.raises(TypeError):
+            fi_upper_bound([[0.9, 0.1], [0.1, 0.9]], 0.5)
+
     def test_negative_budget_rejected(self):
         with pytest.raises(LeakageOutOfRangeError):
             fi_curve_bounds(canonicalize_biso(make_bsc(0.2)), -0.5)

@@ -1,6 +1,11 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bisochan.channels
 from bisochan import (
     BisoChannel,
     Channel,
@@ -11,6 +16,7 @@ from bisochan import (
     NotBisoError,
     ParameterOutOfRangeError,
     canonicalize_biso,
+    coefficient_report,
     compose,
     format_biso,
     format_channel,
@@ -20,9 +26,11 @@ from bisochan import (
     make_bec,
     make_bsc,
     make_z,
+    match_extremal,
     parse_channel,
     save_channel,
 )
+from bisochan.cli import main
 
 
 def test_channel_rejects_bad_row_sums():
@@ -76,9 +84,10 @@ class TestCanonicalize:
         assert got == [(0.1, 0.1), (0.3, 0.5)]
 
     def test_permuted_columns_fall_back_to_matching(self):
-        # same channel as the flat counterexample, columns shuffled
+        # same channel as the flat counterexample, columns shuffled out of
+        # the flat layout
         flat = np.array([0.01, 0.48, 0.32, 0.19])
-        perm = [2, 0, 3, 1]
+        perm = [1, 0, 2, 3]
         ch = Channel([flat[perm], flat[::-1][perm]])
         b = canonicalize_biso(ch)
         got = sorted(map(tuple, np.sort(b.pairs, axis=1).tolist()))
@@ -112,6 +121,162 @@ class TestCanonicalize:
         once = canonicalize_biso(ch)
         twice = canonicalize_biso(once.to_channel())
         assert once.isclose(twice, atol=0.0)
+
+
+def _backtracking_pairs(rows, tol=1e-9):
+    """Reference BISO pairing by exhaustive backtracking (exponential time).
+
+    Returns the pairs array the sort-and-pair must reproduce, or None when
+    no symmetric pairing exists.
+    """
+    r0, r1 = np.asarray(rows, dtype=float)
+    n = len(r0)
+    if np.all(np.abs(r1 - r0[::-1]) <= tol):
+        flat = r0
+        if n % 2 == 1:
+            mid = n // 2
+            if abs(r0[mid] - r1[mid]) > tol:
+                return None
+            half = 0.5 * (r0[mid] + r1[mid]) / 2.0
+            flat = np.concatenate([r0[:mid], [half, half], r0[mid + 1:]])
+        l = len(flat) // 2
+        pairs = [(flat[l + i], flat[l - 1 - i]) for i in range(l)]
+    else:
+
+        def solve(remaining):
+            if not remaining:
+                return []
+            i, rest = remaining[0], remaining[1:]
+            if abs(r0[i] - r1[i]) <= tol:
+                sub = solve(rest)
+                if sub is not None:
+                    return [(i, i)] + sub
+            for j in rest:
+                if abs(r0[i] - r1[j]) <= tol and abs(r0[j] - r1[i]) <= tol:
+                    sub = solve([k for k in rest if k != j])
+                    if sub is not None:
+                        return [(i, j)] + sub
+            return None
+
+        matching = solve(list(range(n)))
+        if matching is None:
+            return None
+        pairs = []
+        for i, j in matching:
+            if i == j:
+                v = 0.5 * (r0[i] + r1[i])
+                pairs.append((v / 2.0, v / 2.0))
+            else:
+                pairs.append((r0[j], r0[i]))
+        pairs.sort(key=lambda pr: (pr[0] + pr[1], pr[0]))
+    kept = [pr for pr in pairs if pr[0] + pr[1] > 0.0]
+    return np.array(kept) if kept else None
+
+
+weights = st.integers(min_value=0, max_value=6)
+
+
+@st.composite
+def permuted_biso_rows(draw):
+    """A BISO channel from integer weights, columns permuted.
+
+    Integer weights over one total give exact duplicates and zero entries
+    but no near-ties, so any valid pairing yields the same pairs array.
+    """
+    pairs = draw(st.lists(st.tuples(weights, weights), min_size=1, max_size=8))
+    middle = draw(st.one_of(st.none(), weights))
+    flat = [b for _, b in reversed(pairs)] + [a for a, _ in pairs]
+    if middle is not None:
+        flat.insert(len(flat) // 2, middle)
+    row0 = np.array(flat, dtype=float)
+    total = row0.sum()
+    if total == 0:
+        row0[0] = total = 1.0
+    row0 /= total
+    rows = np.stack([row0, row0[::-1]])
+    perm = draw(st.permutations(range(len(flat))))
+    return rows[:, list(perm)]
+
+
+@st.composite
+def general_rows(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = []
+    for _ in range(2):
+        raw = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+        if raw.sum() == 0:
+            raw[0] = 1.0
+        rows.append(raw / raw.sum())
+    return np.stack(rows)
+
+
+class TestPairing:
+    @settings(max_examples=300, deadline=None)
+    @given(permuted_biso_rows())
+    def test_matches_backtracking_on_permuted_biso(self, rows):
+        expected = _backtracking_pairs(rows)
+        assert expected is not None
+        got = canonicalize_biso(Channel(rows)).pairs
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(general_rows())
+    def test_same_decision_as_backtracking_on_general(self, rows):
+        expected = _backtracking_pairs(rows)
+        ch = Channel(rows)
+        assert is_biso(ch) == (expected is not None)
+        if expected is not None:
+            assert np.array_equal(canonicalize_biso(ch).pairs, expected)
+
+    def test_near_symmetric_non_biso_is_rejected_fast(self):
+        # n - 2 equal-row columns pair with one another in every order; the
+        # last two columns have no partner, so a backtracking search tries
+        # every matching of the first n - 2 before it fails
+        for n in (16, 32, 64):
+            c = 0.75 / n
+            rest = 1.0 - (n - 2) * c
+            row0 = np.concatenate([np.full(n - 2, c), [0.6 * rest, 0.4 * rest]])
+            row1 = np.concatenate([np.full(n - 2, c), [0.15 * rest, 0.85 * rest]])
+            ch = Channel([row0, row1])
+            start = time.perf_counter()
+            with pytest.raises(NotBisoError):
+                canonicalize_biso(ch)
+            assert time.perf_counter() - start < 0.5, n
+
+
+class TestMemo:
+    @pytest.fixture
+    def pairing_calls(self, monkeypatch):
+        calls = []
+        pair_columns = bisochan.channels._pair_columns
+
+        def counted(rows):
+            calls.append(rows)
+            return pair_columns(rows)
+
+        monkeypatch.setattr(bisochan.channels, "_pair_columns", counted)
+        return calls
+
+    def test_pairing_runs_once_per_channel(self, pairing_calls):
+        flat = np.array([0.01, 0.48, 0.32, 0.19])
+        perm = [1, 0, 2, 3]
+        shuffled = Channel([flat[perm], flat[::-1][perm]])
+        non_biso = Channel([[0.5, 0.2, 0.3], [0.3, 0.1, 0.6]])
+        for ch, biso in ((shuffled, True), (non_biso, False)):
+            before = len(pairing_calls)
+            assert is_biso(ch) is biso
+            coefficient_report(ch)
+            for kind in ("eta_kl", "alpha", "capacity"):
+                match_extremal(ch, kind)
+            assert len(pairing_calls) - before == 1
+
+    def test_analyze_pairs_once(self, pairing_calls, tmp_path, capsys):
+        path = tmp_path / "shuffled.txt"
+        path.write_text("4\n0.48 0.01 0.32 0.19\n0.32 0.19 0.48 0.01\n")
+        assert main(["analyze", str(path)]) == 0
+        assert "biso: yes" in capsys.readouterr().out
+        assert len(pairing_calls) == 1
 
 
 class TestCompose:

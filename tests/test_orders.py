@@ -92,7 +92,7 @@ class TestLessNoisyCriterion:
             q = float(rng.uniform(0.05, 0.95))
             fd = less_noisy_criterion_fd(w.to_channel(), v.to_channel(), 0.4, q)
             closed = 2.0 * less_noisy_criterion_biso(w, v, q)
-            assert abs(fd - closed) < 1e-5 * max(1.0, abs(closed))
+            assert abs(fd - closed) < 1e-12 * max(1.0, abs(closed))
 
     def test_profile_parameters_are_interior_and_increasing(self):
         prof = criterion_profile(ETA_PAIR_A, ETA_PAIR_B, 99)
