@@ -44,7 +44,7 @@ def _as_prob_matrix(rows, tol, what="channel"):
 class Channel:
     """A binary-input channel: 2 x n row-stochastic matrix, immutable."""
 
-    def __init__(self, rows, output_labels=None, tol=STRICT_TOL):
+    def __init__(self, rows, tol=STRICT_TOL):
         arr = _as_prob_matrix(rows, tol)
         if arr.shape[0] != 2:
             raise InvalidChannelError(f"binary-input channel needs 2 rows, got {arr.shape[0]}")
@@ -52,13 +52,6 @@ class Channel:
             raise InvalidChannelError("channel needs at least one output")
         arr.setflags(write=False)
         self.rows = arr
-        if output_labels is not None:
-            labels = tuple(int(v) for v in output_labels)
-            if len(labels) != arr.shape[1]:
-                raise DimensionMismatchError("output_labels length does not match outputs")
-            self.output_labels = labels
-        else:
-            self.output_labels = None
         self._canonical = None  # memo of canonicalize_biso: BisoChannel or not-BISO reason
 
     @property

@@ -27,8 +27,10 @@ from .coefficients import coefficient_report, mutual_information_grid
 from .errors import (
     ChannelFormatError,
     ClassMismatchError,
+    DegenerateParameterError,
     DimensionTooLargeError,
     InvalidChannelError,
+    LeakageOutOfRangeError,
     NotBisoError,
 )
 from .extremal import bsc_degrading_map, general_binary_dominated, match_extremal
@@ -132,8 +134,8 @@ def cmd_compare(args):
                 print("less-noisy: skipped (non-BISO pair)")
                 continue
             ba, bb = canonicalize_biso(a), canonicalize_biso(b)
-            _describe_verdict("less-noisy A>=B", is_less_noisy(ba, bb, args.grid))
-            _describe_verdict("less-noisy B>=A", is_less_noisy(bb, ba, args.grid))
+            _describe_verdict("less-noisy A>=B", is_less_noisy(ba, bb))
+            _describe_verdict("less-noisy B>=A", is_less_noisy(bb, ba))
         else:
             _describe_verdict("more-capable A>=B", is_more_capable(a, b, args.grid))
             _describe_verdict("more-capable B>=A", is_more_capable(b, a, args.grid))
@@ -293,7 +295,7 @@ def build_parser():
     p.add_argument("channel_a")
     p.add_argument("channel_b")
     p.add_argument("--order", choices=("deg", "ln", "mc", "all"), default="all")
-    p.add_argument("--grid", type=int, default=999)
+    p.add_argument("--grid", type=int, default=999, help="more-capable grid size")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("extremal", help="construct the matched BSC/BEC representatives")
@@ -329,7 +331,8 @@ def main(argv=None):
     except InvalidChannelError as exc:
         print(f"invalid channel: {exc}", file=sys.stderr)
         return EXIT_INVALID_CHANNEL
-    except (NotBisoError, ClassMismatchError, DimensionTooLargeError) as exc:
+    except (NotBisoError, ClassMismatchError, DimensionTooLargeError,
+            DegenerateParameterError, LeakageOutOfRangeError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -1,12 +1,14 @@
 """Decision procedures for the channel partial orders.
 
-Degradability is decided exactly via an LP feasibility problem; the
-less-noisy and more-capable orders are decided numerically on a parameter
-grid with refinement around sign changes, so near-zero margins surface as
-explicit verdicts rather than being coerced.
+Degradability is decided exactly via an LP feasibility problem, and the
+less-noisy order exactly from the sign intervals of one polynomial.  The
+more-capable order is decided numerically on an input-bias grid with
+refinement around sign changes, so near-zero margins surface as explicit
+verdicts rather than being coerced.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -204,26 +206,52 @@ def _verdict_from_minimum(best_x, best_v, f):
     return OrderVerdict("holds")
 
 
-def is_less_noisy(w, v, grid_size=DEFAULT_GRID):
-    """Decide whether the first BISO channel is less noisy than the second.
+def _sign_probes(w, v):
+    """q-points meeting every sign interval of the criterion + VERDICT_TOL on (0, 1).
 
-    Evaluates the convexity criterion on the interior q-grid, refines around
-    sign changes, and maps the minimum to a verdict: a violation beyond 1e-9
-    fails (with the violating q as witness); anything within roundoff of the
-    touching minimum holds.  The criterion legitimately touches zero at
-    q = 1/2 whenever the two channels share a contraction coefficient, so
-    tiny negative noise there counts as holds.
+    In x = 4q(1 - q) a pair with s = p + p_- contributes 4k / (a + cx), k = (p - p_-)^2 / s,
+    c = (p - p_-)^2 / s^2, a = 1 - c = 4 p p_- / s^2.  Times prod(a + cx) > 0 on (0, 1],
+    that is a polynomial of degree <= l_W + l_V with constant sign between real roots;
+    probe each interval's midpoint and each (near-)real root.
+    """
+    pairs = np.concatenate((w.pairs, v.pairs))
+    moving = pairs[:, 0] != pairs[:, 1]  # p = p_- contributes nothing
+    p, pm = pairs[moving].T
+    s = p + pm
+    k = np.repeat([4.0, -4.0], (w.num_pairs, v.num_pairs))[moving] * (p - pm) ** 2 / s
+    factors = np.stack((((p - pm) / s) ** 2, 4.0 * p * pm / s**2), axis=1)  # c x + a
+    poly = VERDICT_TOL * reduce(np.convolve, factors, np.ones(1))
+    for i in range(k.size):
+        poly[1:] += k[i] * reduce(np.convolve, np.delete(factors, i, axis=0), np.ones(1))
+    roots = np.roots(poly)
+    real = roots.real[(np.abs(roots.imag) <= 1e-7) & (roots.real > 0.0) & (roots.real < 1.0)]
+    edges = np.concatenate(([0.0], np.sort(real), [1.0]))
+    xs = np.concatenate((real, (edges[:-1] + edges[1:]) / 2.0))
+    qs = xs / (2.0 * (1.0 + np.sqrt(1.0 - xs)))  # the root of 4q(1 - q) = x in (0, 1/2]
+    return qs[qs > 0.0]
+
+
+def is_less_noisy(w, v):
+    """Decide exactly whether the first BISO channel is less noisy than the second.
+
+    Fails iff the convexity criterion dips below -1e-9 somewhere in (0, 1),
+    which the finitely many `_sign_probes` decide; every failure is a point
+    where the criterion itself is below -1e-9.  The witness is the argmin of the
+    default q-grid when that grid already shows the violation, else the
+    lowest probe.  Channels sharing a contraction coefficient touch zero at
+    q = 1/2, so roundoff there counts as holds.
     """
     w = canonicalize_biso(w)
     v = canonicalize_biso(v)
-    qs = _interior_grid(grid_size)
+    qs = _interior_grid(DEFAULT_GRID)
     vals = _criterion_grid(w, v, qs)
-
-    def f(q):
-        return float(_criterion_grid(w, v, np.array([q]))[0])
-
-    best_x, best_v = _refined_minimum(qs, vals, f)
-    return _verdict_from_minimum(best_x, best_v, f)
+    if vals.min() >= -VERDICT_TOL:
+        qs = _sign_probes(w, v)
+        vals = _criterion_grid(w, v, qs)
+        if vals.min() >= -VERDICT_TOL:
+            return OrderVerdict("holds")
+    q = float(qs[np.argmin(vals)])
+    return OrderVerdict("fails", CriterionViolation(q, less_noisy_criterion_biso(w, v, q)))
 
 
 def less_noisy_criterion_fd(w, v, p, q):

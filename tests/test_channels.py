@@ -1,3 +1,4 @@
+import inspect
 import time
 
 import numpy as np
@@ -31,6 +32,10 @@ from bisochan import (
     save_channel,
 )
 from bisochan.cli import main
+
+
+def test_channel_takes_rows_and_tolerance_only():
+    assert list(inspect.signature(Channel).parameters) == ["rows", "tol"]
 
 
 def test_channel_rejects_bad_row_sums():

@@ -101,6 +101,17 @@ class TestCompare:
     def test_ln_requires_biso_exit_4(self, z_file, eta_file_a):
         assert main(["compare", z_file, eta_file_a, "--order", "ln"]) == 4
 
+    def test_grid_leaves_less_noisy_unchanged(self, eta_file_a, eta_file_b, capsys):
+        outs = []
+        for grid in ("5", "999"):
+            assert main(["compare", eta_file_a, eta_file_b, "--order", "ln", "--grid", grid]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_degenerate_grid_exit_4(self, eta_file_a, eta_file_b, capsys):
+        assert main(["compare", eta_file_a, eta_file_b, "--grid", "1"]) == 4
+        assert "precondition violated: grid_size" in capsys.readouterr().err
+
     def test_order_all_runs_everything(self, eta_file_a, eta_file_b, capsys):
         assert main(["compare", eta_file_a, eta_file_b]) == 0
         out = capsys.readouterr().out
@@ -215,6 +226,15 @@ class TestSweep:
             ]
         ) == 0
         assert out.read_text().startswith("q,forward,reverse\n")
+
+    def test_degenerate_grid_exit_4(self, eta_file_a, eta_file_b, capsys):
+        argv = ["sweep", "--quantity", "criterion", eta_file_a, eta_file_b, "--grid", "1"]
+        assert main(argv) == 4
+        assert "precondition violated: grid_size" in capsys.readouterr().err
+
+    def test_negative_leakage_exit_4(self, eta_file_a, capsys):
+        assert main(["sweep", "--quantity", "fi-bounds", eta_file_a, "--tmax", "-1"]) == 4
+        assert capsys.readouterr().err.startswith("precondition violated: ")
 
     def test_wrong_file_count_exit_4(self, eta_file_a):
         assert main(["sweep", "--quantity", "criterion", eta_file_a]) == 4

@@ -1,5 +1,6 @@
 import inspect
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from bisochan import (
     make_z,
     mutual_information_difference,
 )
+from bisochan import orders
 from bisochan.checks import (
     ALPHA_PAIR_F,
     ALPHA_PAIR_G,
@@ -30,6 +32,7 @@ from bisochan.checks import (
     random_biso,
     random_degraded_biso,
 )
+from bisochan.coefficients import eta_kl_biso
 from bisochan.orders import CriterionViolation, InfeasibilityCertificate
 
 
@@ -140,6 +143,171 @@ class TestIsLessNoisy:
 
     def test_accepts_flat_channels(self):
         assert is_less_noisy(make_bsc(0.1), make_bsc(0.3)).holds
+
+    def test_signature_has_no_grid(self):
+        assert list(inspect.signature(is_less_noisy).parameters) == ["w", "v"]
+
+    def test_violation_below_the_grid_fails(self):
+        # the criterion is negative only for q below the first grid point
+        # 1/1000, so a 999-point grid (refined or not) reported holds
+        w = BisoChannel([
+            (0.5305825982962071, 0.11281659125020235),
+            (0.10959210537037047, 0.2470087050832201),
+        ])
+        v = BisoChannel([
+            (0.11107288429120467, 0.04532210586447801),
+            (0.011438451382146648, 0.1563268592328835),
+            (0.18864571598538543, 0.18343058682444083),
+            (0.12954687206888724, 0.1742165243505737),
+        ])
+        verdict = is_less_noisy(w, v)
+        assert verdict.fails
+        q = verdict.witness.parameter
+        assert 0.0 < q < 1e-3
+        assert less_noisy_criterion_biso(w, v, q) < -1e-9
+        assert _grid_oracle(w, v)[1].holds
+
+    def test_violation_behind_a_pole_near_q_zero(self):
+        # lopsided pairs put poles within 1e-4 of u = (1 - 2q)^2 = 1; the
+        # criterion turns negative only for q below about 5e-5
+        w = BisoChannel([
+            (0.043543947535232115, 0.17433951386894594),
+            (0.0004102749855720974, 0.08476246344550845),
+            (0.006296967789173616, 0.09942303199624332),
+            (0.015406822997320347, 0.05899619354658792),
+            (8.438131541057604e-06, 0.22150776764295724),
+            (0.10931671278552706, 0.02058763853338184),
+            (0.0012030457417199843, 0.0967398299314285),
+            (0.02152911539456377, 0.04592823567429689),
+        ])
+        v = BisoChannel([
+            (0.0119859756863513, 0.045602459520241334),
+            (0.26200295127754075, 0.175523857300093),
+            (1.4016923184891106e-07, 0.12629296892859776),
+            (0.00022140251923267345, 0.022075777713420463),
+            (0.00534634387638017, 0.0026477509322508485),
+            (0.005241514739235247, 0.14914061593046374),
+            (0.12817844761791722, 0.06573979378904359),
+        ])
+        verdict = is_less_noisy(w, v)
+        assert verdict.fails
+        assert less_noisy_criterion_biso(w, v, verdict.witness.parameter) < -1e-9
+        assert _dense_reference_fails(w, v)
+
+    def test_never_refines_or_searches(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("grid refinement on the less-noisy path")
+
+        monkeypatch.setattr(orders, "_refined_minimum", forbidden)
+        monkeypatch.setattr(orders, "golden_section_min", forbidden)
+        for w, v in _seeded_pairs(11, 40):
+            assert is_less_noisy(w, v).relation in ("holds", "fails")
+
+    def test_matches_grid_oracle(self):
+        changed = 0
+        for w, v in _seeded_pairs(12, 200):
+            grid_shows, old = _grid_oracle(w, v)
+            new = is_less_noisy(w, v)
+            if grid_shows:
+                assert new == old
+            elif new.relation != old.relation:
+                # only a violation the grid missed may change the verdict
+                changed += 1
+                assert new.fails
+                assert less_noisy_criterion_biso(w, v, new.witness.parameter) < -1e-9
+        assert changed > 0
+
+    def test_agrees_with_dense_reference(self):
+        for w, v in _seeded_pairs(13, 200):
+            verdict = is_less_noisy(w, v)
+            if _dense_reference_fails(w, v):
+                assert verdict.fails, (w, v)
+            if verdict.fails:
+                assert less_noisy_criterion_biso(w, v, verdict.witness.parameter) < -1e-9
+
+    def test_large_channels_decide_quickly(self):
+        rng = np.random.default_rng(14)
+        raw = rng.uniform(0.0, 1.0, size=(32, 2)) ** 3
+        w = BisoChannel(raw / raw.sum())
+        v = random_degraded_biso(rng, w, max_pairs=32)
+        v = BisoChannel(np.vstack([v.pairs, np.zeros((32 - v.num_pairs, 2))]))
+        for a, b in ((w, v), (v, w)):
+            start = time.perf_counter()
+            verdict = is_less_noisy(a, b)
+            assert time.perf_counter() - start < 0.5
+            assert not _dense_reference_fails(a, b) or verdict.fails
+        assert is_less_noisy(w, v).holds
+
+
+def _grid_oracle(w, v):
+    """The less-noisy decision the exact one replaced: a 999-point q-grid,
+    golden refinement around dips, then a re-check of the minimum.
+
+    Returns (whether the grid itself shows a violation, the verdict).
+    """
+    qs = np.arange(1, 1000) / 1000.0
+    vals = orders._criterion_grid(w, v, qs)
+
+    def f(q):
+        return float(orders._criterion_grid(w, v, np.array([q]))[0])
+
+    best_x, best_v = orders._refined_minimum(qs, vals, f)
+    return bool(vals.min() < -1e-9), orders._verdict_from_minimum(best_x, best_v, f)
+
+
+_DENSE_QS = np.unique(
+    np.concatenate((np.logspace(-15, math.log10(0.5), 20000), np.linspace(0.0, 0.5, 20001)[1:]))
+)
+
+
+def _dense_reference_fails(w, v):
+    """Whether the criterion falls below -1e-9 by more than its roundoff on a
+    dense q-grid (log-spaced down to 1e-15, plus uniform; the criterion is
+    symmetric under q -> 1 - q).  It uses conv(1 - conv) = q(1 - q) +
+    (1 - 2q)^2 p p_- / s^2, which keeps its precision as q -> 0.
+    """
+    q = _DENSE_QS[:, None]
+    total = magnitude = 0.0
+    for biso, sign in ((w, 1.0), (v, -1.0)):
+        p, pm = biso.pairs[:, 0], biso.pairs[:, 1]
+        s = np.where(p + pm > 0.0, p + pm, 1.0)
+        terms = (p - pm) ** 2 / s / (q * (1.0 - q) + (1.0 - 2.0 * q) ** 2 * p * pm / s**2)
+        total = total + sign * terms.sum(axis=1)
+        magnitude = magnitude + terms.sum(axis=1)
+    return bool(np.any(total + 1e-14 * magnitude < -1e-9))
+
+
+def _skewed_biso(rng, max_pairs=8):
+    """A random channel with cubed uniform entries, so some pairs are lopsided."""
+    raw = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, max_pairs + 1)), 2)) ** 3
+    return BisoChannel(raw / raw.sum())
+
+
+def _with_zeros(rng, biso):
+    """The channel with about a third of its entries set to zero, renormalized."""
+    pairs = np.where(rng.random(biso.pairs.shape) < 0.35, 0.0, biso.pairs)
+    if pairs.sum() == 0.0:
+        pairs[0, 0] = 1.0
+    return BisoChannel(pairs / pairs.sum())
+
+
+def _seeded_pairs(seed, n):
+    """Random, garbled, touching BEC/BSC and zero-entry pairs of 1-8 pairs each."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        w = random_biso(rng, max_pairs=8)
+        kind = i % 4
+        if kind == 0:
+            w, v = _skewed_biso(rng), _skewed_biso(rng)
+        elif kind == 1:
+            v = random_degraded_biso(rng, w, max_pairs=8)
+        elif kind == 2:
+            eta = eta_kl_biso(w)
+            bec, bsc = make_bec(1.0 - eta), make_bsc((1.0 - math.sqrt(eta)) / 2.0)
+            v = canonicalize_biso(bec if i % 8 == 2 else bsc)
+        else:
+            w, v = _with_zeros(rng, w), _with_zeros(rng, random_biso(rng, max_pairs=8))
+        yield (w, v) if rng.random() < 0.5 else (v, w)
 
 
 class TestIsMoreCapable:
