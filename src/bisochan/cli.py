@@ -125,6 +125,8 @@ def cmd_compare(args):
     if args.order == "ln" and not (is_biso(a) and is_biso(b)):
         print("less-noisy comparison requires BISO channels", file=sys.stderr)
         return EXIT_PRECONDITION
+    if "mc" in orders and args.grid < 2:
+        raise DegenerateParameterError("grid_size must be at least 2")
     for order in orders:
         if order == "deg":
             _describe_verdict("degradable A->B", is_degraded(a, b))

@@ -291,7 +291,7 @@ def verify_reverse_alpha(biso, xtol=2e-7):
     flat = biso.to_channel()
 
     def dominated(p):
-        return is_degraded(flat, make_bsc(p)).holds
+        return is_degraded(flat, make_bsc(p), witness=False).holds
 
     p_star = bisect_threshold(dominated, 0.0, 0.5, xtol)
     return 2.0 * p_star

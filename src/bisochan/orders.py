@@ -1,10 +1,12 @@
 """Decision procedures for the channel partial orders.
 
-Degradability is decided exactly via an LP feasibility problem, and the
-less-noisy order exactly from the sign intervals of one polynomial.  The
-more-capable order is decided numerically on an input-bias grid with
-refinement around sign changes, so near-zero margins surface as explicit
-verdicts rather than being coerced.
+Degradability is decided exactly by Blackwell's theorem for dichotomies,
+comparing guessing probabilities at finitely many priors; the phase-1
+simplex LP runs only to build a witness map or Farkas multipliers.  The
+less-noisy order is decided exactly from the sign intervals of one
+polynomial.  The more-capable order is decided numerically on an input-bias
+grid with refinement around sign changes, so near-zero margins surface as
+explicit verdicts rather than being coerced.
 """
 
 from dataclasses import dataclass
@@ -39,12 +41,14 @@ class CriterionViolation:
 
 @dataclass(frozen=True)
 class InfeasibilityCertificate:
-    """Evidence that no degrading map exists.
+    """Evidence that no degrading map exists, built by `is_degraded(witness=True)`.
 
-    `multipliers` are Farkas multipliers for the LP equality rows and
-    `residual` the positive phase-1 optimum.  For BISO pairs, `guessing_x`
-    (when present) is an input bias at which the would-be degraded channel
-    guesses strictly better, an independently checkable refutation.
+    The verdict itself comes from the guessing probabilities; this is the
+    LP's side of it.  `multipliers` are Farkas multipliers for the LP
+    equality rows and `residual` the positive phase-1 optimum.  For BISO
+    pairs, `guessing_x` (when present) is a point of the default input-bias
+    grid at which the would-be degraded channel guesses strictly better, an
+    independently checkable refutation.
     """
 
     multipliers: np.ndarray
@@ -309,49 +313,78 @@ def is_more_capable(p_channel, q_channel, grid_size=DEFAULT_GRID):
 
 
 # ----------------------------------------------------------------------
-# Degradability (exact, via LP feasibility)
+# Degradability (exact, via guessing probabilities; LP for witnesses)
 # ----------------------------------------------------------------------
 
 
-def is_degraded(p_channel, q_channel):
+def _blackwell_holds(p_ch, q_ch):
+    """Blackwell's test for dichotomies: does the first channel degrade onto the second?
+
+    For binary inputs, Q is a degraded version of P iff P guesses the input
+    at least as well as Q under every prior x.  G(x) = sum_y max(x r0_y,
+    (1 - x) r1_y) is convex and piecewise linear with kinks at
+    r1_y / (r0_y + r1_y).  Between the kinks of G_P, G_Q - G_P is convex, so
+    its maximum over [0, 1] is attained at a kink of P or at 0 or 1.
+
+    The relation holds while that maximum is at most VERDICT_TOL / 2.  The
+    gap never exceeds the phase-1 residual of P D = Q, which the LP compares
+    with 1e-9.  On seeded pairs that residual was 6 to 216 times the gap, so
+    half the tolerance keeps every "fails" an LP "fails" with a margin of 3,
+    and moves BSC(alpha / 2 - 1e-9) targets, whose gap is 1e-9, to "fails"
+    as the LP has them.
+    """
+    r0, r1 = p_ch.rows
+    s = r0 + r1
+    xs = np.concatenate(([0.0, 1.0], r1[s > 0.0] / s[s > 0.0]))[:, None]
+
+    def guessing(ch):
+        return np.maximum(xs * ch.rows[0], (1.0 - xs) * ch.rows[1]).sum(axis=1)
+
+    return float((guessing(q_ch) - guessing(p_ch)).max()) <= VERDICT_TOL / 2.0
+
+
+def is_degraded(p_channel, q_channel, witness=True):
     """Decide whether the second channel is a degraded version of the first.
 
-    Sets up the feasibility LP over the stochastic map D (row sums one,
-    matching constraints P D = Q for both inputs) and solves it by phase-1
-    simplex.  A feasible solve returns the witness map, which is validated
-    by re-composition to 1e-8 per entry; an infeasible solve returns Farkas
-    multipliers, plus a guessing-probability refutation point when both
-    channels are BISO.
+    The relation comes from `_blackwell_holds`, exact for every pair of
+    binary-input channels and free of pivoting.  With `witness=False` that is
+    all that runs, and the verdict carries no witness.  With `witness=True`
+    the feasibility LP over the stochastic map D (row sums one, P D = Q for
+    both inputs) is solved by phase-1 simplex to build the evidence: a
+    feasible solve returns the witness map, validated by re-composition to
+    1e-8 per entry; an infeasible solve returns Farkas multipliers, plus a
+    guessing-probability refutation point when both channels are BISO.  An LP
+    whose feasibility contradicts the relation raises
+    NumericalInstabilityError.
     """
     p_ch = as_channel(p_channel)
     q_ch = as_channel(q_channel)
+    holds = _blackwell_holds(p_ch, q_ch)
+    if not witness:
+        return OrderVerdict("holds" if holds else "fails")
     m = p_ch.n_outputs
     n = q_ch.n_outputs
 
-    n_vars = m * n
-    rows = []
-    rhs = []
-    for y in range(m):  # row sums
-        r = np.zeros(n_vars)
-        r[y * n:(y + 1) * n] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
-    for x in range(2):  # matching constraints
-        for yp in range(n):
-            r = np.zeros(n_vars)
-            for y in range(m):
-                r[y * n + yp] = p_ch.rows[x, y]
-            rows.append(r)
-            rhs.append(q_ch.rows[x, yp])
-    result = lp_feasibility(np.array(rows), np.array(rhs))
+    # variable y * n + z is D[y, z]: m row sums, then (P D)[x, z] = Q[x, z]
+    a_eq = np.zeros((m + 2 * n, m, n))
+    a_eq[np.arange(m), np.arange(m), :] = 1.0
+    z = np.arange(n)
+    a_eq[m:].reshape(2, n, m, n)[:, z, :, z] = p_ch.rows
+    b_eq = np.concatenate((np.ones(m), q_ch.rows.ravel()))
+    result = lp_feasibility(a_eq.reshape(m + 2 * n, m * n), b_eq)
+    if result.feasible != holds:
+        raise NumericalInstabilityError(
+            f"phase-1 LP feasibility {result.feasible} contradicts the guessing-probability "
+            f"decision {'holds' if holds else 'fails'}"
+        )
 
     if result.feasible:
-        witness = DegradingMap(result.x.reshape(m, n))
-        recomposed = compose(p_ch, witness)
+        dmap = DegradingMap(result.x.reshape(m, n))
+        recomposed = compose(p_ch, dmap)
         drift = float(np.abs(recomposed.rows - q_ch.rows).max())
         if drift > 1e-8:
             raise NumericalInstabilityError(f"witness re-composition drifts by {drift:g}")
-        return OrderVerdict("holds", witness)
+        return OrderVerdict("holds", dmap)
 
     guess_x = guess_gap = None
     if is_biso(p_ch) and is_biso(q_ch):

@@ -109,8 +109,11 @@ class TestCompare:
         assert outs[0] == outs[1]
 
     def test_degenerate_grid_exit_4(self, eta_file_a, eta_file_b, capsys):
-        assert main(["compare", eta_file_a, eta_file_b, "--grid", "1"]) == 4
-        assert "precondition violated: grid_size" in capsys.readouterr().err
+        for order in ("all", "mc"):
+            assert main(["compare", eta_file_a, eta_file_b, "--order", order, "--grid", "1"]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "precondition violated: grid_size" in captured.err
 
     def test_order_all_runs_everything(self, eta_file_a, eta_file_b, capsys):
         assert main(["compare", eta_file_a, eta_file_b]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import time
@@ -7,6 +8,7 @@ import pytest
 
 from bisochan import (
     BisoChannel,
+    Channel,
     DegenerateParameterError,
     DegradingMap,
     canonicalize_biso,
@@ -23,7 +25,7 @@ from bisochan import (
     make_z,
     mutual_information_difference,
 )
-from bisochan import orders
+from bisochan import orders, simplex
 from bisochan.checks import (
     ALPHA_PAIR_F,
     ALPHA_PAIR_G,
@@ -32,7 +34,8 @@ from bisochan.checks import (
     random_biso,
     random_degraded_biso,
 )
-from bisochan.coefficients import eta_kl_biso
+from bisochan.coefficients import doeblin_alpha, eta_kl_biso
+from bisochan.errors import NumericalInstabilityError
 from bisochan.orders import CriterionViolation, InfeasibilityCertificate
 
 
@@ -383,3 +386,102 @@ class TestIsDegraded:
         target = compose(f, collapse)
         assert is_degraded(f, target).holds
         assert is_degraded(target, f).fails
+
+    def test_matches_lp_oracle(self):
+        outcomes = {True: 0, False: 0}
+        for p, q in _degradation_pairs(21):
+            holds = orders._blackwell_holds(p, q)
+            assert holds == _lp_oracle(p, q), (p, q)
+            outcomes[holds] += 1
+        assert min(outcomes.values()) > 100
+
+    def test_relation_never_runs_the_lp(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simplex on the relation-only path")
+
+        monkeypatch.setattr(orders, "lp_feasibility", forbidden)
+        f, g = ALPHA_PAIR_F.to_channel(), ALPHA_PAIR_G.to_channel()
+        assert is_degraded(f, make_bsc(doeblin_alpha(f) / 2.0), witness=False).holds
+        assert is_degraded(f, g, witness=False).fails
+        assert is_degraded(f, g, witness=False).witness is None
+
+    def test_lp_contradicting_the_relation_raises(self, monkeypatch):
+        lp_feasibility = orders.lp_feasibility
+
+        def flipped(*args, **kwargs):
+            result = lp_feasibility(*args, **kwargs)
+            return dataclasses.replace(result, feasible=not result.feasible)
+
+        monkeypatch.setattr(orders, "lp_feasibility", flipped)
+        f, g = ALPHA_PAIR_F.to_channel(), ALPHA_PAIR_G.to_channel()
+        for a, b in ((f, f), (f, g)):
+            with pytest.raises(NumericalInstabilityError):
+                is_degraded(a, b)
+
+    def test_large_channels_decide_quickly(self):
+        rng = np.random.default_rng(22)
+        p = Channel(rng.dirichlet(np.ones(256), size=2))
+        q = compose(p, rng.dirichlet(np.ones(256), size=256))
+        for a, b, relation in ((p, q, "holds"), (q, p, "fails")):
+            start = time.perf_counter()
+            verdict = is_degraded(a, b, witness=False)
+            assert time.perf_counter() - start < 0.1
+            assert verdict.relation == relation
+
+
+def _lp_oracle(p, q):
+    """The degradability relation the guessing-probability test replaced:
+    feasibility of P D = Q over row-stochastic D by the phase-1 simplex."""
+    m, n = p.n_outputs, q.n_outputs
+    a_eq = np.vstack(
+        (np.kron(np.eye(m), np.ones(n)), np.kron(p.rows[0], np.eye(n)), np.kron(p.rows[1], np.eye(n)))
+    )
+    b_eq = np.concatenate((np.ones(m), q.rows[0], q.rows[1]))
+    return simplex.lp_feasibility(a_eq, b_eq).feasible
+
+
+def _stochastic(rng, shape, zeros=False):
+    """Random rows summing to one; with `zeros`, about a third of the entries are zero."""
+    raw = rng.uniform(0.0, 1.0, size=shape)
+    if zeros:
+        raw = np.where(rng.random(shape) < 0.35, 0.0, raw)
+        raw[:, 0] += raw.sum(axis=1) == 0.0
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def _general_channel(rng, zeros=False):
+    return Channel(_stochastic(rng, (2, int(rng.integers(2, 7))), zeros))
+
+
+def _garbling(rng, channel, zeros=False):
+    """The channel followed by a random stochastic map onto 2-6 outputs."""
+    return compose(channel, _stochastic(rng, (channel.n_outputs, int(rng.integers(2, 7))), zeros))
+
+
+def _degradation_pairs(seed):
+    """Touching BEC/BSC pairs, the reverse-alpha bisection's neighbourhood of
+    BSC(alpha/2), garblings of general channels, independent pairs, channels
+    with zero entries and column-shuffled BISO channels, in both directions."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        flat = random_biso(rng).to_channel()
+        alpha = doeblin_alpha(flat)
+        yield make_bec(alpha), flat
+        yield flat, make_bsc(alpha / 2.0)
+        for d in (1e-7, 1e-9, 1e-11):
+            yield flat, make_bsc(alpha / 2.0 - d)
+            yield flat, make_bsc(alpha / 2.0 + d)
+    for i in range(400):
+        zeros = i % 2 == 1
+        p = _general_channel(rng, zeros)
+        q = _garbling(rng, p, zeros)
+        yield p, q
+        yield q, p
+        yield p, _general_channel(rng, zeros)
+    for _ in range(100):
+        biso = random_biso(rng)
+        flat = biso.to_channel()
+        shuffled = Channel(flat.rows[:, rng.permutation(flat.n_outputs)])
+        yield shuffled, _garbling(rng, shuffled)
+        yield shuffled, random_degraded_biso(rng, biso).to_channel()
+        yield random_degraded_biso(rng, biso).to_channel(), shuffled
