@@ -11,7 +11,7 @@ import bisochan as bc
 
 DATA = "demos/data"
 
-print("=== Degradability is an exact LP decision ===")
+print("=== Degradability is decided exactly from guessing probabilities ===")
 base = bc.canonicalize_biso(bc.load_channel(f"{DATA}/alpha_pair_f.txt"))
 target = bc.make_bsc(bc.doeblin_alpha(base.to_channel()) / 2)
 verdict = bc.is_degraded(base.to_channel(), target)
@@ -25,19 +25,15 @@ g = bc.load_channel(f"{DATA}/alpha_pair_g.txt")
 print(f"alpha(F) = {bc.doeblin_alpha(f)}   alpha(G) = {bc.doeblin_alpha(g)}")
 for name, a, b in (("F onto G", f, g), ("G onto F", g, f)):
     v = bc.is_degraded(a, b)
-    print(f"{name}: {v.relation}", end="")
-    if v.witness.guessing_x is not None:
-        print(
-            f"  (guessing probability crosses at bias {v.witness.guessing_x:.3f},"
-            f" gap {v.witness.guessing_gap:.5f})"
-        )
-    else:
-        print()
+    print(
+        f"{name}: {v.relation}  (guessing probability crosses at bias {v.witness.guessing_x:.3f},"
+        f" gap {v.witness.guessing_gap:.5f})"
+    )
 # The guessing probability is the refutation tool: degradation can never
 # improve it, so a crossing kills both directions at once.
 for x in (0.12, 0.29):
-    pf = bc.guessing_probability(bc.canonicalize_biso(f), x)
-    pg = bc.guessing_probability(bc.canonicalize_biso(g), x)
+    pf = bc.guessing_probability(f, x)
+    pg = bc.guessing_probability(g, x)
     print(f"  bias {x}: guess via F = {pf:.5f}   via G = {pg:.5f}")
 
 print("\n=== Less noisy: the curvature criterion ===")

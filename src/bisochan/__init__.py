@@ -105,6 +105,5 @@ from .orders import (
     less_noisy_criterion_fd,
     mutual_information_difference,
 )
-from .simplex import FeasibilityResult, lp_feasibility
 
 __version__ = "0.1.0"

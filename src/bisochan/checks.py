@@ -243,13 +243,13 @@ def check_degradability_sandwich():
         verdict = is_degraded(flat, make_bsc(alpha / 2.0))
         if verdict.holds:
             bsc_holds += 1
-            via_lp = compose(flat, verdict.witness)
+            via_witness = compose(flat, verdict.witness)
             via_indicator = compose(flat, bsc_degrading_map(f))
-            worst_match = max(worst_match, float(np.abs(via_lp.rows - via_indicator.rows).max()))
+            worst_match = max(worst_match, float(np.abs(via_witness.rows - via_indicator.rows).max()))
     return [
         _row(cid, "BEC(alpha) degrades onto channel (count of 100)", n, bec_holds, 0.0),
         _row(cid, "channel degrades onto BSC(alpha/2) (count of 100)", n, bsc_holds, 0.0),
-        _row(cid, "max |LP witness composition - indicator target|", 0.0, worst_match, 1e-10),
+        _row(cid, "max |witness composition - indicator target|", 0.0, worst_match, 1e-10),
     ]
 
 

@@ -107,12 +107,10 @@ def _describe_verdict(name, verdict):
     if isinstance(w, CriterionViolation):
         print(f"  violation at parameter {_fmt(w.parameter)} with value {_fmt(w.value)}")
     elif isinstance(w, InfeasibilityCertificate):
-        print(f"  phase-1 residual {_fmt(w.residual)}")
-        if w.guessing_x is not None:
-            print(
-                f"  guessing-probability refutation at bias {_fmt(w.guessing_x)} "
-                f"(gap {_fmt(w.guessing_gap)})"
-            )
+        print(
+            f"  guessing-probability refutation at bias {_fmt(w.guessing_x)} "
+            f"(gap {_fmt(w.guessing_gap)})"
+        )
     else:  # degrading map
         print("  degrading map:")
         _print_matrix(w.entries)

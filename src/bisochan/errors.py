@@ -46,4 +46,4 @@ class LeakageOutOfRangeError(BisochanError):
 
 
 class NumericalInstabilityError(BisochanError):
-    """The simplex solver could not reach a numerically reliable solution."""
+    """A computed witness fails its own re-composition check."""

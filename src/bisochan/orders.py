@@ -1,12 +1,13 @@
 """Decision procedures for the channel partial orders.
 
 Degradability is decided exactly by Blackwell's theorem for dichotomies,
-comparing guessing probabilities at finitely many priors; the phase-1
-simplex LP runs only to build a witness map or Farkas multipliers.  The
-less-noisy order is decided exactly from the sign intervals of one
-polynomial.  The more-capable order is decided numerically on an input-bias
-grid with refinement around sign changes, so near-zero margins surface as
-explicit verdicts rather than being coerced.
+comparing guessing probabilities at finitely many priors; the same curves
+give the refuting prior of a failure and, through the shadows of the
+posterior masses, the degrading map of a success.  The less-noisy order is
+decided exactly from the sign intervals of one polynomial.  The
+more-capable order is decided numerically on an input-bias grid with
+refinement around sign changes, so near-zero margins surface as explicit
+verdicts rather than being coerced.
 """
 
 from dataclasses import dataclass
@@ -14,17 +15,10 @@ from functools import reduce
 
 import numpy as np
 
-from .channels import (
-    DegradingMap,
-    as_channel,
-    canonicalize_biso,
-    compose,
-    is_biso,
-)
+from .channels import DegradingMap, as_channel, canonicalize_biso, compose
 from .coefficients import mutual_information_grid
 from .errors import DegenerateParameterError, NumericalInstabilityError
 from .search import golden_section_min
-from .simplex import lp_feasibility
 
 VERDICT_TOL = 1e-9
 DEFAULT_GRID = 999
@@ -43,18 +37,15 @@ class CriterionViolation:
 class InfeasibilityCertificate:
     """Evidence that no degrading map exists, built by `is_degraded(witness=True)`.
 
-    The verdict itself comes from the guessing probabilities; this is the
-    LP's side of it.  `multipliers` are Farkas multipliers for the LP
-    equality rows and `residual` the positive phase-1 optimum.  For BISO
-    pairs, `guessing_x` (when present) is a point of the default input-bias
-    grid at which the would-be degraded channel guesses strictly better, an
-    independently checkable refutation.
+    `guessing_x` is the prior of input 0 at which the would-be degraded
+    channel guesses best relative to the other, and `guessing_gap` > 5e-10
+    is by how much it guesses better there.  Degradation never improves the
+    guessing probability, so the pair refutes degradability and can be
+    checked independently with `guessing_probability`.
     """
 
-    multipliers: np.ndarray
-    residual: float
-    guessing_x: float | None = None
-    guessing_gap: float | None = None
+    guessing_x: float
+    guessing_gap: float
 
 
 @dataclass(frozen=True)
@@ -92,26 +83,23 @@ def _interior_grid(grid_size):
 # ----------------------------------------------------------------------
 
 
-def guessing_probability(biso, x):
-    """Probability of guessing X from Y for X ~ Ber(x) through a BISO channel.
+def guessing_probability(channel, x):
+    """Probability of guessing X from Y for X ~ Ber(x) through a binary-input channel.
 
-    Sums the larger joint atom over every output symbol; degradation can only
-    shrink it, so a crossing between two channels refutes degradability.
+    x is the probability of input 0.  Sums the larger joint atom over every
+    output symbol; degradation can only shrink it, so a crossing between two
+    channels refutes degradability.
     """
-    biso = canonicalize_biso(biso)
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise DegenerateParameterError(f"input bias must lie in [0, 1], got {x!r}")
-    return float(_guessing_grid(biso, np.array([x]))[0])
+    return float(_guessing(as_channel(channel).rows, [x])[0])
 
 
-def _guessing_grid(biso, xs):
-    p = biso.pairs[:, 0][None, :]
-    q = biso.pairs[:, 1][None, :]
-    x = np.asarray(xs, dtype=float)[:, None]
-    pos = np.maximum(x * p, (1.0 - x) * q)
-    neg = np.maximum(x * q, (1.0 - x) * p)
-    return (pos + neg).sum(axis=1)
+def _guessing(rows, xs):
+    """G(x) = sum_y max(x r0_y, (1 - x) r1_y) at each prior x, for rows (r0, r1)."""
+    xs = np.asarray(xs, dtype=float)[:, None]
+    return np.maximum(xs * rows[0], (1.0 - xs) * rows[1]).sum(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -313,88 +301,100 @@ def is_more_capable(p_channel, q_channel, grid_size=DEFAULT_GRID):
 
 
 # ----------------------------------------------------------------------
-# Degradability (exact, via guessing probabilities; LP for witnesses)
+# Degradability (exact, via guessing probabilities)
 # ----------------------------------------------------------------------
+
+
+def _guessing_peak(p_ch, q_ch):
+    """The prior x at which G_Q - G_P peaks over [0, 1], and the peak.
+
+    G(x) = sum_y max(x r0_y, (1 - x) r1_y) is convex and piecewise linear
+    with kinks at r1_y / (r0_y + r1_y).  Between the kinks of G_P,
+    G_Q - G_P is convex, so its maximum is attained at a kink of P or at
+    0 or 1: the peak is exact for every pair of binary-input channels.
+    """
+    r0, r1 = p_ch.rows
+    s = r0 + r1
+    xs = np.concatenate(([0.0, 1.0], r1[s > 0.0] / s[s > 0.0]))
+    gap = _guessing(q_ch.rows, xs) - _guessing(p_ch.rows, xs)
+    k = int(np.argmax(gap))
+    return float(xs[k]), float(gap[k])
 
 
 def _blackwell_holds(p_ch, q_ch):
     """Blackwell's test for dichotomies: does the first channel degrade onto the second?
 
     For binary inputs, Q is a degraded version of P iff P guesses the input
-    at least as well as Q under every prior x.  G(x) = sum_y max(x r0_y,
-    (1 - x) r1_y) is convex and piecewise linear with kinks at
-    r1_y / (r0_y + r1_y).  Between the kinks of G_P, G_Q - G_P is convex, so
-    its maximum over [0, 1] is attained at a kink of P or at 0 or 1.
+    at least as well as Q under every prior.  The relation, as `is_degraded`
+    decides it, holds while the peak of G_Q - G_P is at most VERDICT_TOL / 2.  With the full 1e-9,
+    BSC(alpha / 2 - 1e-9) targets, whose gap is 1e-9 - 3e-17, would hold
+    although no stochastic map within 1e-9 reaches them.
+    """
+    return _guessing_peak(p_ch, q_ch)[1] <= VERDICT_TOL / 2.0
 
-    The relation holds while that maximum is at most VERDICT_TOL / 2.  The
-    gap never exceeds the phase-1 residual of P D = Q, which the LP compares
-    with 1e-9.  On seeded pairs that residual was 6 to 216 times the gap, so
-    half the tolerance keeps every "fails" an LP "fails" with a margin of 3,
-    and moves BSC(alpha / 2 - 1e-9) targets, whose gap is 1e-9, to "fails"
-    as the LP has them.
+
+def _degrading_map(p_ch, q_ch):
+    """A row-stochastic D with P D = Q, built from the two channels' posteriors.
+
+    Output y of P carries mass r0_y + r1_y at posterior r0_y / (r0_y + r1_y),
+    and D degrades P onto Q iff it splits that mass among Q's outputs so that
+    output z collects mass s0_z + s1_z at mean posterior s0_z / (s0_z + s1_z).
+    Taking Q's outputs in ascending posterior, each claims from P's remaining
+    mass, laid out by ascending posterior, the contiguous interval of its
+    mass whose mean posterior is its own: the shadow of that atom (Beiglboeck
+    & Juillet, Ann. Probab. 2016).  By the associativity of shadows this uses
+    up P's mass exactly when Blackwell's test holds, so the last output takes
+    what is left.  Near the tolerance the interval is clamped to the layout,
+    and the re-composition check in `is_degraded` bounds the drift.
     """
     r0, r1 = p_ch.rows
-    s = r0 + r1
-    xs = np.concatenate(([0.0, 1.0], r1[s > 0.0] / s[s > 0.0]))[:, None]
-
-    def guessing(ch):
-        return np.maximum(xs * ch.rows[0], (1.0 - xs) * ch.rows[1]).sum(axis=1)
-
-    return float((guessing(q_ch) - guessing(p_ch)).max()) <= VERDICT_TOL / 2.0
+    s0, s1 = q_ch.rows
+    mass = r0 + r1
+    safe = np.where(mass > 0.0, mass, 1.0)
+    post = r0 / safe
+    order = np.argsort(post, kind="stable")
+    post, left = post[order], mass[order]
+    q_mass = s0 + s1
+    phi = s0 / np.where(q_mass > 0.0, q_mass, 1.0)
+    zs = [z for z in np.argsort(phi, kind="stable") if q_mass[z] > 0.0]
+    taken = np.zeros((r0.size, s0.size))
+    for z in zs[:-1]:
+        cum = np.concatenate(([0.0], np.cumsum(left)))
+        first = np.concatenate(([0.0], np.cumsum(left * post)))
+        need = min(q_mass[z], cum[-1])
+        # the first moment of [a, a + need] is nondecreasing in a, linear between these breakpoints
+        a = np.sort(np.clip(np.concatenate((cum, cum - need)), 0.0, cum[-1] - need))
+        g = np.interp(a + need, cum, first) - np.interp(a, cum, first)
+        lo = np.interp(s0[z], g, a)
+        taken[:, z] = np.clip(np.minimum(cum[1:], lo + need) - np.maximum(cum[:-1], lo), 0.0, left)
+        left = left - taken[:, z]
+    taken[:, zs[-1]] = left
+    entries = np.zeros_like(taken)
+    entries[order] = taken / safe[order, None]
+    entries[mass == 0.0, zs[0]] = 1.0  # an output P never emits may go anywhere
+    return entries
 
 
 def is_degraded(p_channel, q_channel, witness=True):
     """Decide whether the second channel is a degraded version of the first.
 
-    The relation comes from `_blackwell_holds`, exact for every pair of
-    binary-input channels and free of pivoting.  With `witness=False` that is
-    all that runs, and the verdict carries no witness.  With `witness=True`
-    the feasibility LP over the stochastic map D (row sums one, P D = Q for
-    both inputs) is solved by phase-1 simplex to build the evidence: a
-    feasible solve returns the witness map, validated by re-composition to
-    1e-8 per entry; an infeasible solve returns Farkas multipliers, plus a
-    guessing-probability refutation point when both channels are BISO.  An LP
-    whose feasibility contradicts the relation raises
-    NumericalInstabilityError.
+    The relation comes from Blackwell's guessing-probability test, exact for
+    every pair of binary-input channels.  With `witness=False` that is all
+    that runs, and the verdict carries no witness.  With `witness=True` a
+    failing verdict carries the prior at which the second channel guesses
+    best relative to the first, and a holding verdict carries the degrading
+    map `_degrading_map` builds from the two channels' posteriors, validated
+    by re-composition to 1e-8 per entry (NumericalInstabilityError beyond).
     """
     p_ch = as_channel(p_channel)
     q_ch = as_channel(q_channel)
-    holds = _blackwell_holds(p_ch, q_ch)
+    x, gap = _guessing_peak(p_ch, q_ch)
+    if gap > VERDICT_TOL / 2.0:
+        return OrderVerdict("fails", InfeasibilityCertificate(x, gap) if witness else None)
     if not witness:
-        return OrderVerdict("holds" if holds else "fails")
-    m = p_ch.n_outputs
-    n = q_ch.n_outputs
-
-    # variable y * n + z is D[y, z]: m row sums, then (P D)[x, z] = Q[x, z]
-    a_eq = np.zeros((m + 2 * n, m, n))
-    a_eq[np.arange(m), np.arange(m), :] = 1.0
-    z = np.arange(n)
-    a_eq[m:].reshape(2, n, m, n)[:, z, :, z] = p_ch.rows
-    b_eq = np.concatenate((np.ones(m), q_ch.rows.ravel()))
-    result = lp_feasibility(a_eq.reshape(m + 2 * n, m * n), b_eq)
-    if result.feasible != holds:
-        raise NumericalInstabilityError(
-            f"phase-1 LP feasibility {result.feasible} contradicts the guessing-probability "
-            f"decision {'holds' if holds else 'fails'}"
-        )
-
-    if result.feasible:
-        dmap = DegradingMap(result.x.reshape(m, n))
-        recomposed = compose(p_ch, dmap)
-        drift = float(np.abs(recomposed.rows - q_ch.rows).max())
-        if drift > 1e-8:
-            raise NumericalInstabilityError(f"witness re-composition drifts by {drift:g}")
-        return OrderVerdict("holds", dmap)
-
-    guess_x = guess_gap = None
-    if is_biso(p_ch) and is_biso(q_ch):
-        bp = canonicalize_biso(p_ch)
-        bq = canonicalize_biso(q_ch)
-        xs = _interior_grid(DEFAULT_GRID)
-        gap = _guessing_grid(bq, xs) - _guessing_grid(bp, xs)
-        k = int(np.argmax(gap))
-        if gap[k] > VERDICT_TOL:
-            guess_x = float(xs[k])
-            guess_gap = float(gap[k])
-    cert = InfeasibilityCertificate(result.certificate, result.residual, guess_x, guess_gap)
-    return OrderVerdict("fails", cert)
+        return OrderVerdict("holds")
+    dmap = DegradingMap(_degrading_map(p_ch, q_ch))
+    drift = float(np.abs(compose(p_ch, dmap).rows - q_ch.rows).max())
+    if drift > 1e-8:
+        raise NumericalInstabilityError(f"witness re-composition drifts by {drift:g}")
+    return OrderVerdict("holds", dmap)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalInstabilityError
+from bisochan.errors import DimensionMismatchError, NumericalInstabilityError
 
 _PIVOT_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9

@@ -88,6 +88,16 @@ class TestCompare:
         assert out.count("fails") == 2
         assert out.count("guessing-probability refutation") == 2
 
+    def test_non_biso_pair_fails_degradability_with_guessing_witness(
+        self, z_file, tmp_path, capsys
+    ):
+        bsc = tmp_path / "bsc.txt"
+        bsc.write_text(format_channel(make_bsc(0.1)))
+        assert main(["compare", z_file, str(bsc), "--order", "deg"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("fails") == 2
+        assert out.count("guessing-probability refutation") == 2
+
     def test_degraded_pair_shows_witness_matrix(self, tmp_path, capsys):
         base = tmp_path / "base.txt"
         base.write_text("biso 0.05 0.25 0.3 0.4\n")

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import time
@@ -25,7 +24,7 @@ from bisochan import (
     make_z,
     mutual_information_difference,
 )
-from bisochan import orders, simplex
+from bisochan import orders
 from bisochan.checks import (
     ALPHA_PAIR_F,
     ALPHA_PAIR_G,
@@ -35,8 +34,8 @@ from bisochan.checks import (
     random_degraded_biso,
 )
 from bisochan.coefficients import doeblin_alpha, eta_kl_biso
-from bisochan.errors import NumericalInstabilityError
 from bisochan.orders import CriterionViolation, InfeasibilityCertificate
+import simplex_oracle
 
 
 class TestGuessingProbability:
@@ -374,7 +373,6 @@ class TestIsDegraded:
             assert verdict.fails
             cert = verdict.witness
             assert isinstance(cert, InfeasibilityCertificate)
-            assert cert.residual > 1e-9
             assert cert.guessing_x is not None
             gap = guessing_probability(bb, cert.guessing_x) - guessing_probability(ba, cert.guessing_x)
             assert gap > 1e-9
@@ -395,28 +393,44 @@ class TestIsDegraded:
             outcomes[holds] += 1
         assert min(outcomes.values()) > 100
 
-    def test_relation_never_runs_the_lp(self, monkeypatch):
+    def test_relation_never_builds_a_witness(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("simplex on the relation-only path")
+            raise AssertionError("degrading map built on the relation-only path")
 
-        monkeypatch.setattr(orders, "lp_feasibility", forbidden)
+        monkeypatch.setattr(orders, "_degrading_map", forbidden)
         f, g = ALPHA_PAIR_F.to_channel(), ALPHA_PAIR_G.to_channel()
         assert is_degraded(f, make_bsc(doeblin_alpha(f) / 2.0), witness=False).holds
         assert is_degraded(f, g, witness=False).fails
         assert is_degraded(f, g, witness=False).witness is None
 
-    def test_lp_contradicting_the_relation_raises(self, monkeypatch):
-        lp_feasibility = orders.lp_feasibility
+    @pytest.mark.parametrize(
+        "d, relation", [(2e-10, "holds"), (3e-10, "holds"), (4e-10, "holds"), (6e-10, "fails")]
+    )
+    def test_tolerance_edge_below_the_matched_bsc(self, d, relation):
+        # gaps of at most 5e-10 hold with a map that drifts by about d; beyond, a certificate
+        f = random_biso(np.random.default_rng(1)).to_channel()
+        target = make_bsc(doeblin_alpha(f) / 2.0 - d)
+        verdict = is_degraded(f, target)
+        assert verdict.relation == relation
+        if verdict.holds:
+            assert np.abs(compose(f, verdict.witness).rows - target.rows).max() <= 1e-8
+        else:
+            assert isinstance(verdict.witness, InfeasibilityCertificate)
 
-        def flipped(*args, **kwargs):
-            result = lp_feasibility(*args, **kwargs)
-            return dataclasses.replace(result, feasible=not result.feasible)
-
-        monkeypatch.setattr(orders, "lp_feasibility", flipped)
-        f, g = ALPHA_PAIR_F.to_channel(), ALPHA_PAIR_G.to_channel()
-        for a, b in ((f, f), (f, g)):
-            with pytest.raises(NumericalInstabilityError):
-                is_degraded(a, b)
+    def test_witnesses_are_sound(self):
+        outcomes = {"holds": 0, "fails": 0}
+        for p, q in _degradation_pairs(21):
+            verdict = is_degraded(p, q)
+            outcomes[verdict.relation] += 1
+            if verdict.holds:
+                assert np.abs(compose(p, verdict.witness).rows - q.rows).max() <= 1e-8, (p, q)
+                continue
+            cert = verdict.witness
+            x = cert.guessing_x
+            gap = _guessing_by_hand(q.rows, x) - _guessing_by_hand(p.rows, x)
+            assert abs(cert.guessing_gap - gap) <= 1e-12, (p, q)
+            assert cert.guessing_gap > orders.VERDICT_TOL / 2.0
+        assert min(outcomes.values()) > 100
 
     def test_large_channels_decide_quickly(self):
         rng = np.random.default_rng(22)
@@ -427,6 +441,19 @@ class TestIsDegraded:
             verdict = is_degraded(a, b, witness=False)
             assert time.perf_counter() - start < 0.1
             assert verdict.relation == relation
+            start = time.perf_counter()
+            verdict = is_degraded(a, b, witness=True)
+            assert time.perf_counter() - start < 0.5
+            assert verdict.relation == relation
+            if verdict.holds:
+                assert np.abs(compose(a, verdict.witness).rows - b.rows).max() <= 1e-8
+            else:
+                assert isinstance(verdict.witness, InfeasibilityCertificate)
+
+
+def _guessing_by_hand(rows, x):
+    """sum_y max(x r0_y, (1 - x) r1_y), one output at a time."""
+    return sum(max(x * r0, (1.0 - x) * r1) for r0, r1 in zip(*rows))
 
 
 def _lp_oracle(p, q):
@@ -437,7 +464,7 @@ def _lp_oracle(p, q):
         (np.kron(np.eye(m), np.ones(n)), np.kron(p.rows[0], np.eye(n)), np.kron(p.rows[1], np.eye(n)))
     )
     b_eq = np.concatenate((np.ones(m), q.rows[0], q.rows[1]))
-    return simplex.lp_feasibility(a_eq, b_eq).feasible
+    return simplex_oracle.lp_feasibility(a_eq, b_eq).feasible
 
 
 def _stochastic(rng, shape, zeros=False):

