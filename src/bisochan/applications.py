@@ -8,8 +8,19 @@ contraction coefficient, Doeblin coefficient, or capacity.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channels import canonicalize_biso
-from .coefficients import capacity_biso, eta_kl, eta_kl_biso, h2, h2_inv, binary_convolution
+from .coefficients import (
+    _h2_grid,
+    _h2_inv_grid,
+    binary_convolution,
+    capacity_biso,
+    eta_kl,
+    eta_kl_biso,
+    h2,
+    h2_inv,
+)
 from .errors import LeakageOutOfRangeError
 
 _LN2 = math.log(2.0)
@@ -99,7 +110,10 @@ def f_divergence_output_bounds(gen, leakage_nats):
 
 @dataclass(frozen=True)
 class FICurveBounds:
-    """Bounds on the best-possible processed information at input budget t (bits)."""
+    """Bounds on the best-possible processed information at input budget t (bits).
+
+    Floats for a scalar budget; arrays of the budget's shape for an array.
+    """
 
     t: float
     lower: float
@@ -120,14 +134,25 @@ def fi_curve_bounds(w, t):
     lower = 1 - h2(p_eta * h2_inv(max(1 - t, 0))) with p_eta = (1 - sqrt(eta)) / 2,
     the exact curve of the contraction-matched BSC; upper = eta * min(t, 1),
     the exact curve of the matched BEC.
+
+    t may be a float or an array of budgets.  An array is bounded in one
+    call: eta and p_eta are computed once and h2 is inverted over the whole
+    array with the same 60 halvings as `h2_inv`.  Its lower bounds may
+    differ from the per-budget floats by an ulp, since numpy's log2 and
+    math.log2 round differently on a few inputs; the upper bounds are equal.
     """
-    t = float(t)
-    if t < 0.0:
-        raise LeakageOutOfRangeError(f"budget t must be nonnegative, got {t!r}")
+    ts = np.asarray(t, dtype=float)
+    bad = ts[~(ts >= 0.0)]  # negative or NaN
+    if bad.size:
+        raise LeakageOutOfRangeError(f"budget t must be nonnegative, got {float(bad[0])!r}")
     b = canonicalize_biso(w)
     eta = eta_kl_biso(b)
     p_eta = (1.0 - math.sqrt(eta)) / 2.0
-    residual = h2_inv(max(1.0 - t, 0.0))
-    lower = 1.0 - h2(binary_convolution(p_eta, residual))
-    upper = eta * min(t, 1.0)
-    return FICurveBounds(t, float(lower), float(upper))
+    if ts.ndim == 0:
+        t = float(ts)
+        residual = h2_inv(max(1.0 - t, 0.0))
+        lower = 1.0 - h2(binary_convolution(p_eta, residual))
+        return FICurveBounds(t, float(lower), eta * min(t, 1.0))
+    residual = _h2_inv_grid(np.maximum(1.0 - ts, 0.0))
+    lower = 1.0 - _h2_grid(p_eta * (1.0 - residual) + (1.0 - p_eta) * residual)
+    return FICurveBounds(ts, lower, eta * np.minimum(ts, 1.0))

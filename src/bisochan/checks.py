@@ -419,9 +419,8 @@ def check_applications():
     for _ in range(20):
         b = random_biso(rng)
         eta = eta_kl_biso(b)
-        pts = [fi_curve_bounds(b, t) for t in ts]
-        lows = np.array([pt.lower for pt in pts])
-        ups = np.array([pt.upper for pt in pts])
+        pts = fi_curve_bounds(b, ts)
+        lows, ups = pts.lower, pts.upper
         order_violation = max(order_violation, float(np.max(lows - ups)), float(-lows.min()))
         monotone_violation = max(
             monotone_violation,

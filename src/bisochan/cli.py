@@ -7,6 +7,7 @@ digits.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -220,8 +221,11 @@ def cmd_paper_check(args):
 # ----------------------------------------------------------------------
 
 
-def _emit_csv(lines, out):
-    text = "\n".join(lines) + "\n"
+def _emit_csv(header, columns, out):
+    """Write the header and one row per index of the array columns, values as `_fmt` prints them."""
+    row = ",".join(["%.12g"] * len(columns))
+    values = zip(*(c.tolist() for c in columns))
+    text = "".join([header + "\n"] + [row % v + "\n" for v in values])
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -230,6 +234,10 @@ def _emit_csv(lines, out):
 
 
 def cmd_sweep(args):
+    if args.grid < 1:
+        raise DegenerateParameterError(f"grid_size must be at least 1, got {args.grid}")
+    if not math.isfinite(args.tmax):
+        raise LeakageOutOfRangeError(f"--tmax must be finite, got {args.tmax!r}")
     files = args.channels
     if args.quantity == "criterion":
         if len(files) != 2:
@@ -242,9 +250,7 @@ def cmd_sweep(args):
         ba, bb = canonicalize_biso(a), canonicalize_biso(b)
         fwd = criterion_profile(ba, bb, args.grid)
         rev = criterion_profile(bb, ba, args.grid)
-        lines = ["q,forward,reverse"]
-        for q, f, r in zip(fwd.parameters, fwd.values, rev.values):
-            lines.append(f"{_fmt(q)},{_fmt(f)},{_fmt(r)}")
+        header, columns = "q,forward,reverse", (fwd.parameters, fwd.values, rev.values)
     elif args.quantity == "fi-bounds":
         if len(files) != 1:
             print("fi-bounds sweep needs exactly one channel file", file=sys.stderr)
@@ -253,12 +259,9 @@ def cmd_sweep(args):
         if not is_biso(ch):
             print("fi-bounds sweep requires a BISO channel", file=sys.stderr)
             return EXIT_PRECONDITION
-        biso = canonicalize_biso(ch)
         ts = np.linspace(0.0, args.tmax, args.grid)
-        lines = ["t,lower,upper"]
-        for t in ts:
-            pt = fi_curve_bounds(biso, float(t))
-            lines.append(f"{_fmt(t)},{_fmt(pt.lower)},{_fmt(pt.upper)}")
+        pts = fi_curve_bounds(canonicalize_biso(ch), ts)
+        header, columns = "t,lower,upper", (ts, pts.lower, pts.upper)
     else:  # mi-diff
         if len(files) != 2:
             print("mi-diff sweep needs exactly two channel files", file=sys.stderr)
@@ -267,10 +270,8 @@ def cmd_sweep(args):
         xs = np.arange(1, args.grid + 1) / (args.grid + 1.0)
         mi_a = mutual_information_grid(as_channel(a), xs)
         mi_b = mutual_information_grid(as_channel(b), xs)
-        lines = ["x,mi_a,mi_b,difference"]
-        for x, va, vb in zip(xs, mi_a, mi_b):
-            lines.append(f"{_fmt(x)},{_fmt(va)},{_fmt(vb)},{_fmt(va - vb)}")
-    _emit_csv(lines, args.out)
+        header, columns = "x,mi_a,mi_b,difference", (xs, mi_a, mi_b, mi_a - mi_b)
+    _emit_csv(header, columns, args.out)
     return EXIT_OK
 
 

@@ -52,6 +52,28 @@ def h2_inv(h):
     return 0.5 * (lo + hi)
 
 
+def _h2_grid(p):
+    """Vectorized h2 over an array in [0, 1]; no range check."""
+    p = np.asarray(p, dtype=float)
+    q = 1.0 - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(p * np.log2(p) + q * np.log2(q))
+    return np.where((p > 0.0) & (q > 0.0), h, 0.0)
+
+
+def _h2_inv_grid(h):
+    """Vectorized h2_inv over an array in [0, 1]: the same 60 halvings, no range check."""
+    h = np.asarray(h, dtype=float)
+    lo = np.zeros_like(h)
+    hi = np.full_like(h, 0.5)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = _h2_grid(mid) < h
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(h == 0.0, 0.0, np.where(h == 1.0, 0.5, 0.5 * (lo + hi)))
+
+
 def binary_convolution(a, b):
     """Crossover probability of two cascaded BSCs: a*b = a(1-b) + (1-a)b."""
     a, b = float(a), float(b)

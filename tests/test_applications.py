@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from bisochan import (
     chi2_generator,
     eta_kl_biso,
     f_divergence,
+    BisoChannel,
+    binary_convolution,
     f_divergence_output_bounds,
     fi_curve_bounds,
     fi_upper_bound,
     h2,
+    h2_inv,
     kl_generator,
     make_bec,
     make_bsc,
@@ -24,6 +28,42 @@ from bisochan import (
     tv_generator,
 )
 from bisochan.checks import random_biso
+
+
+def _fi_curve_oracle(w, t):
+    """The per-budget scalar formula the array path replaced: (lower, upper) at one float t."""
+    eta = eta_kl_biso(w)
+    p_eta = (1.0 - math.sqrt(eta)) / 2.0
+    lower = 1.0 - h2(binary_convolution(p_eta, h2_inv(max(1.0 - t, 0.0))))
+    return float(lower), eta * min(t, 1.0)
+
+
+def _budget_curve_channels():
+    """200 seeded BISO channels: 1-8 random pairs, some with zero entries, and the extremes."""
+    rng = np.random.default_rng(56)
+    chans = [
+        canonicalize_biso(make_bsc(0.0)),  # noiseless
+        canonicalize_biso(make_bsc(0.5)),  # eta = 0
+        canonicalize_biso(make_bec(1.0)),  # eta = 0, erasure only
+        canonicalize_biso(make_bsc(0.11)),
+        canonicalize_biso(make_bec(0.3)),
+        BisoChannel([[0.5, 0.0], [0.0, 0.5]]),
+    ]
+    while len(chans) < 200:
+        raw = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 9)), 2))
+        raw[rng.random(raw.shape) < 0.2] = 0.0
+        if raw.sum() > 0.0:
+            chans.append(BisoChannel(raw / raw.sum()))
+    return chans
+
+
+_BUDGETS = np.concatenate(
+    [
+        np.linspace(0.0, 1.3, 131),
+        [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.0 - 1e-12, 1.0 + 1e-12],
+        [1e-300, 2.0, 7.5],
+    ]
+)
 
 
 class TestSecrecyCapacities:
@@ -148,3 +188,38 @@ class TestFICurveBounds:
     def test_negative_budget_rejected(self):
         with pytest.raises(LeakageOutOfRangeError):
             fi_curve_bounds(canonicalize_biso(make_bsc(0.2)), -0.5)
+
+    def test_nan_budget_rejected(self):
+        w = canonicalize_biso(make_bsc(0.2))
+        for t in (math.nan, np.array([0.5, math.nan]), np.array([0.5, -1e-300])):
+            with pytest.raises(LeakageOutOfRangeError):
+                fi_curve_bounds(w, t)
+
+    def test_array_matches_scalar_oracle(self):
+        for w in _budget_curve_channels():
+            pts = fi_curve_bounds(w, _BUDGETS)
+            oracle = np.array([_fi_curve_oracle(w, float(t)) for t in _BUDGETS])
+            assert np.array_equal(pts.t, _BUDGETS)
+            assert np.array_equal(pts.upper, oracle[:, 1])
+            assert np.abs(pts.lower - oracle[:, 0]).max() <= 1e-15
+
+    def test_scalar_budget_returns_oracle_floats(self):
+        for w in _budget_curve_channels()[:40]:
+            for t in _BUDGETS[::7]:
+                pt = fi_curve_bounds(w, float(t))
+                assert type(pt.t) is float and type(pt.lower) is float and type(pt.upper) is float
+                assert (pt.lower, pt.upper) == _fi_curve_oracle(w, float(t))
+
+    def test_array_keeps_shape(self):
+        w = canonicalize_biso(make_bsc(0.25))
+        pts = fi_curve_bounds(w, np.linspace(0.0, 1.2, 12).reshape(3, 4))
+        assert pts.lower.shape == pts.upper.shape == (3, 4)
+        assert fi_curve_bounds(w, np.array([])).lower.shape == (0,)
+
+    def test_long_curve_is_fast(self):
+        w = random_biso(np.random.default_rng(57))
+        ts = np.linspace(0.0, 1.2, 10_000)
+        fi_curve_bounds(w, ts[:10])
+        start = time.perf_counter()
+        fi_curve_bounds(w, ts)
+        assert time.perf_counter() - start < 0.1

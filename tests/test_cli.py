@@ -1,8 +1,25 @@
+import contextlib
+import io
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from bisochan import (
+    as_channel,
+    canonicalize_biso,
+    criterion_profile,
+    fi_curve_bounds,
+    load_channel,
+    mutual_information_grid,
+)
 from bisochan.channels import format_channel, make_bsc, make_z
-from bisochan.cli import main
+from bisochan.cli import _emit_csv, _fmt, main
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 @pytest.fixture
@@ -269,3 +286,70 @@ class TestSweep:
             q = float(q_str)
             assert format(less_noisy_criterion_biso(w, v, q), ".12g") == fwd_str
             assert format(less_noisy_criterion_biso(v, w, q), ".12g") == rev_str
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--tmax", "nan"], ["--tmax", "inf"], ["--tmax=-inf"], ["--grid", "-1"], ["--grid", "0"]],
+    )
+    def test_degenerate_fi_bounds_options_exit_4(self, eta_file_a, extra, capsys):
+        assert main(["sweep", "--quantity", "fi-bounds", eta_file_a, *extra]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition violated: ")
+
+    def test_grid_checked_before_reading_files(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        assert main(["sweep", "--quantity", "mi-diff", missing, missing, "--grid", "0"]) == 4
+        assert capsys.readouterr().err.startswith("precondition violated: grid_size")
+
+
+def _per_value_csv(header, columns):
+    """The per-value rendering the one-shot CSV writer replaced."""
+    return "\n".join([header] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]) + "\n"
+
+
+def _render(header, columns):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit_csv(header, columns, None)
+    return buf.getvalue()
+
+
+class TestCsvRendering:
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats())))
+    @example([(math.nan, math.inf, -math.inf), (-0.0, 5e-324, -2.2250738585072014e-308)])
+    @example([(1e16, 123456789012.5, 0.1 + 0.2)])
+    def test_row_formatter_matches_fmt(self, rows):
+        columns = [np.array(c, dtype=float) for c in zip(*rows)] if rows else [np.array([])] * 3
+        assert _render("a,b,c", columns) == _per_value_csv("a,b,c", columns)
+
+    @pytest.mark.parametrize(
+        "quantity, names",
+        [
+            ("criterion", ("eta_pair_a", "eta_pair_b")),
+            ("criterion", ("alpha_pair_f", "alpha_pair_g")),
+            ("mi-diff", ("eta_pair_a", "eta_pair_b")),
+            ("mi-diff", ("alpha_pair_f", "alpha_pair_g")),
+            ("fi-bounds", ("eta_pair_a",)),
+            ("fi-bounds", ("alpha_pair_g",)),
+        ],
+    )
+    def test_sweep_stdout_matches_per_value_rendering(self, quantity, names, capsys):
+        paths = [str(DEMO_DATA / f"{name}.txt") for name in names]
+        assert main(["sweep", "--quantity", quantity, *paths]) == 0
+        out = capsys.readouterr().out
+        chans = [load_channel(p) for p in paths]
+        if quantity == "criterion":
+            a, b = (canonicalize_biso(c) for c in chans)
+            fwd, rev = criterion_profile(a, b), criterion_profile(b, a)
+            expected = _per_value_csv("q,forward,reverse", (fwd.parameters, fwd.values, rev.values))
+        elif quantity == "mi-diff":
+            xs = np.arange(1, 1000) / 1000.0
+            mi_a, mi_b = (mutual_information_grid(as_channel(c), xs) for c in chans)
+            expected = _per_value_csv("x,mi_a,mi_b,difference", (xs, mi_a, mi_b, mi_a - mi_b))
+        else:
+            ts = np.linspace(0.0, 1.2, 999)
+            pts = fi_curve_bounds(canonicalize_biso(chans[0]), ts)
+            expected = _per_value_csv("t,lower,upper", (ts, pts.lower, pts.upper))
+        assert out == expected
+        assert len(out.splitlines()) == 1000
