@@ -14,12 +14,10 @@ from .channels import canonicalize_biso
 from .coefficients import (
     _h2_grid,
     _h2_inv_grid,
-    binary_convolution,
     capacity_biso,
     eta_kl,
     eta_kl_biso,
     h2,
-    h2_inv,
 )
 from .errors import LeakageOutOfRangeError
 
@@ -113,11 +111,13 @@ class FICurveBounds:
     """Bounds on the best-possible processed information at input budget t (bits).
 
     Floats for a scalar budget; arrays of the budget's shape for an array.
+    Array results are neither hashable nor comparable with ==, since the
+    generated methods compare the fields as tuples of arrays.
     """
 
-    t: float
-    lower: float
-    upper: float
+    t: float | np.ndarray
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
 
 def fi_upper_bound(channel, t):
@@ -135,11 +135,11 @@ def fi_curve_bounds(w, t):
     the exact curve of the contraction-matched BSC; upper = eta * min(t, 1),
     the exact curve of the matched BEC.
 
-    t may be a float or an array of budgets.  An array is bounded in one
-    call: eta and p_eta are computed once and h2 is inverted over the whole
-    array with the same 60 halvings as `h2_inv`.  Its lower bounds may
-    differ from the per-budget floats by an ulp, since numpy's log2 and
-    math.log2 round differently on a few inputs; the upper bounds are equal.
+    t may be a float or an array of budgets; eta and p_eta are computed once
+    and h2 is inverted over the whole array with the same 60 halvings as
+    `h2_inv`.  The lower bounds may differ from the per-budget scalar
+    formula by an ulp, since numpy's log2 and math.log2 round differently on
+    a few inputs; the upper bounds are equal.
     """
     ts = np.asarray(t, dtype=float)
     bad = ts[~(ts >= 0.0)]  # negative or NaN
@@ -148,11 +148,9 @@ def fi_curve_bounds(w, t):
     b = canonicalize_biso(w)
     eta = eta_kl_biso(b)
     p_eta = (1.0 - math.sqrt(eta)) / 2.0
-    if ts.ndim == 0:
-        t = float(ts)
-        residual = h2_inv(max(1.0 - t, 0.0))
-        lower = 1.0 - h2(binary_convolution(p_eta, residual))
-        return FICurveBounds(t, float(lower), eta * min(t, 1.0))
     residual = _h2_inv_grid(np.maximum(1.0 - ts, 0.0))
     lower = 1.0 - _h2_grid(p_eta * (1.0 - residual) + (1.0 - p_eta) * residual)
-    return FICurveBounds(ts, lower, eta * np.minimum(ts, 1.0))
+    upper = eta * np.minimum(ts, 1.0)
+    if ts.ndim == 0:
+        return FICurveBounds(float(ts), float(lower), float(upper))
+    return FICurveBounds(ts, lower, upper)

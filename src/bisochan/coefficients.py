@@ -53,7 +53,10 @@ def h2_inv(h):
 
 
 def _h2_grid(p):
-    """Vectorized h2 over an array in [0, 1]; no range check."""
+    """Vectorized h2 over an array in [0, 1]; no range check.
+
+    `_entropy_bits` of the stacked (p, 1 - p) is equal but twice as slow.
+    """
     p = np.asarray(p, dtype=float)
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -208,7 +208,19 @@ class TestFICurveBounds:
             for t in _BUDGETS[::7]:
                 pt = fi_curve_bounds(w, float(t))
                 assert type(pt.t) is float and type(pt.lower) is float and type(pt.upper) is float
-                assert (pt.lower, pt.upper) == _fi_curve_oracle(w, float(t))
+                lower, upper = _fi_curve_oracle(w, float(t))
+                assert pt.upper == upper
+                assert abs(pt.lower - lower) <= 1e-15
+
+    def test_equality_and_hash(self):
+        w = canonicalize_biso(make_bsc(0.25))
+        assert fi_curve_bounds(w, 0.5) == fi_curve_bounds(w, 0.5)
+        assert hash(fi_curve_bounds(w, 0.5)) == hash(fi_curve_bounds(w, 0.5))
+        pts = fi_curve_bounds(w, np.array([0.2, 0.5]))
+        with pytest.raises(ValueError):
+            pts == fi_curve_bounds(w, np.array([0.2, 0.5]))
+        with pytest.raises(TypeError):
+            hash(pts)
 
     def test_array_keeps_shape(self):
         w = canonicalize_biso(make_bsc(0.25))
