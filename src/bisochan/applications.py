@@ -123,7 +123,7 @@ class FICurveBounds:
 def fi_upper_bound(channel, t):
     """Upper bound eta * min(t, 1); valid for general binary-input channels."""
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:  # negative or NaN
         raise LeakageOutOfRangeError(f"budget t must be nonnegative, got {t!r}")
     return eta_kl(channel) * min(t, 1.0)
 

@@ -84,15 +84,18 @@ class BisoChannel:
         arr = np.clip(arr, 0.0, 1.0)
         arr.setflags(write=False)
         self.pairs = arr
+        self._flat = None  # memo of to_channel
 
     @property
     def num_pairs(self):
         return self.pairs.shape[0]
 
     def to_channel(self):
-        """Flatten to the canonical 2 x 2l layout: row 1 is row 0 reversed."""
-        flat = np.concatenate([self.pairs[::-1, 1], self.pairs[:, 0]])
-        return Channel([flat, flat[::-1]], tol=LOADED_TOL)
+        """Flatten to the canonical 2 x 2l layout: row 1 is row 0 reversed; built once."""
+        if self._flat is None:
+            flat = np.concatenate([self.pairs[::-1, 1], self.pairs[:, 0]])
+            self._flat = Channel([flat, flat[::-1]], tol=LOADED_TOL)
+        return self._flat
 
     def isclose(self, other, atol=1e-12):
         return self.pairs.shape == other.pairs.shape and np.allclose(

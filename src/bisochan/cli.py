@@ -249,8 +249,8 @@ def cmd_sweep(args):
             return EXIT_PRECONDITION
         ba, bb = canonicalize_biso(a), canonicalize_biso(b)
         fwd = criterion_profile(ba, bb, args.grid)
-        rev = criterion_profile(bb, ba, args.grid)
-        header, columns = "q,forward,reverse", (fwd.parameters, fwd.values, rev.values)
+        # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned
+        header, columns = "q,forward,reverse", (fwd.parameters, fwd.values, 0.0 - fwd.values)
     elif args.quantity == "fi-bounds":
         if len(files) != 1:
             print("fi-bounds sweep needs exactly one channel file", file=sys.stderr)

@@ -4,14 +4,14 @@ Degradability is decided exactly by Blackwell's theorem for dichotomies,
 comparing guessing probabilities at finitely many priors; the same curves
 give the refuting prior of a failure and, through the shadows of the
 posterior masses, the degrading map of a success.  The less-noisy order is
-decided exactly from the sign intervals of one polynomial.  The
-more-capable order is decided numerically on an input-bias grid with
-refinement around sign changes, so near-zero margins surface as explicit
-verdicts rather than being coerced.
+decided exactly from the sign intervals of one polynomial, and a violation
+is witnessed in (0, 1/2], where the BISO criterion is symmetric under
+q -> 1 - q.  The more-capable order is decided numerically on an
+input-bias grid with refinement around sign changes, so near-zero margins
+surface as explicit verdicts rather than being coerced.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .search import golden_section_min
 VERDICT_TOL = 1e-9
 DEFAULT_GRID = 999
 _REFINE_XTOL = 1e-8
+_HALF_GRID = np.arange(1, DEFAULT_GRID // 2 + 2) / (DEFAULT_GRID + 1.0)  # the default grid up to 1/2
 
 
 @dataclass(frozen=True)
@@ -120,38 +121,38 @@ def less_noisy_criterion_biso(w, v, q):
     q = float(q)
     if q <= 0.0 or q >= 1.0:
         raise DegenerateParameterError(f"criterion bias must lie strictly inside (0, 1), got {q!r}")
-    w = canonicalize_biso(w)
-    v = canonicalize_biso(v)
-    return float(_criterion_grid(w, v, np.array([q]))[0])
+    return float(_criterion(_flat_rows(canonicalize_biso(w), canonicalize_biso(v)), np.array([q]))[0])
 
 
-def _curvature_sum(biso, qs):
-    p = biso.pairs[:, 0][None, :]
-    pm = biso.pairs[:, 1][None, :]
-    s = p + pm
-    keep = s > 0.0
-    safe_s = np.where(keep, s, 1.0)
-    delta = np.where(keep, p / safe_s, 0.0)
-    weight = np.where(keep, (p - pm) ** 2 / safe_s, 0.0)
-    q = np.asarray(qs, dtype=float)[:, None]
-    conv = q * (1.0 - delta) + (1.0 - q) * delta
-    den = conv * (1.0 - conv)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(keep & (den > 0.0), weight / np.where(den > 0.0, den, 1.0), np.inf)
-        terms = np.where(keep, terms, 0.0)
-    return terms.sum(axis=1)
+def _flat_rows(w, v):
+    """Terms (d^2, d, r1), d = r0 - r1, of the flat rows of two channels with
+    r0 != r1, so q d + r1 > 0 on (0, 1), and how many are the first's."""
+    w_ch, v_ch = as_channel(w), as_channel(v)
+    r0, r1 = np.concatenate((w_ch.rows, v_ch.rows), axis=1)
+    d = r0 - r1
+    keep = d != 0.0
+    return np.stack((d * d, d, r1))[:, keep, None], int(np.count_nonzero(keep[: w_ch.n_outputs]))
 
 
-def _criterion_grid(w, v, qs):
-    return _curvature_sum(w, qs) - _curvature_sum(v, qs)
+def _criterion(rows, qs):
+    """sum_y d^2 / (q d + r1) over the first channel's `_flat_rows` minus the second's, at each q.
+
+    The chi-squared criterion of Makur and Polyanskiy (IEEE T-IT 2018).  For
+    BISO channels it is the sum over pairs of +-(p - p_-)^2 / (s conv (1 - conv)),
+    conv = (q p_- + (1 - q) p) / s, but conv (1 - conv) is never formed: it
+    cancels as q -> 0 for lopsided pairs.
+    """
+    (d2, d, r1), n_w = rows
+    terms = d2 / (qs * d + r1)
+    zero = np.zeros(len(qs))
+    # row after row: identical channels cancel exactly, and one q rounds as in a grid
+    return sum(terms[:n_w], zero) - sum(terms[n_w:], zero)
 
 
 def criterion_profile(w, v, grid_size=DEFAULT_GRID):
     """Criterion samples for the pair (w, v) on the interior grid."""
-    w = canonicalize_biso(w)
-    v = canonicalize_biso(v)
     qs = _interior_grid(grid_size)
-    return CriterionProfile(qs, _criterion_grid(w, v, qs))
+    return CriterionProfile(qs, _criterion(_flat_rows(canonicalize_biso(w), canonicalize_biso(v)), qs))
 
 
 def _refined_minimum(xs, vals, f):
@@ -198,24 +199,34 @@ def _verdict_from_minimum(best_x, best_v, f):
     return OrderVerdict("holds")
 
 
-def _sign_probes(w, v):
-    """q-points meeting every sign interval of the criterion + VERDICT_TOL on (0, 1).
+def _criterion_polynomial(w, v):
+    """Coefficients, highest first, of (criterion + VERDICT_TOL) prod(a + cx) in x = 4q(1 - q).
 
-    In x = 4q(1 - q) a pair with s = p + p_- contributes 4k / (a + cx), k = (p - p_-)^2 / s,
-    c = (p - p_-)^2 / s^2, a = 1 - c = 4 p p_- / s^2.  Times prod(a + cx) > 0 on (0, 1],
-    that is a polynomial of degree <= l_W + l_V with constant sign between real roots;
-    probe each interval's midpoint and each (near-)real root.
+    A pair with s = p + p_- contributes 4k / (a + cx), k = (p - p_-)^2 / s,
+    c = (p - p_-)^2 / s^2, a = 1 - c = 4 p p_- / s^2; p = p_- contributes
+    nothing.  prod(a + cx) > 0 on (0, 1], so the product, a polynomial of
+    degree <= l_W + l_V, has the sign of the criterion + VERDICT_TOL there.
     """
     pairs = np.concatenate((w.pairs, v.pairs))
-    moving = pairs[:, 0] != pairs[:, 1]  # p = p_- contributes nothing
+    moving = pairs[:, 0] != pairs[:, 1]
     p, pm = pairs[moving].T
     s = p + pm
     k = np.repeat([4.0, -4.0], (w.num_pairs, v.num_pairs))[moving] * (p - pm) ** 2 / s
-    factors = np.stack((((p - pm) / s) ** 2, 4.0 * p * pm / s**2), axis=1)  # c x + a
-    poly = VERDICT_TOL * reduce(np.convolve, factors, np.ones(1))
-    for i in range(k.size):
-        poly[1:] += k[i] * reduce(np.convolve, np.delete(factors, i, axis=0), np.ones(1))
-    roots = np.roots(poly)
+    # prod_j (c_j x + a_j) and sum_i k_i prod_{j != i} (c_j x + a_j), one factor at a time
+    prod, acc = np.ones(1), np.zeros(1)
+    for ki, factor in zip(k.tolist(), np.stack((((p - pm) / s) ** 2, 4.0 * p * pm / s**2), axis=1)):
+        acc = np.convolve(acc, factor)
+        acc[1:] += ki * prod
+        prod = np.convolve(prod, factor)
+    return VERDICT_TOL * prod + acc
+
+
+def _sign_probes(w, v):
+    """q-points in (0, 1/2] meeting every sign interval of the criterion + VERDICT_TOL:
+    each (near-)real root in (0, 1) of `_criterion_polynomial` and the
+    midpoint of each interval between them.
+    """
+    roots = np.roots(_criterion_polynomial(w, v))
     real = roots.real[(np.abs(roots.imag) <= 1e-7) & (roots.real > 0.0) & (roots.real < 1.0)]
     edges = np.concatenate(([0.0], np.sort(real), [1.0]))
     xs = np.concatenate((real, (edges[:-1] + edges[1:]) / 2.0))
@@ -228,22 +239,24 @@ def is_less_noisy(w, v):
 
     Fails iff the convexity criterion dips below -1e-9 somewhere in (0, 1),
     which the finitely many `_sign_probes` decide; every failure is a point
-    where the criterion itself is below -1e-9.  The witness is the argmin of the
-    default q-grid when that grid already shows the violation, else the
-    lowest probe.  Channels sharing a contraction coefficient touch zero at
-    q = 1/2, so roundoff there counts as holds.
+    where the criterion itself is below -1e-9.  The criterion of a BISO pair
+    is symmetric under q -> 1 - q, so only (0, 1/2] is searched and the
+    witness lies there: the argmin of the default q-grid's points up to 1/2
+    when they already show the violation, else the lowest probe.  Channels
+    sharing a contraction coefficient touch zero at q = 1/2, so roundoff
+    there counts as holds.
     """
-    w = canonicalize_biso(w)
-    v = canonicalize_biso(v)
-    qs = _interior_grid(DEFAULT_GRID)
-    vals = _criterion_grid(w, v, qs)
+    w, v = canonicalize_biso(w), canonicalize_biso(v)
+    rows = _flat_rows(w, v)
+    qs = _HALF_GRID
+    vals = _criterion(rows, qs)
     if vals.min() >= -VERDICT_TOL:
         qs = _sign_probes(w, v)
-        vals = _criterion_grid(w, v, qs)
+        vals = _criterion(rows, qs)
         if vals.min() >= -VERDICT_TOL:
             return OrderVerdict("holds")
-    q = float(qs[np.argmin(vals)])
-    return OrderVerdict("fails", CriterionViolation(q, less_noisy_criterion_biso(w, v, q)))
+    k = int(np.argmin(vals))
+    return OrderVerdict("fails", CriterionViolation(float(qs[k]), float(vals[k])))
 
 
 def less_noisy_criterion_fd(w, v, p, q):
@@ -252,21 +265,13 @@ def less_noisy_criterion_fd(w, v, p, q):
     The derivative is in the primal bias p of
     chi2(W o Ber(p) || W o Ber(q)) - chi2(V o Ber(p) || V o Ber(q)).
     Both terms are quadratic in p, so each contributes the constant
-    2 sum (r0 - r1)^2 / out_q over the outputs with
-    out_q = q r0 + (1 - q) r1 > 0; `p` does not change the value.
-    Equals twice the BISO closed criterion.
+    2 sum (r0 - r1)^2 / (q r0 + (1 - q) r1) over the outputs with r0 != r1;
+    `p` does not change the value.  Equals twice the BISO closed criterion.
     """
     q = float(q)
     if q <= 0.0 or q >= 1.0:
         raise DegenerateParameterError("reference bias must lie strictly inside (0, 1)")
-
-    def curvature(channel):
-        r0, r1 = as_channel(channel).rows
-        out_q = q * r0 + (1.0 - q) * r1
-        keep = out_q > 0.0
-        return 2.0 * float(np.sum((r0[keep] - r1[keep]) ** 2 / out_q[keep]))
-
-    return curvature(w) - curvature(v)
+    return 2.0 * float(_criterion(_flat_rows(w, v), np.array([q]))[0])
 
 
 # ----------------------------------------------------------------------
@@ -321,18 +326,6 @@ def _guessing_peak(p_ch, q_ch):
     return float(xs[k]), float(gap[k])
 
 
-def _blackwell_holds(p_ch, q_ch):
-    """Blackwell's test for dichotomies: does the first channel degrade onto the second?
-
-    For binary inputs, Q is a degraded version of P iff P guesses the input
-    at least as well as Q under every prior.  The relation, as `is_degraded`
-    decides it, holds while the peak of G_Q - G_P is at most VERDICT_TOL / 2.  With the full 1e-9,
-    BSC(alpha / 2 - 1e-9) targets, whose gap is 1e-9 - 3e-17, would hold
-    although no stochastic map within 1e-9 reaches them.
-    """
-    return _guessing_peak(p_ch, q_ch)[1] <= VERDICT_TOL / 2.0
-
-
 def _degrading_map(p_ch, q_ch):
     """A row-stochastic D with P D = Q, built from the two channels' posteriors.
 
@@ -379,7 +372,10 @@ def is_degraded(p_channel, q_channel, witness=True):
     """Decide whether the second channel is a degraded version of the first.
 
     The relation comes from Blackwell's guessing-probability test, exact for
-    every pair of binary-input channels.  With `witness=False` that is all
+    every pair of binary-input channels: it holds while the peak of G_Q - G_P
+    is at most VERDICT_TOL / 2.  With the full 1e-9, BSC(alpha / 2 - 1e-9)
+    targets, whose gap is 1e-9 - 3e-17, would hold although no stochastic
+    map within 1e-9 reaches them.  With `witness=False` that is all
     that runs, and the verdict carries no witness.  With `witness=True` a
     failing verdict carries the prior at which the second channel guesses
     best relative to the first, and a holding verdict carries the degrading

@@ -185,6 +185,11 @@ class TestFICurveBounds:
         with pytest.raises(TypeError):
             fi_upper_bound([[0.9, 0.1], [0.1, 0.9]], 0.5)
 
+    def test_upper_bound_rejects_nan_and_negative_budgets(self):
+        for t in (math.nan, -0.5):
+            with pytest.raises(LeakageOutOfRangeError):
+                fi_upper_bound(make_z(0.4), t)
+
     def test_negative_budget_rejected(self):
         with pytest.raises(LeakageOutOfRangeError):
             fi_curve_bounds(canonicalize_biso(make_bsc(0.2)), -0.5)

@@ -287,6 +287,20 @@ class TestSweep:
             assert format(less_noisy_criterion_biso(w, v, q), ".12g") == fwd_str
             assert format(less_noisy_criterion_biso(v, w, q), ".12g") == rev_str
 
+    def test_reverse_column_is_the_negated_forward_one(self, capsys):
+        from bisochan import canonicalize_biso, criterion_profile, load_channel
+
+        files = [str(DEMO_DATA / "eta_pair_a.txt"), str(DEMO_DATA / "eta_pair_b.txt")]
+        assert main(["sweep", "--quantity", "criterion", *files]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert len(rows) == 999
+        for _, fwd_str, rev_str in rows:
+            assert rev_str == (fwd_str[1:] if fwd_str.startswith("-") else "-" + fwd_str)
+        # the one profile sweep computes stands for the reverse one bit for bit
+        w, v = (canonicalize_biso(load_channel(f)) for f in files)
+        fwd, rev = criterion_profile(w, v).values, criterion_profile(v, w).values
+        assert fwd.tobytes() == (-rev).tobytes()
+
     @pytest.mark.parametrize(
         "extra",
         [["--tmax", "nan"], ["--tmax", "inf"], ["--tmax=-inf"], ["--grid", "-1"], ["--grid", "0"]],

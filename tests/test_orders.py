@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import time
@@ -36,6 +37,28 @@ from bisochan.checks import (
 from bisochan.coefficients import doeblin_alpha, eta_kl_biso
 from bisochan.orders import CriterionViolation, InfeasibilityCertificate
 import simplex_oracle
+
+
+# lopsided pairs put poles within 1e-4 of u = (1 - 2q)^2 = 1
+NEAR_POLE_W = BisoChannel([
+    (0.043543947535232115, 0.17433951386894594),
+    (0.0004102749855720974, 0.08476246344550845),
+    (0.006296967789173616, 0.09942303199624332),
+    (0.015406822997320347, 0.05899619354658792),
+    (8.438131541057604e-06, 0.22150776764295724),
+    (0.10931671278552706, 0.02058763853338184),
+    (0.0012030457417199843, 0.0967398299314285),
+    (0.02152911539456377, 0.04592823567429689),
+])
+NEAR_POLE_V = BisoChannel([
+    (0.0119859756863513, 0.045602459520241334),
+    (0.26200295127754075, 0.175523857300093),
+    (1.4016923184891106e-07, 0.12629296892859776),
+    (0.00022140251923267345, 0.022075777713420463),
+    (0.00534634387638017, 0.0026477509322508485),
+    (0.005241514739235247, 0.14914061593046374),
+    (0.12817844761791722, 0.06573979378904359),
+])
 
 
 class TestGuessingProbability:
@@ -77,6 +100,14 @@ class TestLessNoisyCriterion:
     def test_identical_channels_cancel(self):
         for q in (0.001, 0.25, 0.5, 0.99):
             assert less_noisy_criterion_biso(ETA_PAIR_A, ETA_PAIR_A, q) == 0.0
+
+    def test_noiseless_mirror_pair_cancels_near_the_edges(self):
+        # the criterion of these two noiseless channels is identically 0; the
+        # q-form curvature sum gave -28.3 at q = 1e-9 and -8.0e11 at q = 1e-15
+        w, v = BisoChannel([[0, 1]]), BisoChannel([[1, 0]])
+        for q in (1e-9, 1e-15):
+            assert abs(_curvature_sum(w, [q])[0] - _curvature_sum(v, [q])[0]) > 1.0
+            assert abs(less_noisy_criterion_biso(w, v, q)) <= 1e-12
 
     def test_degenerate_bias_rejected(self):
         for q in (0.0, 1.0):
@@ -143,6 +174,13 @@ class TestIsLessNoisy:
         assert is_less_noisy(b, bsc).holds
         assert is_less_noisy(bsc, b).fails
 
+    def test_noiseless_channel_beats_a_lopsided_one(self):
+        # the second channel's mass exceeds 1 by 5.6e-17; through the q-form
+        # curvature sum this failed with value -0.0018 at q = 8.3e-8
+        w = BisoChannel([[0, 1]])
+        v = BisoChannel([[0, 0.7451701144751403], [0.2548298855248598, 0]])
+        assert is_less_noisy(w, v).holds
+
     def test_accepts_flat_channels(self):
         assert is_less_noisy(make_bsc(0.1), make_bsc(0.3)).holds
 
@@ -170,27 +208,8 @@ class TestIsLessNoisy:
         assert _grid_oracle(w, v)[1].holds
 
     def test_violation_behind_a_pole_near_q_zero(self):
-        # lopsided pairs put poles within 1e-4 of u = (1 - 2q)^2 = 1; the
-        # criterion turns negative only for q below about 5e-5
-        w = BisoChannel([
-            (0.043543947535232115, 0.17433951386894594),
-            (0.0004102749855720974, 0.08476246344550845),
-            (0.006296967789173616, 0.09942303199624332),
-            (0.015406822997320347, 0.05899619354658792),
-            (8.438131541057604e-06, 0.22150776764295724),
-            (0.10931671278552706, 0.02058763853338184),
-            (0.0012030457417199843, 0.0967398299314285),
-            (0.02152911539456377, 0.04592823567429689),
-        ])
-        v = BisoChannel([
-            (0.0119859756863513, 0.045602459520241334),
-            (0.26200295127754075, 0.175523857300093),
-            (1.4016923184891106e-07, 0.12629296892859776),
-            (0.00022140251923267345, 0.022075777713420463),
-            (0.00534634387638017, 0.0026477509322508485),
-            (0.005241514739235247, 0.14914061593046374),
-            (0.12817844761791722, 0.06573979378904359),
-        ])
+        # the criterion turns negative only for q below about 5e-5
+        w, v = NEAR_POLE_W, NEAR_POLE_V
         verdict = is_less_noisy(w, v)
         assert verdict.fails
         assert less_noisy_criterion_biso(w, v, verdict.witness.parameter) < -1e-9
@@ -211,7 +230,11 @@ class TestIsLessNoisy:
             grid_shows, old = _grid_oracle(w, v)
             new = is_less_noisy(w, v)
             if grid_shows:
-                assert new == old
+                # the witness is the old grid argmin, or its mirror in (0, 1/2]
+                assert new.relation == old.relation
+                q_old, q_new = old.witness.parameter, new.witness.parameter
+                assert min(abs(q_new - q_old), abs(q_new - (1.0 - q_old))) <= 1e-15
+                assert abs(new.witness.value - old.witness.value) <= 1e-12 * abs(old.witness.value)
             elif new.relation != old.relation:
                 # only a violation the grid missed may change the verdict
                 changed += 1
@@ -225,7 +248,20 @@ class TestIsLessNoisy:
             if _dense_reference_fails(w, v):
                 assert verdict.fails, (w, v)
             if verdict.fails:
+                assert 0.0 < verdict.witness.parameter <= 0.5
                 assert less_noisy_criterion_biso(w, v, verdict.witness.parameter) < -1e-9
+
+    def test_polynomial_matches_the_convolution_chains(self, monkeypatch):
+        cases = list(_polynomial_cases(15))
+        new = [orders._criterion_polynomial(w, v) for w, v in cases]
+        relations = [is_less_noisy(w, v).relation for w, v in cases]
+        monkeypatch.setattr(orders, "_criterion_polynomial", _convolution_polynomial)
+        for (w, v), poly, relation in zip(cases, new, relations):
+            old = _convolution_polynomial(w, v)
+            scale = _convolution_polynomial(w, v, magnitude=True)
+            assert poly.shape == old.shape
+            assert np.all(np.abs(poly - old) <= 1e-12 * scale)
+            assert is_less_noisy(w, v).relation == relation
 
     def test_large_channels_decide_quickly(self):
         rng = np.random.default_rng(14)
@@ -248,13 +284,66 @@ def _grid_oracle(w, v):
     Returns (whether the grid itself shows a violation, the verdict).
     """
     qs = np.arange(1, 1000) / 1000.0
-    vals = orders._criterion_grid(w, v, qs)
+    vals = _curvature_sum(w, qs) - _curvature_sum(v, qs)
 
     def f(q):
-        return float(orders._criterion_grid(w, v, np.array([q]))[0])
+        return float((_curvature_sum(w, [q]) - _curvature_sum(v, [q]))[0])
 
     best_x, best_v = orders._refined_minimum(qs, vals, f)
     return bool(vals.min() < -1e-9), orders._verdict_from_minimum(best_x, best_v, f)
+
+
+def _curvature_sum(biso, qs):
+    """The q-form curvature sum the flat-row kernel replaced: sum over pairs of
+    (p - p_-)^2 / (s conv (1 - conv)), conv = q (1 - delta) + (1 - q) delta,
+    delta = p / s.  conv (1 - conv) cancels as q -> 0 when delta is near 1.
+    """
+    p = biso.pairs[:, 0][None, :]
+    pm = biso.pairs[:, 1][None, :]
+    s = p + pm
+    keep = s > 0.0
+    safe_s = np.where(keep, s, 1.0)
+    delta = np.where(keep, p / safe_s, 0.0)
+    weight = np.where(keep, (p - pm) ** 2 / safe_s, 0.0)
+    q = np.asarray(qs, dtype=float)[:, None]
+    conv = q * (1.0 - delta) + (1.0 - q) * delta
+    den = conv * (1.0 - conv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(keep & (den > 0.0), weight / np.where(den > 0.0, den, 1.0), np.inf)
+        terms = np.where(keep, terms, 0.0)
+    return terms.sum(axis=1)
+
+
+def _convolution_polynomial(w, v, magnitude=False):
+    """The polynomial of `orders._criterion_polynomial` as it was first built:
+    one chain of np.convolve per dropped factor, quadratic in the pairs.
+    With magnitude=True every k enters as |k|, which bounds each coefficient's
+    terms, since the factors' coefficients are nonnegative.
+    """
+    pairs = np.concatenate((w.pairs, v.pairs))
+    moving = pairs[:, 0] != pairs[:, 1]
+    p, pm = pairs[moving].T
+    s = p + pm
+    k = np.repeat([4.0, -4.0], (w.num_pairs, v.num_pairs))[moving] * (p - pm) ** 2 / s
+    if magnitude:
+        k = np.abs(k)
+    factors = np.stack((((p - pm) / s) ** 2, 4.0 * p * pm / s**2), axis=1)
+    poly = orders.VERDICT_TOL * functools.reduce(np.convolve, factors, np.ones(1))
+    for i in range(k.size):
+        poly[1:] += k[i] * functools.reduce(np.convolve, np.delete(factors, i, axis=0), np.ones(1))
+    return poly
+
+
+def _polynomial_cases(seed):
+    """Seeded pairs of 1-32 pairs each, every third with zero entries, and the
+    pair whose poles lie within 1e-4 of q = 0."""
+    rng = np.random.default_rng(seed)
+    yield NEAR_POLE_W, NEAR_POLE_V
+    for n in range(1, 33):
+        w, v = _skewed_biso(rng, n), _skewed_biso(rng, n)
+        if n % 3 == 0:
+            w, v = _with_zeros(rng, w), _with_zeros(rng, v)
+        yield w, v
 
 
 _DENSE_QS = np.unique(
@@ -388,7 +477,7 @@ class TestIsDegraded:
     def test_matches_lp_oracle(self):
         outcomes = {True: 0, False: 0}
         for p, q in _degradation_pairs(21):
-            holds = orders._blackwell_holds(p, q)
+            holds = is_degraded(p, q, witness=False).holds
             assert holds == _lp_oracle(p, q), (p, q)
             outcomes[holds] += 1
         assert min(outcomes.values()) > 100
