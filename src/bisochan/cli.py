@@ -34,7 +34,7 @@ from .errors import (
     LeakageOutOfRangeError,
     NotBisoError,
 )
-from .extremal import bsc_degrading_map, general_binary_dominated, match_extremal
+from .extremal import _matched, bsc_degrading_map, general_binary_dominated, match_extremal
 from .orders import (
     CriterionViolation,
     InfeasibilityCertificate,
@@ -86,8 +86,9 @@ def cmd_analyze(args):
     print(f"maximal_leakage_nats: {_fmt(report.maximal_leakage)}")
     print(f"maximal_leakage_bits: {_fmt(report.maximal_leakage_bits)}")
     print(f"capacity_bits: {_fmt(report.capacity)}")
-    for kind in ("eta_kl", "alpha", "capacity"):
-        match = match_extremal(ch, kind)
+    values = {"eta_kl": report.eta_kl, "alpha": report.doeblin_alpha, "capacity": report.capacity}
+    for kind, value in values.items():
+        match = _matched(kind, value)
         print(
             f"match[{kind}]: value={_fmt(match.channel_class.value)} "
             f"bsc_p={_fmt(match.bsc_p)} bec_eps={_fmt(match.bec_eps)}"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import as_channel, canonicalize_biso
 from .errors import InfiniteDivergenceError, NotBisoError, ParameterOutOfRangeError
-from .search import scan_then_golden_max
+from .search import newton_max
 
 _LN2 = math.log(2.0)
 
@@ -101,7 +101,7 @@ def _entropy_bits(vec):
 def eta_kl_biso(biso):
     """Closed-form KL contraction coefficient of a BISO channel.
 
-    eta = sum over pairs of (p_y - p_-y)^2 / (p_y + p_-y), with 0/0 := 0.
+    eta = sum over pairs of (p_y - p_-y)^2 / (p_y + p_-y), with 0/0 := 0, capped at 1.
     """
     biso = canonicalize_biso(biso)
     p = biso.pairs[:, 0]
@@ -109,7 +109,7 @@ def eta_kl_biso(biso):
     s = p + q
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(s > 0.0, (p - q) ** 2 / np.where(s > 0.0, s, 1.0), 0.0)
-    return float(terms.sum())
+    return min(float(terms.sum()), 1.0)
 
 
 def _eta_objective_grid(rows, qs):
@@ -134,27 +134,29 @@ def _eta_objective(rows, q):
     return float(_eta_objective_grid(rows, np.array([q]))[0])
 
 
-def eta_kl_binary_argmax(channel, scan_points=1001, xtol=1e-10):
+def eta_kl_binary_argmax(channel):
     """KL contraction coefficient of a binary-input channel, with its maximizer.
 
-    Maximizes the chi-squared ratio over the reference input probability q by
-    a uniform pre-scan followed by golden-section refinement; endpoint values
-    are the continuity limits.  Returns (eta, q_star).
+    Maximizes the chi^2 ratio f(q) = sum_y d^2 q(1-q) / D over the reference
+    input probability q, with d = r0 - r1 and D = r1 + q d, by `newton_max` on
+    f' = sum_y d^2 (r1 (1-q)^2 - r0 q^2) / D^2 and f'' = -2 sum_y d^2 r0 r1 / D^3,
+    which is <= 0.  At q = 0 a term of f' tends to d^2 / r1, or to -r0 where
+    r1 = 0; q = 1 swaps the rows.  Returns (eta, q_star), eta clamped to [0, 1].
     """
     rows = as_channel(channel).rows
+    r0, r1 = rows[:, rows[0] != rows[1]]
+    d2 = (r0 - r1) ** 2
 
-    def grid(qs):
-        vals = _eta_objective_grid(rows, qs)
-        if qs[0] == 0.0:
-            vals[0] = _eta_objective(rows, 0.0)
-        if qs[-1] == 1.0:
-            vals[-1] = _eta_objective(rows, 1.0)
-        return vals
+    def slope(q):
+        if q == 0.0 or q == 1.0:
+            a, b, sign = (r0, r1, 1.0) if q == 0.0 else (r1, r0, -1.0)
+            return sign * ((d2[b > 0.0] / b[b > 0.0]).sum() - a[b == 0.0].sum()), 0.0
+        den = r1 + q * (r0 - r1)
+        g = (d2 * (r1 * (1.0 - q) ** 2 - r0 * q * q) / den**2).sum()
+        return g, -2.0 * (d2 * r0 * r1 / den**3).sum()
 
-    qstar, eta = scan_then_golden_max(
-        lambda q: _eta_objective(rows, q), 0.0, 1.0, scan_points, xtol, f_grid=grid
-    )
-    return float(eta), float(qstar)
+    qstar = newton_max(slope)
+    return min(max(_eta_objective(rows, qstar), 0.0), 1.0), qstar
 
 
 def eta_kl_binary(channel):
@@ -169,9 +171,9 @@ def eta_tv(channel):
 
 
 def doeblin_alpha(channel):
-    """Doeblin coefficient: sum of columnwise row minima."""
+    """Doeblin coefficient: sum of columnwise row minima, capped at 1."""
     rows = as_channel(channel).rows
-    return float(np.minimum(rows[0], rows[1]).sum())
+    return min(float(np.minimum(rows[0], rows[1]).sum()), 1.0)
 
 
 def alpha_max(channel):
@@ -212,18 +214,31 @@ def mutual_information_grid(channel, ps):
     return np.maximum(hy - hyx, 0.0)
 
 
-def capacity_binary_argmax(channel, scan_points=1001, xtol=1e-10):
-    """Capacity of a binary-input channel and its maximizing input probability."""
+def capacity_binary_argmax(channel):
+    """Capacity of a binary-input channel and its maximizing input probability.
+
+    Maximizes I(p), concave in p = P(X=0), by `newton_max` on I' = H(r1) -
+    H(r0) - sum_y d log2(out_y) and I'' = -(1/ln 2) sum_y d^2 / out_y, with
+    out = r1 + p d, over the outputs with d = r0 - r1 != 0.  The value is
+    p D(r0 || out) + (1 - p) D(r1 || out), which keeps the digits of small
+    capacities that H(out) - H(Y|X) cancels.  Returns (capacity, p_star), the
+    capacity clamped to [0, 1] bit.
+    """
     ch = as_channel(channel)
-    pstar, cap = scan_then_golden_max(
-        lambda p: float(mutual_information_grid(ch, np.array([p]))[0]),
-        0.0,
-        1.0,
-        scan_points,
-        xtol,
-        f_grid=lambda ps: mutual_information_grid(ch, ps),
-    )
-    return float(cap), float(pstar)
+    r0, r1 = ch.rows[:, ch.rows[0] != ch.rows[1]]
+    d = r0 - r1
+    gap = _entropy_bits(r1) - _entropy_bits(r0)
+
+    def slope(p):
+        out = r1 + p * d
+        with np.errstate(divide="ignore"):
+            return gap - (d * np.log2(out)).sum(), -(d * d / out).sum() / _LN2
+
+    pstar = newton_max(slope)
+    out, cap = r1 + pstar * d, 0.0
+    for w, r in ((pstar, r0), (1.0 - pstar, r1)):
+        cap += w * (r[r > 0.0] * np.log2(r[r > 0.0] / out[r > 0.0])).sum()
+    return min(max(float(cap), 0.0), 1.0), pstar
 
 
 def capacity_binary(channel):
@@ -231,7 +246,7 @@ def capacity_binary(channel):
 
 
 def capacity_biso(biso):
-    """Closed-form capacity of a BISO channel in bits."""
+    """Closed-form capacity of a BISO channel in bits, clamped to [0, 1]."""
     biso = canonicalize_biso(biso)
     p = biso.pairs[:, 0]
     q = biso.pairs[:, 1]
@@ -239,7 +254,7 @@ def capacity_biso(biso):
     keep = s > 0.0
     delta = np.where(keep, p / np.where(keep, s, 1.0), 0.0)
     hterm = _entropy_bits(np.stack([delta, 1.0 - delta], axis=-1))
-    return float(1.0 - (s * np.where(keep, hterm, 0.0)).sum())
+    return min(max(1.0 - float((s * np.where(keep, hterm, 0.0)).sum()), 0.0), 1.0)
 
 
 def eta_kl(channel):

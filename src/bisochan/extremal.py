@@ -84,7 +84,12 @@ def match_extremal(channel, kind):
     alpha:    p = alpha / 2, eps = alpha.
     capacity: p = h2_inv(1 - C), eps = 1 - C.
     """
-    cls = channel_class(channel, kind)
+    return _matched(kind, channel_class(channel, kind).value)
+
+
+def _matched(kind, value):
+    """The ExtremalMatch of one class constant, by the formulas of `match_extremal`."""
+    cls = ChannelClass(kind, float(value))
     c = cls.value
     if kind == "eta_kl":
         p = (1.0 - math.sqrt(c)) / 2.0

@@ -1,4 +1,5 @@
-"""Scalar search utilities: golden-section optimization and bisection."""
+"""Scalar search utilities: safeguarded Newton for the maximizer of a concave
+function on [0, 1], golden-section optimization, and bisection."""
 
 import numpy as np
 
@@ -38,22 +39,30 @@ def golden_section_min(f, lo, hi, xtol=1e-10):
     return x, -v
 
 
-def scan_then_golden_max(f, lo=0.0, hi=1.0, scan_points=1001, xtol=1e-10, f_grid=None):
-    """Maximize f on [lo, hi]: uniform pre-scan, then golden-section refinement.
+def newton_max(slope):
+    """Maximizer on [0, 1] of a concave function, given its derivative.
 
-    The pre-scan guards against local maxima in non-concave objectives.
-    `f_grid`, when given, is a vectorized version of f used for the scan pass.
-    Returns (argmax, max).
+    `slope(x)` returns (g, g') with g the derivative, decreasing on [0, 1].
+    Returns 0 when g(0) <= 0 and 1 when g(1) >= 0.  Otherwise it runs Newton
+    steps on g from x = 1/2 inside a sign bracket g(a) > 0 >= g(b); a step
+    that would leave the bracket, or a g' that is not negative, bisects it
+    instead.  It returns x once |g(x)| <= 1e-14, so that by tangency the
+    maximum exceeds the value at x by at most that, or once b - a <= 1e-15,
+    or at the step cap of 64 steps: at most 66 calls of `slope` in all.
     """
-    xs = np.linspace(lo, hi, scan_points)
-    vals = f_grid(xs) if f_grid is not None else np.array([f(x) for x in xs])
-    k = int(np.argmax(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, scan_points - 1)]
-    gx, gf = golden_section_max(f, a, b, xtol)
-    if vals[k] >= gf:
-        return float(xs[k]), float(vals[k])
-    return float(gx), float(gf)
+    if slope(0.0)[0] <= 0.0:
+        return 0.0
+    if slope(1.0)[0] >= 0.0:
+        return 1.0
+    a, b, x = 0.0, 1.0, 0.5
+    for _ in range(64):
+        g, dg = slope(x)
+        a, b = (x, b) if g > 0.0 else (a, x)
+        if abs(g) <= 1e-14 or b - a <= 1e-15:
+            return x
+        nxt = x - g / dg if dg < 0.0 else a
+        x = float(nxt) if a < nxt < b else 0.5 * (a + b)
+    return x
 
 
 def bisect_threshold(pred, lo, hi, xtol=1e-8):

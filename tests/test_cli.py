@@ -14,6 +14,7 @@ from bisochan import (
     criterion_profile,
     fi_curve_bounds,
     load_channel,
+    match_extremal,
     mutual_information_grid,
 )
 from bisochan.channels import format_channel, make_bsc, make_z
@@ -74,6 +75,64 @@ class TestAnalyze:
         assert "eta_kl: 0.64" in out
         assert "doeblin_alpha: 0.2" in out
         assert "capacity_bits: 0.531004406411" in out
+
+    def test_noiseless_non_biso_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "noiseless.txt"
+        path.write_text("3\n1 0 0\n0 0.5 0.5\n")
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "match[eta_kl]: value=1 bsc_p=0 bec_eps=0" in out
+        assert "match[capacity]: value=1 bsc_p=0 bec_eps=0" in out
+
+    def test_row_sums_above_one_exit_0(self, tmp_path, capsys):
+        path = tmp_path / "loose.txt"
+        path.write_text("3\n0.3 0.7000000001 0\n0 0 1\n")
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "eta_kl: 1\n" in out and "capacity_bits: 1\n" in out
+
+    @pytest.mark.parametrize(
+        "text", ["biso 0.5000000001 0.5\n", "2\n0.5 0.5000000001\n0.5 0.5000000001\n"]
+    )
+    def test_useless_channel_with_mass_above_one_exit_0(self, tmp_path, capsys, text):
+        path = tmp_path / "useless.txt"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "match[alpha]: value=1 bsc_p=0.5 bec_eps=1" in out
+        assert "match[capacity]: value=0 bsc_p=0.5 bec_eps=1" in out
+
+    def test_z_channel_capacity(self, tmp_path, capsys):
+        path = tmp_path / "z.txt"
+        path.write_text("2\n1 0\n0.5 0.5\n")
+        assert main(["analyze", str(path)]) == 0
+        assert "capacity_bits: 0.321928094887" in capsys.readouterr().out
+
+    def test_each_optimizer_runs_once(self, z_file, monkeypatch, capsys):
+        from bisochan import coefficients
+
+        calls = []
+        for name in ("eta_kl_binary_argmax", "capacity_binary_argmax"):
+            fn = getattr(coefficients, name)
+            monkeypatch.setattr(
+                coefficients, name, lambda ch, fn=fn, name=name: calls.append(name) or fn(ch)
+            )
+        assert main(["analyze", z_file]) == 0
+        assert sorted(calls) == ["capacity_binary_argmax", "eta_kl_binary_argmax"]
+
+    def test_match_lines_agree_with_match_extremal(self, z_file, eta_file_a, capsys):
+        for path in (z_file, eta_file_a):
+            assert main(["analyze", path]) == 0
+            lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("match[")]
+            ch = load_channel(path)
+            expected = []
+            for kind in ("eta_kl", "alpha", "capacity"):
+                m = match_extremal(ch, kind)
+                expected.append(
+                    f"match[{kind}]: value={_fmt(m.channel_class.value)} "
+                    f"bsc_p={_fmt(m.bsc_p)} bec_eps={_fmt(m.bec_eps)}"
+                )
+            assert lines == expected
 
     def test_parse_failure_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

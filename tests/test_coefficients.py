@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -31,11 +32,20 @@ from bisochan import (
     make_bec,
     make_bsc,
     make_z,
+    match_extremal,
     maximal_leakage,
     mutual_information,
     tv_generator,
 )
+from bisochan.channels import parse_channel
 from bisochan.checks import random_binary_channel, random_biso
+from bisochan.coefficients import (
+    _eta_objective,
+    _eta_objective_grid,
+    capacity,
+    mutual_information_grid,
+)
+from bisochan.search import golden_section_max, newton_max
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -256,3 +266,232 @@ def test_report_consistency(seed):
     assert 0.0 <= rep.eta_kl <= 1.0 + 1e-12
     assert 0.0 <= rep.eta_tv <= 1.0 and 0.0 <= rep.doeblin_alpha <= 1.0
     assert 1.0 <= rep.alpha_max <= 2.0
+
+
+# ----------------------------------------------------------------------
+# Newton optimizers against the procedure they replaced
+# ----------------------------------------------------------------------
+
+
+def scan_then_golden_max(f, f_grid, scan_points=1001, xtol=1e-10):
+    """The replaced optimizer, kept as an oracle: 1001-point scan, then golden refinement.
+
+    Returns (argmax, max) on [0, 1].
+    """
+    xs = np.linspace(0.0, 1.0, scan_points)
+    vals = f_grid(xs)
+    k = int(np.argmax(vals))
+    gx, gf = golden_section_max(f, xs[max(k - 1, 0)], xs[min(k + 1, scan_points - 1)], xtol)
+    if vals[k] >= gf:
+        return float(xs[k]), float(vals[k])
+    return float(gx), float(gf)
+
+
+def scan_eta_kl(ch):
+    rows = ch.rows
+
+    def grid(qs):
+        vals = _eta_objective_grid(rows, qs)
+        vals[0], vals[-1] = _eta_objective(rows, 0.0), _eta_objective(rows, 1.0)
+        return vals
+
+    return scan_then_golden_max(lambda q: _eta_objective(rows, q), grid)[1]
+
+
+def scan_capacity(ch):
+    return scan_then_golden_max(
+        lambda p: float(mutual_information_grid(ch, np.array([p]))[0]),
+        lambda ps: mutual_information_grid(ch, ps),
+    )[1]
+
+
+def _normalized(raw):
+    return Channel(raw / raw.sum(axis=1, keepdims=True))
+
+
+def optimizer_corpus(seed=2024):
+    """320 seeded binary-input channels, degenerate shapes included."""
+    rng = np.random.default_rng(seed)
+    chans = []
+    for i in range(200):  # 2..12 outputs with zero entries in either row
+        n = 2 + i % 11
+        raw = rng.uniform(0.0, 1.0, size=(2, n))
+        raw[rng.uniform(size=(2, n)) < 0.3] = 0.0
+        raw[:, i % n] += 0.05  # no empty row
+        chans.append(_normalized(raw))
+    chans += [make_z(q) for q in np.linspace(0.0, 1.0, 21)]
+    chans += [Channel([[1.0], [1.0]])] * 2
+    for i in range(30):  # identical rows, some with zero entries
+        r = rng.dirichlet(np.ones(1 + i % 8))
+        r[: min(i % 3, r.size - 1)] = 0.0
+        r = r / r.sum()
+        chans.append(Channel([r, r]))
+    chans += [make_bsc(0.0), make_bsc(0.5), make_bec(0.0), make_bec(1.0)]
+    for i in range(40):  # disjoint supports
+        n = 2 + i % 9
+        k = 1 + i % (n - 1)
+        raw = np.zeros((2, n))
+        raw[0, :k] = rng.uniform(0.05, 1.0, size=k)
+        raw[1, k:] = rng.uniform(0.05, 1.0, size=n - k)
+        chans.append(_normalized(raw[:, rng.permutation(n)]))
+    chans += [random_biso(rng).to_channel() for _ in range(23)]
+    return chans
+
+
+CORPUS = optimizer_corpus()
+
+
+def _kl_bits(r, out):
+    pos = r > 0.0
+    return float((r[pos] * np.log2(r[pos] / out[pos])).sum())
+
+
+def _eta_slope(rows, q):
+    """Derivative of the chi^2 ratio in q, term by term, with the endpoint limits."""
+    total = 0.0
+    for r0, r1 in rows.T:
+        d = r0 - r1
+        if d == 0.0:
+            continue
+        if q == 0.0:
+            total += d * d / r1 if r1 > 0.0 else -r0
+        elif q == 1.0:
+            total += -d * d / r0 if r0 > 0.0 else r1
+        else:
+            total += d * d * (r1 * (1 - q) ** 2 - r0 * q * q) / (r1 + q * d) ** 2
+    return total
+
+
+class TestNewtonOptimizers:
+    def test_corpus_shape(self):
+        assert len(CORPUS) >= 300
+        assert any((ch.rows == 0.0).any() for ch in CORPUS)
+
+    def test_agrees_with_scan_then_golden(self):
+        for ch in CORPUS:
+            pairs = ((eta_kl_binary_argmax, scan_eta_kl), (capacity_binary_argmax, scan_capacity))
+            for new, old in pairs:
+                value, ref = new(ch)[0], old(ch)
+                assert abs(value - ref) <= 1e-12, (ch, new.__name__)
+                assert value >= ref - 1e-13, (ch, new.__name__)
+
+    def test_capacity_dual_gap(self):
+        # Csiszar-Korner: C <= max_x D(r_x || out) for every output law out
+        for ch in CORPUS:
+            cap, pstar = capacity_binary_argmax(ch)
+            out = pstar * ch.rows[0] + (1.0 - pstar) * ch.rows[1]
+            gap = max(_kl_bits(ch.rows[0], out), _kl_bits(ch.rows[1], out)) - cap
+            assert gap <= 1e-12, ch
+
+    def test_eta_tangent_bound(self):
+        # concavity: f(q) <= f(q*) + f'(q*)(q - q*) on [0, 1]
+        for ch in CORPUS:
+            eta, qstar = eta_kl_binary_argmax(ch)
+            g = _eta_slope(ch.rows, qstar)
+            assert max(-g * qstar, g * (1.0 - qstar)) <= 1e-12, ch
+
+    def test_values_lie_in_unit_interval(self):
+        for ch in CORPUS:
+            assert 0.0 <= eta_kl_binary_argmax(ch)[0] <= 1.0
+            assert 0.0 <= capacity_binary_argmax(ch)[0] <= 1.0
+
+    def test_noiseless_channels_clamp_to_one(self):
+        for rows in ([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]], [[0.1, 0.9, 0.0], [0.0, 0.0, 1.0]]):
+            assert eta_kl_binary_argmax(Channel(rows))[0] == 1.0
+            assert capacity_binary_argmax(Channel(rows))[0] == 1.0
+        # row sums above 1 within the parse tolerance
+        ch = parse_channel("3\n0.3 0.7000000001 0\n0 0 1\n")
+        assert eta_kl_binary_argmax(ch)[0] == 1.0
+        assert capacity_binary_argmax(ch)[0] == 1.0
+        for kind in ("eta_kl", "capacity"):
+            m = match_extremal(ch, kind)
+            assert (m.channel_class.value, m.bsc_p, m.bec_eps) == (1.0, 0.0, 0.0)
+
+    def test_biso_closed_forms_clamp(self):
+        useless = parse_channel("biso 0.5000000001 0.5\n")  # pair mass above 1
+        assert capacity(useless) == 0.0
+        assert match_extremal(useless, "capacity").bec_eps == 1.0
+
+    def test_mpmath_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for ch in CORPUS[:150]:
+                eta, cap = _mp_reference(ch, mpmath.mp)
+                assert abs(eta_kl_binary_argmax(ch)[0] - eta) <= 1e-14, ch
+                assert abs(capacity_binary_argmax(ch)[0] - cap) <= 1e-14, ch
+
+
+def _mp_reference(ch, mp):
+    """(eta_KL, capacity) at the working precision of mp, rounded to floats.
+
+    Each maximizer is the root of the objective's derivative on
+    [1e-20, 1 - 1e-20] (Anderson-Bjorck), or that interval's end.
+    """
+    r0 = [mp.mpf(float(v)) for v in ch.rows[0]]
+    r1 = [mp.mpf(float(v)) for v in ch.rows[1]]
+    cols = [(a, b, a - b) for a, b in zip(r0, r1) if a != b]
+    eps = mp.mpf(10) ** -20
+
+    def argmax(slope):
+        if slope(eps) <= 0:
+            return eps
+        if slope(1 - eps) >= 0:
+            return 1 - eps
+        return mp.findroot(slope, (eps, 1 - eps), solver="anderson")
+
+    def entropy(v):
+        return -mp.fsum(x * mp.log(x, 2) for x in v if x > 0)
+
+    def eta_slope(q):
+        terms = (d * d * (b * (1 - q) ** 2 - a * q * q) / (b + q * d) ** 2 for a, b, d in cols)
+        return mp.fsum(terms)
+
+    def mi(p):
+        out = [b + p * (a - b) for a, b in zip(r0, r1)]
+        return entropy(out) - p * entropy(r0) - (1 - p) * entropy(r1)
+
+    def mi_slope(p):
+        terms = (d * (mp.log(b + p * d, 2) + 1 / mp.ln2) for a, b, d in cols)
+        return entropy(r1) - entropy(r0) - mp.fsum(terms)
+
+    q = argmax(eta_slope)
+    eta = mp.fsum(d * d * q * (1 - q) / (b + q * d) for a, b, d in cols)
+    return float(eta), float(mi(argmax(mi_slope)))
+
+
+def _hostile(rng, n):
+    """Near-symmetric non-BISO channel: n - 2 equal columns, two unpaired ones."""
+    c = rng.uniform(0.6, 0.9) / n
+    rest = 1.0 - (n - 2) * c
+    s, t = rng.uniform(0.55, 0.75), rng.uniform(0.10, 0.20)
+    row0 = np.concatenate([np.full(n - 2, c), [rest * s, rest * (1.0 - s)]])
+    row1 = np.concatenate([np.full(n - 2, c), [rest * t, rest * (1.0 - t)]])
+    return Channel([row0, row1])
+
+
+class TestNewtonWorstCase:
+    def test_step_cap(self):
+        calls = []
+
+        def creeping(x):  # Newton steps of 1e-10 that never close the bracket
+            calls.append(x)
+            return (1.0 if x < 1.0 else -1.0), -1e10
+
+        x = newton_max(creeping)
+        assert 0.5 < x < 0.5 + 1e-8
+        assert len(calls) == 66
+
+    def test_large_and_hostile_channels_are_fast(self):
+        rng = np.random.default_rng(5)
+        chans = [_normalized(rng.uniform(0.0, 1.0, size=(2, 64)))]
+        chans += [_hostile(rng, n) for n in range(8, 13)]
+        for ch in chans:
+            for opt in (eta_kl_binary_argmax, capacity_binary_argmax):
+                best = min(_elapsed(opt, ch) for _ in range(3))
+                assert best < 5e-3, (ch.n_outputs, opt.__name__, best)
+
+
+def _elapsed(fn, arg):
+    start = time.perf_counter()
+    fn(arg)
+    return time.perf_counter() - start
