@@ -34,7 +34,7 @@ from .errors import (
     LeakageOutOfRangeError,
     NotBisoError,
 )
-from .extremal import _matched, bsc_degrading_map, general_binary_dominated, match_extremal
+from .extremal import ChannelClass, _matched, bsc_degrading_map, general_binary_dominated, match_extremal
 from .orders import (
     CriterionViolation,
     InfeasibilityCertificate,
@@ -88,7 +88,7 @@ def cmd_analyze(args):
     print(f"capacity_bits: {_fmt(report.capacity)}")
     values = {"eta_kl": report.eta_kl, "alpha": report.doeblin_alpha, "capacity": report.capacity}
     for kind, value in values.items():
-        match = _matched(kind, value)
+        match = _matched(ChannelClass(kind, value))
         print(
             f"match[{kind}]: value={_fmt(match.channel_class.value)} "
             f"bsc_p={_fmt(match.bsc_p)} bec_eps={_fmt(match.bec_eps)}"

@@ -139,21 +139,23 @@ def eta_kl_binary_argmax(channel):
 
     Maximizes the chi^2 ratio f(q) = sum_y d^2 q(1-q) / D over the reference
     input probability q, with d = r0 - r1 and D = r1 + q d, by `newton_max` on
-    f' = sum_y d^2 (r1 (1-q)^2 - r0 q^2) / D^2 and f'' = -2 sum_y d^2 r0 r1 / D^3,
-    which is <= 0.  At q = 0 a term of f' tends to d^2 / r1, or to -r0 where
-    r1 = 0; q = 1 swaps the rows.  Returns (eta, q_star), eta clamped to [0, 1].
+    f' = sum_y d^2 (r1 (1-q)^2 - r0 q^2) / D^2 and f'' = -2 sum_y d^2 r0 r1 / D^3
+    <= 0, both summed from the ratios d / D, r0 / D and r1 / D (D floored at the
+    least normal double) lest a power of D underflow.  At q = 0 a term of f' tends
+    to d^2 / r1, or to -r0 where r1 = 0; q = 1 swaps the rows.  Returns (eta,
+    q_star), eta clamped to [0, 1].
     """
     rows = as_channel(channel).rows
     r0, r1 = rows[:, rows[0] != rows[1]]
-    d2 = (r0 - r1) ** 2
+    d = r0 - r1
 
     def slope(q):
         if q == 0.0 or q == 1.0:
             a, b, sign = (r0, r1, 1.0) if q == 0.0 else (r1, r0, -1.0)
-            return sign * ((d2[b > 0.0] / b[b > 0.0]).sum() - a[b == 0.0].sum()), 0.0
-        den = r1 + q * (r0 - r1)
-        g = (d2 * (r1 * (1.0 - q) ** 2 - r0 * q * q) / den**2).sum()
-        return g, -2.0 * (d2 * r0 * r1 / den**3).sum()
+            return sign * ((d[b > 0.0] * (d[b > 0.0] / b[b > 0.0])).sum() - a[b == 0.0].sum()), 0.0
+        den = np.maximum(r1 + q * d, np.finfo(float).tiny)
+        w, s0, s1 = d * (d / den), r0 / den, r1 / den
+        return (w * (s1 * (1.0 - q) - q)).sum(), -2.0 * (w * s0 * s1).sum()
 
     qstar = newton_max(slope)
     return min(max(_eta_objective(rows, qstar), 0.0), 1.0), qstar
@@ -232,7 +234,7 @@ def capacity_binary_argmax(channel):
     def slope(p):
         out = r1 + p * d
         with np.errstate(divide="ignore"):
-            return gap - (d * np.log2(out)).sum(), -(d * d / out).sum() / _LN2
+            return gap - (d * np.log2(out)).sum(), -(d * (d / out)).sum() / _LN2
 
     pstar = newton_max(slope)
     out, cap = r1 + pstar * d, 0.0

@@ -84,17 +84,16 @@ def match_extremal(channel, kind):
     alpha:    p = alpha / 2, eps = alpha.
     capacity: p = h2_inv(1 - C), eps = 1 - C.
     """
-    return _matched(kind, channel_class(channel, kind).value)
+    return _matched(channel_class(channel, kind))
 
 
-def _matched(kind, value):
+def _matched(cls):
     """The ExtremalMatch of one class constant, by the formulas of `match_extremal`."""
-    cls = ChannelClass(kind, float(value))
     c = cls.value
-    if kind == "eta_kl":
+    if cls.kind == "eta_kl":
         p = (1.0 - math.sqrt(c)) / 2.0
         eps = 1.0 - c
-    elif kind == "alpha":
+    elif cls.kind == "alpha":
         p = c / 2.0
         eps = c
     else:

@@ -1,5 +1,4 @@
-"""Scalar search utilities: safeguarded Newton for the maximizer of a concave
-function on [0, 1], golden-section optimization, and bisection."""
+"""Scalar search utilities: safeguarded Newton, golden-section optimization, bisection."""
 
 import numpy as np
 

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from bisochan import (
     mutual_information,
     tv_generator,
 )
+from bisochan import coefficients
 from bisochan.channels import parse_channel
 from bisochan.checks import random_binary_channel, random_biso
 from bisochan.coefficients import (
@@ -406,6 +408,30 @@ class TestNewtonOptimizers:
         for kind in ("eta_kl", "capacity"):
             m = match_extremal(ch, kind)
             assert (m.channel_class.value, m.bsc_p, m.bec_eps) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("tiny", [1e-120, 1e-170, 1e-200, 1e-320])
+    def test_tiny_entries_match_the_scan(self, tiny, monkeypatch):
+        # d^2 and D^2, D^3 underflow here; the slopes must stay finite
+        slopes = []
+
+        def recording_newton_max(slope):
+            def recorded(x):
+                slopes.append((x, *slope(x)))
+                return slopes[-1][1:]
+
+            return newton_max(recorded)
+
+        monkeypatch.setattr(coefficients, "newton_max", recording_newton_max)
+        rows = [[tiny, 0.6, 0.4 - tiny], [0.0, 0.2, 0.8]]
+        for ch in (Channel(rows), Channel(rows[::-1]), Channel(np.array(rows)[:, ::-1])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                eta, cap = eta_kl_binary_argmax(ch)[0], capacity_binary_argmax(ch)[0]
+            assert abs(eta - scan_eta_kl(ch)) <= 1e-12, ch
+            assert abs(cap - scan_capacity(ch)) <= 1e-12, ch
+            assert eta > 0.16
+        assert all(math.isfinite(g) and math.isfinite(dg) for x, g, dg in slopes if 0.0 < x < 1.0)
+        assert len(slopes) <= 6 * 20
 
     def test_biso_closed_forms_clamp(self):
         useless = parse_channel("biso 0.5000000001 0.5\n")  # pair mass above 1
