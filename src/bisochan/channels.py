@@ -30,15 +30,24 @@ def _as_prob_matrix(rows, tol, what="channel"):
     arr = np.array(rows, dtype=float)
     if arr.ndim != 2:
         raise InvalidChannelError(f"{what} must be a 2-D matrix, got shape {arr.shape}")
-    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
-        raise InvalidChannelError(f"{what} entries must lie in [0, 1] within {tol:g}")
+    clip = _needs_clip(arr, tol, f"{what} entries must lie in [0, 1] within {tol:g}")
     sums = arr.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
-    if bad.size:
-        raise InvalidChannelError(
-            f"{what} row {bad[0]} sums to {sums[bad[0]]!r}, not 1 within {tol:g}"
-        )
-    return np.clip(arr, 0.0, 1.0)
+    if np.abs(sums - 1.0).max(initial=0.0) > tol:
+        bad = np.nonzero(np.abs(sums - 1.0) > tol)[0][0]
+        raise InvalidChannelError(f"{what} row {bad} sums to {sums[bad]!r}, not 1 within {tol:g}")
+    return np.clip(arr, 0.0, 1.0) if clip else arr
+
+
+def _needs_clip(arr, tol, message):
+    """Whether an entry of `arr` lies outside [0, 1], by one min and one max.
+
+    Raises InvalidChannelError(message) when an entry lies beyond `tol` of
+    [0, 1] or is NaN: every comparison with NaN is False.
+    """
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+    if not (lo >= -tol and hi <= 1.0 + tol):
+        raise InvalidChannelError(message)
+    return not (lo >= 0.0 and hi <= 1.0)
 
 
 class Channel:
@@ -76,12 +85,11 @@ class BisoChannel:
             raise InvalidChannelError(f"pairs must have shape (l, 2), got {arr.shape}")
         if arr.shape[0] < 1:
             raise InvalidChannelError("a BISO channel needs at least one pair")
-        if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
-            raise InvalidChannelError(f"pair entries must lie in [0, 1] within {tol:g}")
+        clip = _needs_clip(arr, tol, f"pair entries must lie in [0, 1] within {tol:g}")
         total = arr.sum()
         if abs(total - 1.0) > tol:
             raise InvalidChannelError(f"pair probabilities sum to {total!r}, not 1 within {tol:g}")
-        arr = np.clip(arr, 0.0, 1.0)
+        arr = np.clip(arr, 0.0, 1.0) if clip else arr
         arr.setflags(write=False)
         self.pairs = arr
         self._flat = None  # memo of to_channel
@@ -90,11 +98,14 @@ class BisoChannel:
     def num_pairs(self):
         return self.pairs.shape[0]
 
+    def flat_rows(self):
+        """The 2 x 2l rows of the flat layout, read from the pairs: row 1 is row 0 reversed."""
+        return np.concatenate((self.pairs[::-1, ::-1], self.pairs)).T
+
     def to_channel(self):
-        """Flatten to the canonical 2 x 2l layout: row 1 is row 0 reversed; built once."""
+        """Flatten to the canonical 2 x 2l layout as a Channel; built once."""
         if self._flat is None:
-            flat = np.concatenate([self.pairs[::-1, 1], self.pairs[:, 0]])
-            self._flat = Channel([flat, flat[::-1]], tol=LOADED_TOL)
+            self._flat = Channel(self.flat_rows(), tol=LOADED_TOL)
         return self._flat
 
     def isclose(self, other, atol=1e-12):
@@ -234,13 +245,11 @@ class DegradingMap:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2:
             raise InvalidChannelError(f"degrading map must be 2-D, got shape {arr.shape}")
-        if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
-            raise InvalidChannelError(f"degrading map entries drift beyond {tol:g}")
-        sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > tol):
-            worst = float(np.max(np.abs(sums - 1.0)))
+        clip = _needs_clip(arr, tol, f"degrading map entries drift beyond {tol:g}")
+        worst = float(np.abs(arr.sum(axis=1) - 1.0).max(initial=0.0))
+        if worst > tol:
             raise InvalidChannelError(f"degrading map row sums drift by {worst:g} > {tol:g}")
-        arr = np.clip(arr, 0.0, 1.0)
+        arr = np.clip(arr, 0.0, 1.0) if clip else arr
         arr /= arr.sum(axis=1, keepdims=True)
         arr.setflags(write=False)
         self.entries = arr
@@ -364,8 +373,7 @@ def format_channel(channel):
 
 def format_biso(biso):
     """Render a BISO channel in the one-line shorthand."""
-    flat = np.concatenate([biso.pairs[::-1, 1], biso.pairs[:, 0]])
-    return "biso " + " ".join(repr(float(v)) for v in flat) + "\n"
+    return "biso " + " ".join(repr(float(v)) for v in biso.flat_rows()[0]) + "\n"
 
 
 def save_channel(channel, path):

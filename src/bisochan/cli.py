@@ -63,7 +63,7 @@ def _print_matrix(mat, indent="  "):
 def _load(path):
     try:
         return load_channel(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ChannelFormatError(f"{path}: {exc}") from None
 
 

@@ -207,13 +207,17 @@ def mutual_information(channel, p):
 
 
 def mutual_information_grid(channel, ps):
-    """Vectorized mutual information over an array of input probabilities."""
+    """Vectorized mutual information over an array of input probabilities.
+
+    H(Y) is summed over each bias's contiguous row of outputs, so each sum
+    rounds as `_entropy_bits` of that row alone.
+    """
     rows = as_channel(channel).rows
     p = np.asarray(ps, dtype=float)[:, None]
-    out = p * rows[0][None, :] + (1.0 - p) * rows[1][None, :]
-    hy = _entropy_bits(out)
-    hyx = p[:, 0] * _entropy_bits(rows[0]) + (1.0 - p[:, 0]) * _entropy_bits(rows[1])
-    return np.maximum(hy - hyx, 0.0)
+    out = p * rows[0] + (1.0 - p) * rows[1]
+    hy = -(out * np.log2(out, out=np.zeros_like(out), where=out > 0.0)).sum(axis=1)
+    h0, h1 = _entropy_bits(rows)
+    return np.maximum(hy - (p[:, 0] * h0 + (1.0 - p[:, 0]) * h1), 0.0)
 
 
 def capacity_binary_argmax(channel):

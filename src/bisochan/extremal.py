@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    BisoChannel,
     Channel,
     DegradingMap,
     as_channel,
@@ -308,7 +309,7 @@ def verify_reverse_beta(biso, xtol=2e-7):
     def dominated(p):
         if p >= 0.5:
             return True
-        return is_less_noisy(biso, canonicalize_biso(make_bsc(p))).holds
+        return is_less_noisy(biso, BisoChannel([(p, 1.0 - p)])).holds  # canonical BSC(p), p < 1/2
 
     p_star = bisect_threshold(dominated, 0.0, 0.5, xtol)
     return 4.0 * p_star * (1.0 - p_star)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DegradingMap, as_channel, canonicalize_biso, compose
+from .channels import BisoChannel, DegradingMap, as_channel, canonicalize_biso, compose
 from .coefficients import mutual_information_grid
 from .errors import DegenerateParameterError, NumericalInstabilityError
 from .search import golden_section_min
@@ -126,12 +126,15 @@ def less_noisy_criterion_biso(w, v, q):
 
 def _flat_rows(w, v):
     """Terms (d^2, d, r1), d = r0 - r1, of the flat rows of two channels with
-    r0 != r1, so q d + r1 > 0 on (0, 1), and how many are the first's."""
-    w_ch, v_ch = as_channel(w), as_channel(v)
-    r0, r1 = np.concatenate((w_ch.rows, v_ch.rows), axis=1)
+    r0 != r1, so q d + r1 > 0 on (0, 1), and how many are the first's.  A
+    BisoChannel's rows are read from its pairs, in `to_channel` order."""
+    w_rows, v_rows = (
+        ch.flat_rows() if isinstance(ch, BisoChannel) else as_channel(ch).rows for ch in (w, v)
+    )
+    r0, r1 = np.concatenate((w_rows, v_rows), axis=1)
     d = r0 - r1
     keep = d != 0.0
-    return np.stack((d * d, d, r1))[:, keep, None], int(np.count_nonzero(keep[: w_ch.n_outputs]))
+    return np.stack((d * d, d, r1))[:, keep, None], int(np.count_nonzero(keep[: w_rows.shape[1]]))
 
 
 def _criterion(rows, qs):
@@ -212,13 +215,13 @@ def _criterion_polynomial(w, v):
     p, pm = pairs[moving].T
     s = p + pm
     k = np.repeat([4.0, -4.0], (w.num_pairs, v.num_pairs))[moving] * (p - pm) ** 2 / s
-    # prod_j (c_j x + a_j) and sum_i k_i prod_{j != i} (c_j x + a_j), one factor at a time
-    prod, acc = np.ones(1), np.zeros(1)
-    for ki, factor in zip(k.tolist(), np.stack((((p - pm) / s) ** 2, 4.0 * p * pm / s**2), axis=1)):
-        acc = np.convolve(acc, factor)
-        acc[1:] += ki * prod
-        prod = np.convolve(prod, factor)
-    return VERDICT_TOL * prod + acc
+    # prod_j (c_j x + a_j) and sum_i k_i prod_{j != i} (c_j x + a_j), one factor at a time,
+    # in Python floats: each coefficient is the two-term sum np.convolve forms, bit for bit
+    prod, acc = [1.0], [0.0]
+    for ki, ci, ai in zip(k.tolist(), (((p - pm) / s) ** 2).tolist(), (4.0 * p * pm / s**2).tolist()):
+        acc = [x * ci + y * ai + ki * z for x, y, z in zip(acc + [0.0], [0.0] + acc, [0.0] + prod)]
+        prod = [x * ci + y * ai for x, y in zip(prod + [0.0], [0.0] + prod)]
+    return VERDICT_TOL * np.array(prod) + np.array(acc)
 
 
 def _sign_probes(w, v):

@@ -31,6 +31,7 @@ from bisochan import (
     parse_channel,
     save_channel,
 )
+from bisochan.channels import LOADED_TOL, STRICT_TOL
 from bisochan.cli import main
 
 
@@ -318,6 +319,170 @@ class TestDegradingMap:
     def test_rejects_large_drift(self):
         with pytest.raises(InvalidChannelError):
             DegradingMap([[0.6, 0.5], [0.5, 0.5]])
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_channel_rejects(self, bad):
+        with pytest.raises(InvalidChannelError, match="entries must lie in"):
+            Channel([[bad, 1.0], [0.5, 0.5]])
+        with pytest.raises(InvalidChannelError, match="entries must lie in"):
+            Channel([[0.5, 0.5], [0.5, bad]], tol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_biso_channel_rejects(self, bad):
+        with pytest.raises(InvalidChannelError, match="pair entries must lie in"):
+            BisoChannel([(bad, 0.5), (0.25, 0.25)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_degrading_map_rejects(self, bad):
+        with pytest.raises(InvalidChannelError, match="degrading map entries drift"):
+            DegradingMap([[1.0, 0.0], [bad, 0.5]])
+
+    def test_parsed_files_reject_nan(self):
+        for text in ("2\nnan 1\n0.5 0.5\n", "biso nan 0.5\n", "2\n0.5 0.5\n0.5 NaN\n"):
+            with pytest.raises(InvalidChannelError):
+                parse_channel(text)
+
+
+# ----------------------------------------------------------------------
+# One-pass validation against the validators it replaced
+# ----------------------------------------------------------------------
+
+
+def _old_prob_matrix(rows, tol, what="channel"):
+    """`channels._as_prob_matrix` as it was, with one numpy pass per check."""
+    arr = np.array(rows, dtype=float)
+    if arr.ndim != 2:
+        raise InvalidChannelError(f"{what} must be a 2-D matrix, got shape {arr.shape}")
+    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
+        raise InvalidChannelError(f"{what} entries must lie in [0, 1] within {tol:g}")
+    sums = arr.sum(axis=1)
+    bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
+    if bad.size:
+        raise InvalidChannelError(
+            f"{what} row {bad[0]} sums to {sums[bad[0]]!r}, not 1 within {tol:g}"
+        )
+    return np.clip(arr, 0.0, 1.0)
+
+
+def _old_biso_pairs(pairs, tol):
+    """The pair validation of `BisoChannel.__init__` as it was."""
+    arr = np.array(pairs, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InvalidChannelError(f"pairs must have shape (l, 2), got {arr.shape}")
+    if arr.shape[0] < 1:
+        raise InvalidChannelError("a BISO channel needs at least one pair")
+    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
+        raise InvalidChannelError(f"pair entries must lie in [0, 1] within {tol:g}")
+    total = arr.sum()
+    if abs(total - 1.0) > tol:
+        raise InvalidChannelError(f"pair probabilities sum to {total!r}, not 1 within {tol:g}")
+    return np.clip(arr, 0.0, 1.0)
+
+
+def _old_degrading_entries(entries, tol):
+    """The validation of `DegradingMap.__init__` as it was."""
+    arr = np.array(entries, dtype=float)
+    if arr.ndim != 2:
+        raise InvalidChannelError(f"degrading map must be 2-D, got shape {arr.shape}")
+    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
+        raise InvalidChannelError(f"degrading map entries drift beyond {tol:g}")
+    sums = arr.sum(axis=1)
+    if np.any(np.abs(sums - 1.0) > tol):
+        worst = float(np.max(np.abs(sums - 1.0)))
+        raise InvalidChannelError(f"degrading map row sums drift by {worst:g} > {tol:g}")
+    arr = np.clip(arr, 0.0, 1.0)
+    arr /= arr.sum(axis=1, keepdims=True)
+    return arr
+
+
+def _outcome(fn, *args):
+    """The array `fn` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except InvalidChannelError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(new, old):
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        # same shape and the same bits, signs of zeros included
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+def _validation_corpus(seed, rows=2, pairs=False):
+    """Seeded matrices the validators accept or reject: stochastic rows of
+    1-12 entries with zeros, entries drifting within and beyond the tolerance
+    on either side of [0, 1], negative zeros, bad row sums, and the wrong
+    number of dimensions."""
+    rng = np.random.default_rng(seed)
+    yield np.zeros((rows, 0))
+    yield [0.5, 0.5]
+    yield np.full((rows, 2, 1), 0.5)
+    for i in range(600):
+        n = 1 + i % 12
+        shape = (1 + i % 16, 2) if pairs else (rows, n)
+        arr = rng.uniform(0.0, 1.0, size=shape) ** 3
+        arr[rng.uniform(size=shape) < 0.3] = 0.0
+        arr[:, 0] += 0.05  # no empty row
+        arr /= arr.sum() if pairs else arr.sum(axis=1, keepdims=True)
+        kind = i % 6
+        if kind == 1:  # drift within the tolerance, some outside [0, 1]
+            arr = arr + rng.choice([-1.0, 0.0, 1.0], size=shape) * rng.uniform(0.0, 4e-10, size=shape)
+        elif kind == 2:  # one entry beyond the tolerance, below 0 or above 1
+            arr.flat[rng.integers(arr.size)] = rng.choice([-1e-6, 1.0 + 1e-6, -0.3, 1.7])
+        elif kind == 3:  # a bad row sum
+            arr.flat[rng.integers(arr.size)] *= 0.9
+        elif kind == 4:  # negative zeros
+            arr = np.where(arr == 0.0, -0.0, arr)
+        yield arr
+
+
+class TestValidationMatchesOldValidators:
+    @pytest.mark.parametrize("tol", [STRICT_TOL, LOADED_TOL])
+    def test_prob_matrix(self, tol):
+        outcomes = [
+            (_outcome(bisochan.channels._as_prob_matrix, arr, tol), _outcome(_old_prob_matrix, arr, tol))
+            for arr in _validation_corpus(31)
+        ]
+        for new, old in outcomes:
+            _assert_same_outcome(new, old)
+        messages = {old[1].split(" ", 2)[1] for _, old in outcomes if isinstance(old, tuple)}
+        assert messages == {"must", "entries", "row"}  # every kind of rejection is met
+
+    @pytest.mark.parametrize("tol", [STRICT_TOL, LOADED_TOL])
+    def test_biso_channel(self, tol):
+        def new(arr, tol):
+            return BisoChannel(arr, tol).pairs
+
+        for arr in _validation_corpus(32, pairs=True):
+            _assert_same_outcome(_outcome(new, arr, tol), _outcome(_old_biso_pairs, arr, tol))
+        for arr in ([], np.zeros((0, 2)), [0.5, 0.5]):
+            _assert_same_outcome(_outcome(new, arr, tol), _outcome(_old_biso_pairs, arr, tol))
+
+    def test_degrading_map(self):
+        def new(arr, tol):
+            return DegradingMap(arr, tol).entries
+
+        for rows in (2, 5):
+            for arr in _validation_corpus(33 + rows, rows=rows):
+                _assert_same_outcome(_outcome(new, arr, 1e-9), _outcome(_old_degrading_entries, arr, 1e-9))
+
+    def test_flat_rows_match_the_flat_channel(self):
+        rng = np.random.default_rng(34)
+        for i in range(200):
+            raw = rng.uniform(0.0, 1.0, size=(1 + i % 32, 2)) ** 3
+            raw[rng.uniform(size=raw.shape) < 0.3] = 0.0
+            raw.flat[0] += 0.05
+            b = BisoChannel(raw / raw.sum())
+            rows = b.flat_rows()
+            flat = np.concatenate([b.pairs[::-1, 1], b.pairs[:, 0]])  # the layout of the module docstring
+            assert rows.tobytes() == np.array([flat, flat[::-1]]).tobytes()
+            assert rows.tobytes() == b.to_channel().rows.tobytes()
+            assert format_biso(b) == "biso " + " ".join(repr(float(v)) for v in rows[0]) + "\n"
 
 
 class TestTextFormat:

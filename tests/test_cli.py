@@ -148,6 +148,33 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 3
         assert "row 0" in capsys.readouterr().err
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {path}: ")
+
+
+NAN_TEXTS = ("2\nnan 1\n0.5 0.5\n", "biso nan 0.5\n", "2\n0.5 0.5\n0.5 nan\n")
+
+
+@pytest.mark.parametrize("text", NAN_TEXTS)
+@pytest.mark.parametrize(
+    "argv",
+    (["analyze", "{nan}"], ["compare", "{nan}", "{ok}"], ["compare", "{ok}", "{nan}"],
+     ["sweep", "--quantity", "mi-diff", "{nan}", "{ok}"]),
+)
+def test_nan_entries_exit_3_with_nothing_on_stdout(tmp_path, capsys, text, argv):
+    files = {"{nan}": tmp_path / "nan.txt", "{ok}": tmp_path / "ok.txt"}
+    files["{nan}"].write_text(text)
+    files["{ok}"].write_text("2\n0.9 0.1\n0.1 0.9\n")
+    assert main([str(files.get(a, a)) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid channel: ")
+
 
 class TestCompare:
     def test_eta_pair_fails_less_noisy_both_ways(self, eta_file_a, eta_file_b, capsys):

@@ -204,6 +204,33 @@ class TestMutualInformation:
         for x in (0.0, 1.0):
             assert mutual_information(make_bsc(0.3), x) == 0.0
 
+    def test_grid_matches_the_replaced_kernel_bitwise(self):
+        rng = np.random.default_rng(41)
+        grid = np.concatenate((np.arange(1, 1000) / 1000.0, [0.0, 1.0]))
+        chans = [make_bsc(0.0), make_bsc(0.5), make_z(0.3), make_bec(1.0), Channel([[1.0], [1.0]])]
+        for i in range(600):  # 1..12 outputs, a third of the entries zero
+            n = 1 + i % 12
+            raw = rng.uniform(0.0, 1.0, size=(2, n)) ** 3
+            raw[rng.uniform(size=(2, n)) < 0.3] = 0.0
+            raw[:, i % n] += 0.05
+            chans.append(_normalized(raw))
+        assert sum(ch.n_outputs >= 8 for ch in chans) >= 200
+        for ch in chans:
+            for ps in (grid, rng.uniform(size=3), np.array([rng.uniform()])):
+                new, old = mutual_information_grid(ch, ps), _old_mutual_information_grid(ch, ps)
+                assert new.shape == old.shape and new.tobytes() == old.tobytes(), ch
+
+
+def _old_mutual_information_grid(channel, ps):
+    """`mutual_information_grid` as it was: H(Y) and both row entropies from
+    three `_entropy_bits` calls."""
+    rows = channel.rows
+    p = np.asarray(ps, dtype=float)[:, None]
+    out = p * rows[0][None, :] + (1.0 - p) * rows[1][None, :]
+    hy = coefficients._entropy_bits(out)
+    hyx = p[:, 0] * coefficients._entropy_bits(rows[0]) + (1.0 - p[:, 0]) * coefficients._entropy_bits(rows[1])
+    return np.maximum(hy - hyx, 0.0)
+
 
 class TestDataProcessing:
     def test_coefficients_shrink_under_degradation(self):

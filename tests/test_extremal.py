@@ -41,6 +41,7 @@ from bisochan.checks import (
     random_dim3_equal_alpha,
     random_dim3_equal_eta,
 )
+from bisochan.search import bisect_threshold
 
 
 class TestMatchExtremal:
@@ -228,6 +229,22 @@ class TestReverseCoefficients:
             rc = reverse_coefficients(b)
             assert abs(verify_reverse_alpha(b) - rc.alpha_rev) < 1e-6
             assert abs(verify_reverse_beta(b) - rc.beta_rev) < 1e-6
+
+    def test_paired_bsc_equals_the_canonical_bsc(self):
+        ps = np.concatenate((np.linspace(0.0, 0.5, 1001), np.random.default_rng(43).uniform(0.0, 0.5, 1000)))
+        for p in ps:
+            paired, canonical = BisoChannel([(p, 1.0 - p)]), canonicalize_biso(make_bsc(p))
+            assert paired.pairs.tobytes() == canonical.pairs.tobytes(), p
+
+    def test_beta_bisection_matches_the_canonical_bsc_targets(self):
+        rng = np.random.default_rng(44)
+        for b in [ETA_PAIR_A, ALPHA_PAIR_F] + [random_biso(rng, max_pairs=8) for _ in range(6)]:
+
+            def dominated(p):
+                return p >= 0.5 or is_less_noisy(b, canonicalize_biso(make_bsc(p))).holds
+
+            p_star = bisect_threshold(dominated, 0.0, 0.5, 2e-7)
+            assert verify_reverse_beta(b) == 4.0 * p_star * (1.0 - p_star)
 
     def test_grid_confirms_gamma(self):
         b = canonicalize_biso(make_bsc(0.2))

@@ -263,6 +263,19 @@ class TestIsLessNoisy:
             assert np.all(np.abs(poly - old) <= 1e-12 * scale)
             assert is_less_noisy(w, v).relation == relation
 
+    def test_polynomial_matches_the_prefix_convolution_bitwise(self):
+        cases = list(_polynomial_cases(16)) + list(_seeded_pairs(17, 400))
+        cases += [(ETA_PAIR_A, ETA_PAIR_B), (ETA_PAIR_A, ETA_PAIR_A)]
+        for w, v in cases:
+            new, old = orders._criterion_polynomial(w, v), _prefix_convolution_polynomial(w, v)
+            assert new.shape == old.shape and np.array_equal(new, old), (w, v)
+
+    def test_flat_rows_match_the_flat_channels_bitwise(self):
+        for w, v in list(_polynomial_cases(18)) + list(_seeded_pairs(19, 100)):
+            for a, b in ((w, v), (w, v.to_channel()), (w.to_channel(), v)):
+                (new, n_new), (old, n_old) = orders._flat_rows(a, b), _flat_rows_of_channels(a, b)
+                assert n_new == n_old and new.shape == old.shape and new.tobytes() == old.tobytes()
+
     def test_large_channels_decide_quickly(self):
         rng = np.random.default_rng(14)
         raw = rng.uniform(0.0, 1.0, size=(32, 2)) ** 3
@@ -332,6 +345,39 @@ def _convolution_polynomial(w, v, magnitude=False):
     for i in range(k.size):
         poly[1:] += k[i] * functools.reduce(np.convolve, np.delete(factors, i, axis=0), np.ones(1))
     return poly
+
+
+def _prefix_convolution_polynomial(w, v):
+    """`orders._criterion_polynomial` as it was: a running product and a
+    running sum, two np.convolve per factor."""
+    pairs = np.concatenate((w.pairs, v.pairs))
+    moving = pairs[:, 0] != pairs[:, 1]
+    p, pm = pairs[moving].T
+    s = p + pm
+    k = np.repeat([4.0, -4.0], (w.num_pairs, v.num_pairs))[moving] * (p - pm) ** 2 / s
+    prod, acc = np.ones(1), np.zeros(1)
+    for ki, factor in zip(k.tolist(), np.stack((((p - pm) / s) ** 2, 4.0 * p * pm / s**2), axis=1)):
+        acc = np.convolve(acc, factor)
+        acc[1:] += ki * prod
+        prod = np.convolve(prod, factor)
+    return orders.VERDICT_TOL * prod + acc
+
+
+def _flat_rows_of_channels(w, v):
+    """`orders._flat_rows` as it was: the rows of the flat Channels, a
+    BisoChannel's built as `to_channel` built them."""
+
+    def flat(ch):
+        if isinstance(ch, BisoChannel):
+            row = np.concatenate([ch.pairs[::-1, 1], ch.pairs[:, 0]])
+            return Channel([row, row[::-1]], tol=1e-9)
+        return ch
+
+    w_ch, v_ch = flat(w), flat(v)
+    r0, r1 = np.concatenate((w_ch.rows, v_ch.rows), axis=1)
+    d = r0 - r1
+    keep = d != 0.0
+    return np.stack((d * d, d, r1))[:, keep, None], int(np.count_nonzero(keep[: w_ch.n_outputs]))
 
 
 def _polynomial_cases(seed):
