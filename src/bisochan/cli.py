@@ -125,8 +125,6 @@ def cmd_compare(args):
     if args.order == "ln" and not (is_biso(a) and is_biso(b)):
         print("less-noisy comparison requires BISO channels", file=sys.stderr)
         return EXIT_PRECONDITION
-    if "mc" in orders and args.grid < 2:
-        raise DegenerateParameterError("grid_size must be at least 2")
     for order in orders:
         if order == "deg":
             _describe_verdict("degradable A->B", is_degraded(a, b))
@@ -139,8 +137,8 @@ def cmd_compare(args):
             _describe_verdict("less-noisy A>=B", is_less_noisy(ba, bb))
             _describe_verdict("less-noisy B>=A", is_less_noisy(bb, ba))
         else:
-            _describe_verdict("more-capable A>=B", is_more_capable(a, b, args.grid))
-            _describe_verdict("more-capable B>=A", is_more_capable(b, a, args.grid))
+            _describe_verdict("more-capable A>=B", is_more_capable(a, b))
+            _describe_verdict("more-capable B>=A", is_more_capable(b, a))
     return EXIT_OK
 
 
@@ -297,7 +295,6 @@ def build_parser():
     p.add_argument("channel_a")
     p.add_argument("channel_b")
     p.add_argument("--order", choices=("deg", "ln", "mc", "all"), default="all")
-    p.add_argument("--grid", type=int, default=999, help="more-capable grid size")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("extremal", help="construct the matched BSC/BEC representatives")

@@ -212,12 +212,27 @@ def mutual_information_grid(channel, ps):
     H(Y) is summed over each bias's contiguous row of outputs, so each sum
     rounds as `_entropy_bits` of that row alone.
     """
+    return _mutual_information_and_slope(channel, ps)[0]
+
+
+def _mutual_information_and_slope(channel, ps):
+    """I and I' = H(r1) - H(r0) - sum_y d log2(out_y), d = r0 - r1, at each bias.
+
+    An output that only input 0 reaches has out = 0 at p = 0, where I' is
+    +inf; one that only input 1 reaches makes I' = -inf at p = 1.
+    """
     rows = as_channel(channel).rows
     p = np.asarray(ps, dtype=float)[:, None]
     out = p * rows[0] + (1.0 - p) * rows[1]
-    hy = -(out * np.log2(out, out=np.zeros_like(out), where=out > 0.0)).sum(axis=1)
+    log = np.log2(out, out=np.zeros_like(out), where=out > 0.0)
+    hy = -(out * log).sum(axis=1)
     h0, h1 = _entropy_bits(rows)
-    return np.maximum(hy - (p[:, 0] * h0 + (1.0 - p[:, 0]) * h1), 0.0)
+    d = rows[0] - rows[1]
+    slope = h1 - h0 - log @ d
+    if not rows.all():
+        slope[(p[:, 0] == 0.0) & np.any((rows[1] == 0.0) & (d != 0.0))] = np.inf
+        slope[(p[:, 0] == 1.0) & np.any((rows[0] == 0.0) & (d != 0.0))] = -np.inf
+    return np.maximum(hy - (p[:, 0] * h0 + (1.0 - p[:, 0]) * h1), 0.0), slope
 
 
 def capacity_binary_argmax(channel):

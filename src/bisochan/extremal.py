@@ -318,8 +318,9 @@ def verify_reverse_beta(biso, xtol=2e-7):
 def verify_reverse_gamma(biso, grid_points=1000):
     """Grid bisection for the capacity of the weakest dominated BSC (more capable).
 
-    The more-capable check is the expensive one, so the search runs on a
-    fixed p-grid by binary search over the monotone verdict.
+    Binary search over the monotone certified verdict of `is_more_capable`
+    on a fixed p-grid; the answer is the capacity of the first BSC on the
+    grid that the channel is more capable than.
     """
     biso = canonicalize_biso(biso)
     flat = biso.to_channel()

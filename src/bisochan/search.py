@@ -1,41 +1,4 @@
-"""Scalar search utilities: safeguarded Newton, golden-section optimization, bisection."""
-
-import numpy as np
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(f, lo, hi, xtol=1e-10):
-    """Golden-section search for the maximum of a unimodal function on [lo, hi].
-
-    Returns (argmax, max).  The best point ever evaluated is returned, so the
-    result never undershoots the best bracket sample.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        if fc > best_f:
-            best_x, best_f = c, fc
-        if fd > best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f
-
-
-def golden_section_min(f, lo, hi, xtol=1e-10):
-    """Golden-section search for the minimum; returns (argmin, min)."""
-    x, v = golden_section_max(lambda t: -f(t), lo, hi, xtol)
-    return x, -v
+"""Scalar search utilities: safeguarded Newton and bisection."""
 
 
 def newton_max(slope):

@@ -1,0 +1,112 @@
+"""Grid plus golden-section refinement, kept as a test oracle.
+
+The more-capable and less-noisy decisions once scanned a 999-point grid and
+refined dips and sign changes by golden-section search; the coefficient
+optimizers once refined a 1001-point scan the same way.  The exact and
+certified procedures replaced them, and these copies check that they
+agree wherever the old grids already decided.
+"""
+
+import numpy as np
+
+from bisochan.channels import as_channel
+from bisochan.coefficients import mutual_information_grid
+from bisochan.orders import VERDICT_TOL, CriterionViolation, OrderVerdict, mutual_information_difference
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_REFINE_XTOL = 1e-8
+
+
+def golden_section_max(f, lo, hi, xtol=1e-10):
+    """Golden-section search for the maximum of a unimodal function on [lo, hi].
+
+    Returns (argmax, max).  The best point ever evaluated is returned, so the
+    result never undershoots the best bracket sample.
+    """
+    a, b = float(lo), float(hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
+    while b - a > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+        if fc > best_f:
+            best_x, best_f = c, fc
+        if fd > best_f:
+            best_x, best_f = d, fd
+    return best_x, best_f
+
+
+def golden_section_min(f, lo, hi, xtol=1e-10):
+    """Golden-section search for the minimum; returns (argmin, min)."""
+    x, v = golden_section_max(lambda t: -f(t), lo, hi, xtol)
+    return x, -v
+
+
+def refined_minimum(xs, vals, f):
+    """Grid minimum plus golden-section refinement around dips and sign changes.
+
+    When the grid already certifies a violation the grid argmin is returned
+    as-is; refinement only hunts for shallow dips the grid might straddle.
+    """
+    k = int(np.argmin(vals))
+    best_x, best_v = float(xs[k]), float(vals[k])
+    if best_v < -VERDICT_TOL:
+        return best_x, best_v
+    suspicious = set()
+    signs = np.sign(vals)
+    flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+    suspicious.update(flips.tolist())
+    suspicious.update((flips + 1).tolist())
+    neg = np.nonzero(vals < 0.0)[0]
+    for i in neg:
+        left = vals[i - 1] if i > 0 else np.inf
+        right = vals[i + 1] if i + 1 < len(vals) else np.inf
+        if vals[i] <= left and vals[i] <= right:
+            suspicious.add(int(i))
+    if vals[0] < 0.0:
+        suspicious.add(0)
+    if vals[-1] < 0.0:
+        suspicious.add(len(vals) - 1)
+    lo_floor, hi_ceil = 1e-9, 1.0 - 1e-9
+    for i in sorted(suspicious):
+        a = xs[i - 1] if i > 0 else lo_floor
+        b = xs[i + 1] if i + 1 < len(xs) else hi_ceil
+        gx, gv = golden_section_min(f, a, b, _REFINE_XTOL)
+        if gv < best_v:
+            best_x, best_v = float(gx), float(gv)
+    return best_x, best_v
+
+
+def verdict_from_minimum(best_x, best_v, f):
+    if best_v < -VERDICT_TOL:
+        check = f(best_x)
+        if check < -VERDICT_TOL:
+            return OrderVerdict("fails", CriterionViolation(best_x, float(check)))
+        return OrderVerdict("undetermined", CriterionViolation(best_x, float(check)))
+    return OrderVerdict("holds")
+
+
+def is_more_capable(p_channel, q_channel, grid_size=999):
+    """The replaced more-capable decision: the mutual-information difference
+    on the interior grid k / (grid_size + 1), with refinement around dips.
+
+    Returns (whether the grid itself shows a violation, the verdict).
+    """
+    p_ch = as_channel(p_channel)
+    q_ch = as_channel(q_channel)
+    xs = np.arange(1, grid_size + 1) / (grid_size + 1.0)
+    vals = mutual_information_grid(p_ch, xs) - mutual_information_grid(q_ch, xs)
+
+    def f(x):
+        return mutual_information_difference(p_ch, q_ch, x)
+
+    best_x, best_v = refined_minimum(xs, vals, f)
+    return bool(vals.min() < -VERDICT_TOL), verdict_from_minimum(best_x, best_v, f)

@@ -214,19 +214,48 @@ class TestCompare:
     def test_ln_requires_biso_exit_4(self, z_file, eta_file_a):
         assert main(["compare", z_file, eta_file_a, "--order", "ln"]) == 4
 
-    def test_grid_leaves_less_noisy_unchanged(self, eta_file_a, eta_file_b, capsys):
-        outs = []
-        for grid in ("5", "999"):
-            assert main(["compare", eta_file_a, eta_file_b, "--order", "ln", "--grid", grid]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-
-    def test_degenerate_grid_exit_4(self, eta_file_a, eta_file_b, capsys):
-        for order in ("all", "mc"):
-            assert main(["compare", eta_file_a, eta_file_b, "--order", order, "--grid", "1"]) == 4
+    def test_grid_option_is_rejected(self, eta_file_a, eta_file_b, capsys):
+        # the certified more-capable decision has no grid to set
+        for order in ("all", "mc", "ln"):
+            with pytest.raises(SystemExit) as exc:
+                main(["compare", eta_file_a, eta_file_b, "--order", order, "--grid", "5"])
+            assert exc.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "precondition violated: grid_size" in captured.err
+            assert "unrecognized arguments: --grid 5" in captured.err
+
+    def test_grid_leaves_less_noisy_unchanged(self, eta_file_a, eta_file_b, monkeypatch, capsys):
+        # the more-capable sampling grid is internal now; a coarse one must not reach less-noisy
+        outs = []
+        for coarse in (False, True):
+            if coarse:
+                monkeypatch.setattr("bisochan.orders._MC_GRID", np.arange(7) / 6.0)
+            assert main(["compare", eta_file_a, eta_file_b, "--order", "ln"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].count("less-noisy") == 2
+
+    def test_degenerate_grid_exit_4(self, eta_file_a, eta_file_b, capsys):
+        # a grid below 2 exited 4 while compare took --grid; the option is gone, so
+        # argparse refuses it (exit 2) before any channel is read or decided
+        for order in ("all", "mc"):
+            with pytest.raises(SystemExit) as exc:
+                main(["compare", eta_file_a, eta_file_b, "--order", order, "--grid", "1"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "precondition violated" not in captured.err
+            assert "unrecognized arguments: --grid 1" in captured.err
+
+    def test_more_capable_violation_below_the_first_grid_point(self, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("2\n0.9 0.1\n0.1 0.9\n")
+        b.write_text("2\n0.2 0.8\n0 1\n")
+        assert main(["compare", str(a), str(b), "--order", "mc"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "more-capable A>=B: fails"
+        x = float(lines[1].split()[3])
+        assert 0.0 < x < 1e-3 and float(lines[1].split()[-1]) < -1e-9
 
     def test_order_all_runs_everything(self, eta_file_a, eta_file_b, capsys):
         assert main(["compare", eta_file_a, eta_file_b]) == 0

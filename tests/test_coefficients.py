@@ -47,7 +47,8 @@ from bisochan.coefficients import (
     capacity,
     mutual_information_grid,
 )
-from bisochan.search import golden_section_max, newton_max
+from bisochan.search import newton_max
+from golden_oracle import golden_section_max
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -219,6 +220,22 @@ class TestMutualInformation:
             for ps in (grid, rng.uniform(size=3), np.array([rng.uniform()])):
                 new, old = mutual_information_grid(ch, ps), _old_mutual_information_grid(ch, ps)
                 assert new.shape == old.shape and new.tobytes() == old.tobytes(), ch
+
+    def test_slope_matches_central_differences(self):
+        rng = np.random.default_rng(42)
+        xs = np.linspace(0.01, 0.99, 99)
+        for ch in (make_bsc(0.2), make_z(0.3), make_bec(0.4), random_binary_channel(rng, 12)):
+            slope = coefficients._mutual_information_and_slope(ch, xs)[1]
+            h = 1e-6
+            fd = (mutual_information_grid(ch, xs + h) - mutual_information_grid(ch, xs - h)) / (2.0 * h)
+            assert np.allclose(slope, fd, rtol=1e-6, atol=1e-6), ch
+
+    def test_slope_is_infinite_where_an_output_has_zero_mass(self):
+        ends = np.array([0.0, 1.0])
+        assert coefficients._mutual_information_and_slope(make_bec(0.4), ends)[1].tolist() == [np.inf, -np.inf]
+        z_slope = coefficients._mutual_information_and_slope(make_z(0.3), ends)[1]
+        assert np.isfinite(z_slope[0]) and z_slope[1] == -np.inf
+        assert np.all(np.isfinite(coefficients._mutual_information_and_slope(make_bsc(0.2), ends)[1]))
 
 
 def _old_mutual_information_grid(channel, ps):

@@ -2,6 +2,7 @@ import functools
 import inspect
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bisochan import (
     Channel,
     DegenerateParameterError,
     DegradingMap,
+    ParameterOutOfRangeError,
     canonicalize_biso,
     compose,
     criterion_profile,
@@ -26,16 +28,19 @@ from bisochan import (
     mutual_information_difference,
 )
 from bisochan import orders
+from bisochan.channels import as_channel
 from bisochan.checks import (
     ALPHA_PAIR_F,
     ALPHA_PAIR_G,
     ETA_PAIR_A,
     ETA_PAIR_B,
+    random_binary_channel,
     random_biso,
     random_degraded_biso,
 )
-from bisochan.coefficients import doeblin_alpha, eta_kl_biso
+from bisochan.coefficients import capacity_binary, doeblin_alpha, eta_kl_biso, h2_inv, mutual_information_grid
 from bisochan.orders import CriterionViolation, InfeasibilityCertificate
+import golden_oracle
 import simplex_oracle
 
 
@@ -215,15 +220,6 @@ class TestIsLessNoisy:
         assert less_noisy_criterion_biso(w, v, verdict.witness.parameter) < -1e-9
         assert _dense_reference_fails(w, v)
 
-    def test_never_refines_or_searches(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("grid refinement on the less-noisy path")
-
-        monkeypatch.setattr(orders, "_refined_minimum", forbidden)
-        monkeypatch.setattr(orders, "golden_section_min", forbidden)
-        for w, v in _seeded_pairs(11, 40):
-            assert is_less_noisy(w, v).relation in ("holds", "fails")
-
     def test_matches_grid_oracle(self):
         changed = 0
         for w, v in _seeded_pairs(12, 200):
@@ -302,8 +298,8 @@ def _grid_oracle(w, v):
     def f(q):
         return float((_curvature_sum(w, [q]) - _curvature_sum(v, [q]))[0])
 
-    best_x, best_v = orders._refined_minimum(qs, vals, f)
-    return bool(vals.min() < -1e-9), orders._verdict_from_minimum(best_x, best_v, f)
+    best_x, best_v = golden_oracle.refined_minimum(qs, vals, f)
+    return bool(vals.min() < -1e-9), golden_oracle.verdict_from_minimum(best_x, best_v, f)
 
 
 def _curvature_sum(biso, qs):
@@ -447,6 +443,44 @@ def _seeded_pairs(seed, n):
         yield (w, v) if rng.random() < 0.5 else (v, w)
 
 
+def _mc_pairs(seed, n):
+    """Check-12 degraded and independent pairs, capacity-matched BEC/BSC
+    pairs touching at x = 1/2, zero-entry pairs, Z pairs and general
+    binary-input pairs, each in a random direction."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        kind = i % 6
+        p = random_biso(rng, max_pairs=4)
+        if kind == 0:
+            a, b = p, random_degraded_biso(rng, p)
+        elif kind == 1:
+            a, b = p, random_biso(rng, max_pairs=4)
+        elif kind == 2:
+            cap = capacity_binary(p.to_channel())
+            a, b = p, make_bec(1.0 - cap) if i % 12 == 2 else make_bsc(h2_inv(1.0 - cap))
+        elif kind == 3:
+            a, b = _with_zeros(rng, p), _with_zeros(rng, random_biso(rng, max_pairs=8))
+        elif kind == 4:
+            a = make_z(float(rng.uniform(0.05, 0.95)))
+            b = make_z(float(rng.uniform(0.05, 0.95))) if i % 12 == 4 else make_bsc(h2_inv(1.0 - capacity_binary(a)))
+        else:
+            a, b = random_binary_channel(rng), random_binary_channel(rng)
+        a, b = (as_channel(c) for c in (a, b))
+        yield (a, b) if rng.random() < 0.5 else (b, a)
+
+
+_DENSE_XS = np.unique(
+    np.concatenate((np.logspace(-15, -1, 4000), 1.0 - np.logspace(-15, -1, 4000), np.linspace(0.0, 1.0, 8001)))
+)
+
+
+def _dense_mc_reference_fails(a, b):
+    """Whether I_A - I_B falls below -1e-9 by more than its roundoff on a dense
+    bias grid, log-spaced down to 1e-15 from both ends and uniform inside."""
+    ia, ib = mutual_information_grid(a, _DENSE_XS), mutual_information_grid(b, _DENSE_XS)
+    return bool(np.any(ia - ib + 1e-14 * (ia + ib + 1.0) < -1e-9))
+
+
 class TestIsMoreCapable:
     def test_self_comparison_holds(self):
         ch = ETA_PAIR_A.to_channel()
@@ -461,14 +495,85 @@ class TestIsMoreCapable:
 
     def test_z_and_matched_bsc_are_incomparable(self):
         # capacity-matched Z and BSC each win on part of the bias range
-        from bisochan import capacity_binary, h2_inv
-
         q = 0.5
         z = make_z(q)
         p = h2_inv(1.0 - capacity_binary(z))
         bsc = make_bsc(p)
         assert is_more_capable(bsc, z).fails
         assert is_more_capable(z, bsc).fails
+
+    def test_difference_rejects_biases_outside_the_unit_interval(self):
+        a, b = make_bsc(0.1), make_bsc(0.2)
+        for x in (1.5, -0.1, math.nan, math.inf):
+            with pytest.raises(ParameterOutOfRangeError):
+                mutual_information_difference(a, b, x)
+        assert mutual_information_difference(a, b, 0.0) == mutual_information_difference(a, b, 1.0) == 0.0
+
+    def test_violation_below_the_first_grid_point(self):
+        # I_A - I_B dips to about -1.8e-5 near x = 6e-5, inside the first grid cell
+        a, b = make_bsc(0.1), Channel([[0.2, 0.8], [0.0, 1.0]])
+        verdict = is_more_capable(a, b)
+        assert verdict.fails
+        x = verdict.witness.parameter
+        assert 0.0 < x < 1e-3
+        assert verdict.witness.value == mutual_information_difference(a, b, x) < -1e-9
+        assert golden_oracle.is_more_capable(a, b) == (False, orders.OrderVerdict("holds"))
+
+    def test_matches_golden_oracle(self):
+        for a, b in _mc_pairs(31, 120):
+            grid_shows, old = golden_oracle.is_more_capable(a, b)
+            new = is_more_capable(a, b)
+            if grid_shows:
+                assert new == old, (a, b)  # the grid argmin, to the last bit
+            elif new.relation != old.relation:
+                # only a violation the grid missed may change the verdict
+                assert new.fails, (a, b)
+                assert mutual_information_difference(a, b, new.witness.parameter) < -1e-9
+            assert new.relation in ("holds", "fails")
+
+    def test_agrees_with_dense_reference(self):
+        outcomes = {"holds": 0, "fails": 0}
+        for a, b in _mc_pairs(32, 160):
+            verdict = is_more_capable(a, b)
+            outcomes[verdict.relation] += 1
+            if _dense_mc_reference_fails(a, b):
+                assert verdict.fails, (a, b)
+            if verdict.fails:
+                assert mutual_information_difference(a, b, verdict.witness.parameter) < -1e-9
+        assert min(outcomes.values()) > 40
+
+    def test_infinite_end_slopes(self):
+        # zero-mass outputs at x = 0 or 1 make I' infinite there; the other tangent bounds the cell
+        bec, z = make_bec(0.3), make_z(0.3)
+        for a, b, relation in (
+            (bec, bec, "holds"), (z, z, "holds"), (make_bsc(0.0), make_bec(0.5), "holds"),
+            (make_bec(0.3), make_bec(0.5), "holds"), (make_bec(0.5), make_bec(0.3), "fails"),
+            (make_bsc(0.0), make_bsc(0.0), "holds"),
+        ):
+            assert is_more_capable(a, b).relation == relation
+
+    def test_undetermined_when_no_cell_may_be_halved(self, monkeypatch):
+        ch = ETA_PAIR_A.to_channel()
+        monkeypatch.setattr(orders, "_MIN_CELL", 2e-3)
+        verdict = is_more_capable(ch, ch)
+        assert verdict.relation == "undetermined"
+        assert -1e-3 < verdict.witness.value < -1e-9
+
+    def test_large_self_comparison_is_bounded(self):
+        # f = 0 everywhere, so every cell is halved until its bound clears -1e-9
+        rng = np.random.default_rng(33)
+        raw = rng.uniform(0.0, 1.0, size=(2, 64)) ** 3
+        raw[rng.uniform(size=(2, 64)) < 0.3] = 0.0
+        ch = Channel(raw / raw.sum(axis=1, keepdims=True))
+        start = time.perf_counter()
+        assert is_more_capable(ch, ch).holds
+        assert time.perf_counter() - start < 1.5
+        tracemalloc.start()
+        try:
+            assert is_more_capable(ch, ch).holds
+            assert tracemalloc.get_traced_memory()[1] < 100e6
+        finally:
+            tracemalloc.stop()
 
 
 class TestIsDegraded:
