@@ -63,6 +63,15 @@ class Channel:
         self.rows = arr
         self._canonical = None  # memo of canonicalize_biso: BisoChannel or not-BISO reason
 
+    @classmethod
+    def _valid(cls, arr):
+        """A Channel of a fresh float array whose rows are valid by construction, unchecked."""
+        self = cls.__new__(cls)
+        arr.setflags(write=False)
+        self.rows = arr
+        self._canonical = None
+        return self
+
     @property
     def n_outputs(self):
         return self.rows.shape[1]
@@ -105,7 +114,7 @@ class BisoChannel:
     def to_channel(self):
         """Flatten to the canonical 2 x 2l layout as a Channel; built once."""
         if self._flat is None:
-            self._flat = Channel(self.flat_rows(), tol=LOADED_TOL)
+            self._flat = Channel._valid(self.flat_rows())  # the pairs passed validation
         return self._flat
 
     def isclose(self, other, atol=1e-12):
@@ -288,19 +297,19 @@ def _check_unit(x, name):
 def make_bsc(p):
     """Binary symmetric channel with crossover probability p."""
     p = _check_unit(p, "crossover probability")
-    return Channel([[1.0 - p, p], [p, 1.0 - p]])
+    return Channel._valid(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 
 def make_bec(eps):
     """Binary erasure channel; the middle output is the erasure symbol."""
     eps = _check_unit(eps, "erasure probability")
-    return Channel([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]])
+    return Channel._valid(np.array([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]]))
 
 
 def make_z(q):
     """Z channel: input 0 is transmitted noiselessly, input 1 flips with probability q."""
     q = _check_unit(q, "flip probability")
-    return Channel([[1.0, 0.0], [q, 1.0 - q]])
+    return Channel._valid(np.array([[1.0, 0.0], [q, 1.0 - q]]))
 
 
 # ----------------------------------------------------------------------

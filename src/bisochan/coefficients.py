@@ -212,14 +212,15 @@ def mutual_information_grid(channel, ps):
     H(Y) is summed over each bias's contiguous row of outputs, so each sum
     rounds as `_entropy_bits` of that row alone.
     """
-    return _mutual_information_and_slope(channel, ps)[0]
+    return _mutual_information_and_slope(channel, ps, slope=False)[0]
 
 
-def _mutual_information_and_slope(channel, ps):
+def _mutual_information_and_slope(channel, ps, slope=True):
     """I and I' = H(r1) - H(r0) - sum_y d log2(out_y), d = r0 - r1, at each bias.
 
     An output that only input 0 reaches has out = 0 at p = 0, where I' is
-    +inf; one that only input 1 reaches makes I' = -inf at p = 1.
+    +inf; one that only input 1 reaches makes I' = -inf at p = 1.  With
+    `slope=False` I' is not computed, and None takes its place.
     """
     rows = as_channel(channel).rows
     p = np.asarray(ps, dtype=float)[:, None]
@@ -227,12 +228,15 @@ def _mutual_information_and_slope(channel, ps):
     log = np.log2(out, out=np.zeros_like(out), where=out > 0.0)
     hy = -(out * log).sum(axis=1)
     h0, h1 = _entropy_bits(rows)
+    mi = np.maximum(hy - (p[:, 0] * h0 + (1.0 - p[:, 0]) * h1), 0.0)
+    if not slope:
+        return mi, None
     d = rows[0] - rows[1]
-    slope = h1 - h0 - log @ d
+    grad = h1 - h0 - log @ d
     if not rows.all():
-        slope[(p[:, 0] == 0.0) & np.any((rows[1] == 0.0) & (d != 0.0))] = np.inf
-        slope[(p[:, 0] == 1.0) & np.any((rows[0] == 0.0) & (d != 0.0))] = -np.inf
-    return np.maximum(hy - (p[:, 0] * h0 + (1.0 - p[:, 0]) * h1), 0.0), slope
+        grad[(p[:, 0] == 0.0) & np.any((rows[1] == 0.0) & (d != 0.0))] = np.inf
+        grad[(p[:, 0] == 1.0) & np.any((rows[0] == 0.0) & (d != 0.0))] = -np.inf
+    return mi, grad
 
 
 def capacity_binary_argmax(channel):

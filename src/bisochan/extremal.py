@@ -315,27 +315,15 @@ def verify_reverse_beta(biso, xtol=2e-7):
     return 4.0 * p_star * (1.0 - p_star)
 
 
-def verify_reverse_gamma(biso, grid_points=1000):
-    """Grid bisection for the capacity of the weakest dominated BSC (more capable).
-
-    Binary search over the monotone certified verdict of `is_more_capable`
-    on a fixed p-grid; the answer is the capacity of the first BSC on the
-    grid that the channel is more capable than.
-    """
+def verify_reverse_gamma(biso, xtol=2e-7):
+    """Bisection for 1 - h2(p) at the smallest p with the channel more capable than BSC(p)."""
     biso = canonicalize_biso(biso)
     flat = biso.to_channel()
-    ps = np.linspace(0.0, 0.5, grid_points + 1)
 
-    lo, hi = 0, len(ps) - 1
-    if is_more_capable(flat, make_bsc(ps[lo])).holds:
-        return 1.0 - h2(ps[lo])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if is_more_capable(flat, make_bsc(ps[mid])).holds:
-            hi = mid
-        else:
-            lo = mid
-    return 1.0 - h2(ps[hi])
+    def dominated(p):
+        return is_more_capable(flat, make_bsc(p)).holds
+
+    return 1.0 - h2(bisect_threshold(dominated, 0.0, 0.5, xtol))
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,18 @@ Degradability is decided exactly by Blackwell's theorem for dichotomies,
 comparing guessing probabilities at finitely many priors; the same curves
 give the refuting prior of a failure and, through the shadows of the
 posterior masses, the degrading map of a success.  The less-noisy order is
-decided exactly from the sign intervals of one polynomial, and a violation
-is witnessed in (0, 1/2], where the BISO criterion is symmetric under
+decided from one polynomial, certified positive by its Bernstein
+coefficients or else probed on its sign intervals, and a violation is
+witnessed in (0, 1/2], where the BISO criterion is symmetric under
 q -> 1 - q.  The more-capable order is certified by DC branch and bound
-on the cells of an input-bias grid: a violation is a sampled bias, and a
-holding verdict rests on a lower bound of every cell.
+on the cells of an input-bias grid, half of it for symmetric pairs: a
+violation is a sampled bias, and a holding verdict rests on a lower bound
+of every cell.
 """
 
+import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +28,8 @@ VERDICT_TOL = 1e-9
 DEFAULT_GRID = 999
 _HALF_GRID = np.arange(1, DEFAULT_GRID // 2 + 2) / (DEFAULT_GRID + 1.0)  # the default grid up to 1/2
 _MC_GRID = np.arange(DEFAULT_GRID + 2) / (DEFAULT_GRID + 1.0)  # the default grid with 0 and 1
+_MC_HALF = _MC_GRID[: DEFAULT_GRID // 2 + 2]  # its points up to 1/2
+_LIMIT_QS = 1e-3 * 2.0 ** -np.arange(1.0, 1001.0)  # q = 1e-3 2^-j toward 0, all normal
 _MIN_CELL = 1e-12  # a more-capable cell this narrow that is not certified is undetermined
 
 
@@ -158,19 +165,45 @@ def criterion_profile(w, v, grid_size=DEFAULT_GRID):
     return CriterionProfile(qs, _criterion(_flat_rows(canonicalize_biso(w), canonicalize_biso(v)), qs))
 
 
-def _criterion_polynomial(w, v):
+def _unshared_pairs(w, v):
+    """The pairs of each BISO channel left once the pairs both share are cancelled.
+
+    A pair and its mirror (p_-, p) contribute the same term, so they count
+    as one; the multisets are cancelled exactly, each shared pair once, and
+    the remaining pairs keep their order.  Identical channels leave nothing.
+    """
+    keys = [[(a, b) if a <= b else (b, a) for a, b in ch.pairs.tolist()] for ch in (w, v)]
+    if set(keys[0]).isdisjoint(keys[1]):
+        return w.pairs, v.pairs
+    shared = Counter(keys[0]) & Counter(keys[1])
+    left = []
+    for ch, chkeys in zip((w, v), keys):
+        budget = shared.copy()
+        keep = []
+        for key in chkeys:
+            keep.append(budget[key] <= 0)
+            budget[key] -= 1
+        left.append(ch.pairs[keep])
+    return tuple(left)
+
+
+def _criterion_polynomial(w_pairs, v_pairs, magnitude=False):
     """Coefficients, highest first, of (criterion + VERDICT_TOL) prod(a + cx) in x = 4q(1 - q).
 
     A pair with s = p + p_- contributes 4k / (a + cx), k = (p - p_-)^2 / s,
     c = (p - p_-)^2 / s^2, a = 1 - c = 4 p p_- / s^2; p = p_- contributes
     nothing.  prod(a + cx) > 0 on (0, 1], so the product, a polynomial of
     degree <= l_W + l_V, has the sign of the criterion + VERDICT_TOL there.
+    With `magnitude` every k enters as |k|: its coefficients bound the
+    magnitude of the terms each coefficient sums, since a, c >= 0.
     """
-    pairs = np.concatenate((w.pairs, v.pairs))
+    pairs = np.concatenate((w_pairs, v_pairs))
     moving = pairs[:, 0] != pairs[:, 1]
     p, pm = pairs[moving].T
     s = p + pm
-    k = np.repeat([4.0, -4.0], (w.num_pairs, v.num_pairs))[moving] * (p - pm) ** 2 / s
+    k = np.repeat([4.0, -4.0], (len(w_pairs), len(v_pairs)))[moving] * (p - pm) ** 2 / s
+    if magnitude:
+        k = np.abs(k)
     # prod_j (c_j x + a_j) and sum_i k_i prod_{j != i} (c_j x + a_j), one factor at a time,
     # in Python floats: each coefficient is the two-term sum np.convolve forms, bit for bit
     prod, acc = [1.0], [0.0]
@@ -180,12 +213,68 @@ def _criterion_polynomial(w, v):
     return VERDICT_TOL * np.array(prod) + np.array(acc)
 
 
-def _sign_probes(w, v):
-    """q-points in (0, 1/2] meeting every sign interval of the criterion + VERDICT_TOL:
-    each (near-)real root in (0, 1) of `_criterion_polynomial` and the
-    midpoint of each interval between them.
+@functools.lru_cache(maxsize=32)
+def _bernstein_matrix(n):
+    """M[k, j] = C(k, j) / C(n, j) for j <= k, each a correctly rounded integer quotient.
+
+    M a, for power coefficients a lowest first, are the degree-n Bernstein
+    coefficients on [0, 1] (Farouki & Rajan, CAGD 1987).
     """
-    roots = np.roots(_criterion_polynomial(w, v))
+    cn = [math.comb(n, j) for j in range(n + 1)]
+    m = np.zeros((n + 1, n + 1))
+    row = [1]  # C(k, j), j = 0..k: Pascal's triangle
+    for k in range(n + 1):
+        m[k, : k + 1] = [c / d for c, d in zip(row, cn)]
+        row = [a + b for a, b in zip([0] + row, row + [0])]
+    m.setflags(write=False)
+    return m
+
+
+def _bernstein_positive(poly, magnitude=None):
+    """Whether the Bernstein coefficients of `poly` (highest first) prove it positive on [0, 1].
+
+    P = sum_k b_k C(n, k) x^k (1 - x)^(n - k) is a convex combination of its
+    coefficients b, so P >= min b_k on [0, 1].  Each b_k must exceed
+    4 (n + 4) 2^-52 B_k(Mag), B_k(Mag) being the same transform of the
+    `magnitude` polynomial.  That bounds, in units u = 2^-53 of B_k(Mag), the
+    rounding of k, a and c (each term k / (a + cx) of the criterion moves by
+    under 11u, and the common factor prod(a + cx) > 0 keeps the sign), of
+    the products and sums of `_criterion_polynomial` (gamma_(3n+2)), of the
+    matrix entries (u) and of the sums of M a (gamma_(n+1)): (4n + 15) u in
+    all, under half the margin.  Without `magnitude`, B_k(Mag) <= 9 stands
+    in: each prod_(j != i) (a_j + c_j x) has Bernstein coefficients in
+    [0, 1], those of its factors being (a_j, a_j + c_j) = (a_j, 1), and
+    sum |k_i| = 4 (eta_W + eta_V) <= 8 (1 + 1e-9).  A zero or negative b_k
+    never passes.
+    """
+    n = poly.size - 1
+    m = _bernstein_matrix(n)
+    scale = 9.0 if magnitude is None else m @ magnitude[::-1]
+    return bool(np.all(m @ poly[::-1] > (4.0 * (n + 4) * 2.0**-52) * scale))
+
+
+def _limit_violation(rows):
+    """A first q = 1e-3 2^-j, j = 1..1000, where the criterion is below -VERDICT_TOL, or None.
+
+    Searched only when no flat row has r1 = 0, so the criterion tends to
+    the finite sum_W d^2 / r1 - sum_V d^2 / r1 as q -> 0, and only when that
+    limit is below -VERDICT_TOL.
+    """
+    r1 = rows[0][2]
+    if not np.all(r1 > 0.0) or _criterion(rows, np.zeros(1))[0] >= -VERDICT_TOL:
+        return None
+    vals = _criterion(rows, _LIMIT_QS)
+    below = np.flatnonzero(vals < -VERDICT_TOL)
+    if not below.size:
+        return None
+    return CriterionViolation(float(_LIMIT_QS[below[0]]), float(vals[below[0]]))
+
+
+def _sign_probes(poly):
+    """q-points in (0, 1/2] meeting every sign interval of a `_criterion_polynomial`:
+    each (near-)real root in (0, 1) and the midpoint of each interval between them.
+    """
+    roots = np.roots(poly)
     real = roots.real[(np.abs(roots.imag) <= 1e-7) & (roots.real > 0.0) & (roots.real < 1.0)]
     edges = np.concatenate(([0.0], np.sort(real), [1.0]))
     xs = np.concatenate((real, (edges[:-1] + edges[1:]) / 2.0))
@@ -194,26 +283,37 @@ def _sign_probes(w, v):
 
 
 def is_less_noisy(w, v):
-    """Decide exactly whether the first BISO channel is less noisy than the second.
+    """Decide whether the first BISO channel is less noisy than the second.
 
-    Fails iff the convexity criterion dips below -1e-9 somewhere in (0, 1),
-    which the finitely many `_sign_probes` decide; every failure is a point
-    where the criterion itself is below -1e-9.  The criterion of a BISO pair
-    is symmetric under q -> 1 - q, so only (0, 1/2] is searched and the
-    witness lies there: the argmin of the default q-grid's points up to 1/2
-    when they already show the violation, else the lowest probe.  Channels
-    sharing a contraction coefficient touch zero at q = 1/2, so roundoff
-    there counts as holds.
+    Fails iff the convexity criterion dips below -1e-9 somewhere in (0, 1);
+    every failure is a point where the criterion itself is below -1e-9.  The
+    criterion of a BISO pair is symmetric under q -> 1 - q, so only (0, 1/2]
+    is searched and the witness lies there.  In order: the default q-grid's
+    points up to 1/2, whose argmin is the witness when they show the
+    violation; after cancelling the pairs both channels share, the Bernstein
+    certificate of `_criterion_polynomial` (holds); one `_sign_probes` point
+    per sign interval of the polynomial, the lowest being the witness; and,
+    when the probes miss a violation that hides below them, the limit
+    q -> 0 where it is finite (`_limit_violation`).  Channels sharing a
+    contraction coefficient touch zero at q = 1/2, so roundoff there counts
+    as holds.
     """
     w, v = canonicalize_biso(w), canonicalize_biso(v)
     rows = _flat_rows(w, v)
     qs = _HALF_GRID
     vals = _criterion(rows, qs)
     if vals.min() >= -VERDICT_TOL:
-        qs = _sign_probes(w, v)
+        w_pairs, v_pairs = _unshared_pairs(w, v)
+        poly = _criterion_polynomial(w_pairs, v_pairs)
+        if _bernstein_positive(poly) or _bernstein_positive(
+            poly, _criterion_polynomial(w_pairs, v_pairs, magnitude=True)
+        ):
+            return OrderVerdict("holds")
+        qs = _sign_probes(poly)
         vals = _criterion(rows, qs)
         if vals.min() >= -VERDICT_TOL:
-            return OrderVerdict("holds")
+            limit = _limit_violation(rows)
+            return OrderVerdict("holds") if limit is None else OrderVerdict("fails", limit)
     k = int(np.argmin(vals))
     return OrderVerdict("fails", CriterionViolation(float(qs[k]), float(vals[k])))
 
@@ -249,6 +349,16 @@ def _mc_samples(p_ch, q_ch, xs):
     return np.array((xs, mutual_information_grid(p_ch, xs) - iq, iq, sq))
 
 
+def _symmetric(ch):
+    """Whether swapping the inputs leaves the channel as it is, exactly: the
+    columns (r0, r1) are the same multiset as the columns (r1, r0).  Then
+    I(x) = I(1 - x).  The flat BISO layout passes without a sort."""
+    rows = ch.rows
+    if np.array_equal(rows[0], rows[1, ::-1]):
+        return True
+    return np.array_equal(rows[:, np.lexsort(rows[::-1])], rows[::-1, np.lexsort(rows)])
+
+
 def _dc_bounds(lo, hi):
     """Lower bound of f = I_P - I_Q on each cell [a, b] from its two `_mc_samples` columns.
 
@@ -279,10 +389,13 @@ def is_more_capable(p_channel, q_channel):
     midpoint below -1e-9 fails with the lowest such midpoint as witness; the
     order holds once every cell is certified, and is undetermined, with the
     lowest cell bound as witness, if a cell narrower than 1e-12 is not.
+    When both channels are `_symmetric`, f(x) = f(1 - x), and only
+    k <= 500 is sampled, certified and halved, so every witness lies in
+    [0, 1/2].
     """
     p_ch = as_channel(p_channel)
     q_ch = as_channel(q_channel)
-    pts = _mc_samples(p_ch, q_ch, _MC_GRID)
+    pts = _mc_samples(p_ch, q_ch, _MC_HALF if _symmetric(p_ch) and _symmetric(q_ch) else _MC_GRID)
     lo, hi = pts[:, :-1], pts[:, 1:]
     k = int(np.argmin(pts[1]))
     while pts[1, k] >= -VERDICT_TOL:

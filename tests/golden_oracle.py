@@ -1,15 +1,18 @@
-"""Grid plus golden-section refinement, kept as a test oracle.
+"""Replaced decision procedures, kept as test oracles.
 
 The more-capable and less-noisy decisions once scanned a 999-point grid and
 refined dips and sign changes by golden-section search; the coefficient
 optimizers once refined a 1001-point scan the same way.  The exact and
 certified procedures replaced them, and these copies check that they
-agree wherever the old grids already decided.
+agree wherever the old grids already decided.  The less-noisy decision
+then probed every sign interval between the real roots `np.roots` finds of
+the criterion polynomial; `is_less_noisy` below keeps that path.
 """
 
 import numpy as np
 
-from bisochan.channels import as_channel
+from bisochan import orders
+from bisochan.channels import as_channel, canonicalize_biso
 from bisochan.coefficients import mutual_information_grid
 from bisochan.orders import VERDICT_TOL, CriterionViolation, OrderVerdict, mutual_information_difference
 
@@ -110,3 +113,33 @@ def is_more_capable(p_channel, q_channel, grid_size=999):
 
     best_x, best_v = refined_minimum(xs, vals, f)
     return bool(vals.min() < -VERDICT_TOL), verdict_from_minimum(best_x, best_v, f)
+
+
+def sign_probes(poly):
+    """q-points in (0, 1/2] meeting every sign interval of the criterion + VERDICT_TOL:
+    each (near-)real root in (0, 1) of the polynomial and the midpoint of
+    each interval between them.
+    """
+    roots = np.roots(poly)
+    real = roots.real[(np.abs(roots.imag) <= 1e-7) & (roots.real > 0.0) & (roots.real < 1.0)]
+    edges = np.concatenate(([0.0], np.sort(real), [1.0]))
+    xs = np.concatenate((real, (edges[:-1] + edges[1:]) / 2.0))
+    qs = xs / (2.0 * (1.0 + np.sqrt(1.0 - xs)))  # the root of 4q(1 - q) = x in (0, 1/2]
+    return qs[qs > 0.0]
+
+
+def is_less_noisy(w, v):
+    """The replaced less-noisy decision: the default q-grid up to 1/2, then
+    the root probes of the polynomial of every pair, shared pairs included.
+    It raises numpy.linalg.LinAlgError where the companion matrix overflows."""
+    w, v = canonicalize_biso(w), canonicalize_biso(v)
+    rows = orders._flat_rows(w, v)
+    qs = orders._HALF_GRID
+    vals = orders._criterion(rows, qs)
+    if vals.min() >= -VERDICT_TOL:
+        qs = sign_probes(orders._criterion_polynomial(w.pairs, v.pairs))
+        vals = orders._criterion(rows, qs)
+        if vals.min() >= -VERDICT_TOL:
+            return OrderVerdict("holds")
+    k = int(np.argmin(vals))
+    return OrderVerdict("fails", CriterionViolation(float(qs[k]), float(vals[k])))

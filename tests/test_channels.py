@@ -73,6 +73,31 @@ def test_constructors():
             make_z(bad)
 
 
+def test_constructed_channels_skip_validation_and_match_validated_ones(monkeypatch):
+    # their rows are valid by construction; each Channel must equal the validated one to the byte
+    rng = np.random.default_rng(35)
+    bisos = []
+    for i in range(300):
+        raw = rng.uniform(0.0, 1.0, size=(1 + i % 16, 2)) ** 3
+        raw[rng.uniform(size=raw.shape) < 0.3] = 0.0
+        raw.flat[0] += 0.05
+        bisos.append(BisoChannel(raw / raw.sum()))
+    ps = np.concatenate((np.linspace(0.0, 1.0, 1001), rng.uniform(size=200)))
+    old = [Channel(b.flat_rows(), tol=LOADED_TOL) for b in bisos]
+    old += [Channel([[1.0 - p, p], [p, 1.0 - p]]) for p in ps]
+    old += [Channel([[1.0 - p, p, 0.0], [0.0, p, 1.0 - p]]) for p in ps]
+    old += [Channel([[1.0, 0.0], [p, 1.0 - p]]) for p in ps]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a constructed channel was validated")
+
+    monkeypatch.setattr(bisochan.channels, "_as_prob_matrix", forbidden)
+    new = [b.to_channel() for b in bisos] + [make(p) for make in (make_bsc, make_bec, make_z) for p in ps]
+    for n, o in zip(new, old):
+        assert n.rows.tobytes() == o.rows.tobytes() and n.rows.strides == o.rows.strides
+        assert not n.rows.flags.writeable and n._canonical is None
+
+
 class TestCanonicalize:
     def test_bsc_single_pair(self):
         b = canonicalize_biso(make_bsc(0.2))

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bisochan import (
+    BisoChannel,
     as_channel,
     canonicalize_biso,
     criterion_profile,
@@ -256,6 +257,24 @@ class TestCompare:
         assert lines[0] == "more-capable A>=B: fails"
         x = float(lines[1].split()[3])
         assert 0.0 < x < 1e-3 and float(lines[1].split()[-1]) < -1e-9
+
+    def test_large_self_comparison_holds_less_noisy(self, tmp_path, capsys):
+        # the 256-output pair's root probes ended in a LinAlgError traceback (exit 1)
+        a = np.random.default_rng(7001).uniform(size=(128, 2))
+        path = tmp_path / "big.txt"
+        path.write_text(format_channel(BisoChannel(a / a.sum()).to_channel()))
+        assert main(["compare", str(path), str(path), "--order", "ln"]) == 0
+        assert capsys.readouterr().out == "less-noisy A>=B: holds\nless-noisy B>=A: holds\n"
+
+    def test_symmetric_more_capable_witnesses_lie_in_the_lower_half(self, capsys):
+        # A>=B was witnessed at 0.9999921875 when the whole bias interval was searched
+        a, b = (str(DEMO_DATA / name) for name in ("eta_pair_a.txt", "eta_pair_b.txt"))
+        assert main(["compare", a, b, "--order", "mc"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0::2] == ["more-capable A>=B: fails", "more-capable B>=A: fails"]
+        xs = [float(line.split()[3]) for line in lines[1::2]]
+        assert len(xs) == 2 and all(0.0 < x <= 0.5 for x in xs)
+        assert xs[0] == 7.8125e-06  # 1 - 0.9999921875 at the printed precision
 
     def test_order_all_runs_everything(self, eta_file_a, eta_file_b, capsys):
         assert main(["compare", eta_file_a, eta_file_b]) == 0

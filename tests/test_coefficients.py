@@ -221,6 +221,15 @@ class TestMutualInformation:
                 new, old = mutual_information_grid(ch, ps), _old_mutual_information_grid(ch, ps)
                 assert new.shape == old.shape and new.tobytes() == old.tobytes(), ch
 
+    def test_slope_flag_leaves_the_information_bitwise(self):
+        rng = np.random.default_rng(43)
+        xs = np.concatenate(([0.0, 1.0], rng.uniform(size=50)))
+        for ch in (make_bsc(0.2), make_z(0.3), make_bec(0.4), random_binary_channel(rng, 12)):
+            mi, slope = coefficients._mutual_information_and_slope(ch, xs)
+            bare, none = coefficients._mutual_information_and_slope(ch, xs, slope=False)
+            assert none is None and bare.tobytes() == mi.tobytes()
+            assert mutual_information_grid(ch, xs).tobytes() == mi.tobytes()
+
     def test_slope_matches_central_differences(self):
         rng = np.random.default_rng(42)
         xs = np.linspace(0.01, 0.99, 99)

@@ -249,7 +249,7 @@ class TestReverseCoefficients:
     def test_grid_confirms_gamma(self):
         b = canonicalize_biso(make_bsc(0.2))
         rc = reverse_coefficients(b)
-        assert abs(verify_reverse_gamma(b, grid_points=500) - rc.gamma_rev) < 5e-3
+        assert abs(verify_reverse_gamma(b) - rc.gamma_rev) < 1e-6
 
 
 class TestGeneralBinary:

@@ -3,6 +3,7 @@ import inspect
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from bisochan import (
     make_z,
     mutual_information_difference,
 )
-from bisochan import orders
+from bisochan import checks, extremal, orders
 from bisochan.channels import as_channel
 from bisochan.checks import (
     ALPHA_PAIR_F,
@@ -249,12 +250,12 @@ class TestIsLessNoisy:
 
     def test_polynomial_matches_the_convolution_chains(self, monkeypatch):
         cases = list(_polynomial_cases(15))
-        new = [orders._criterion_polynomial(w, v) for w, v in cases]
+        new = [orders._criterion_polynomial(w.pairs, v.pairs) for w, v in cases]
         relations = [is_less_noisy(w, v).relation for w, v in cases]
         monkeypatch.setattr(orders, "_criterion_polynomial", _convolution_polynomial)
         for (w, v), poly, relation in zip(cases, new, relations):
-            old = _convolution_polynomial(w, v)
-            scale = _convolution_polynomial(w, v, magnitude=True)
+            old = _convolution_polynomial(w.pairs, v.pairs)
+            scale = _convolution_polynomial(w.pairs, v.pairs, magnitude=True)
             assert poly.shape == old.shape
             assert np.all(np.abs(poly - old) <= 1e-12 * scale)
             assert is_less_noisy(w, v).relation == relation
@@ -263,7 +264,7 @@ class TestIsLessNoisy:
         cases = list(_polynomial_cases(16)) + list(_seeded_pairs(17, 400))
         cases += [(ETA_PAIR_A, ETA_PAIR_B), (ETA_PAIR_A, ETA_PAIR_A)]
         for w, v in cases:
-            new, old = orders._criterion_polynomial(w, v), _prefix_convolution_polynomial(w, v)
+            new, old = orders._criterion_polynomial(w.pairs, v.pairs), _prefix_convolution_polynomial(w, v)
             assert new.shape == old.shape and np.array_equal(new, old), (w, v)
 
     def test_flat_rows_match_the_flat_channels_bitwise(self):
@@ -284,6 +285,99 @@ class TestIsLessNoisy:
             assert time.perf_counter() - start < 0.5
             assert not _dense_reference_fails(a, b) or verdict.fails
         assert is_less_noisy(w, v).holds
+
+
+    def test_self_comparison_of_large_channels_holds(self):
+        # seven of these 128-pair self-comparisons raised LinAlgError in np.roots: the
+        # polynomial's leading coefficients underflow and its companion matrix overflows
+        for seed in range(7000, 7020):
+            a = np.random.default_rng(seed).uniform(size=(128, 2))
+            w = BisoChannel(a / a.sum())
+            assert is_less_noisy(w, w).holds
+            assert is_less_noisy(w, BisoChannel(w.pairs[::-1, ::-1])).holds  # mirrored pairs
+
+    def test_shared_pairs_cancel_as_multisets(self):
+        w = BisoChannel([(0.1, 0.2), (0.3, 0.1), (0.1, 0.2)])
+        v = BisoChannel([(0.2, 0.1), (0.25, 0.35), (0.1, 0.0)])
+        w_left, v_left = orders._unshared_pairs(w, v)
+        assert w_left.tolist() == [[0.3, 0.1], [0.1, 0.2]]
+        assert v_left.tolist() == [[0.25, 0.35], [0.1, 0.0]]
+        assert orders._unshared_pairs(w, w)[0].shape == (0, 2)
+        u = BisoChannel([(0.5, 0.25), (0.25, 0.0)])
+        assert all(left is ch.pairs for left, ch in zip(orders._unshared_pairs(w, u), (w, u)))
+
+    def test_violation_below_the_probes_fails_at_the_limit(self):
+        # the criterion is -0.664 at q = 9e-4 and -11,249 at 1e-5 but +3.88 at 1e-3, the
+        # half grid's first point; it tends to a finite negative limit as q -> 0
+        rng = np.random.default_rng(519)
+        a = rng.uniform(size=(32, 2)) ** 5
+        b = rng.uniform(size=(32, 2)) ** 5
+        w, v = BisoChannel(a / a.sum()), BisoChannel(b / b.sum())
+        verdict = is_less_noisy(w, v)
+        assert verdict.fails
+        q = verdict.witness.parameter
+        j = round(math.log2(1e-3 / q))
+        assert j >= 1 and q == 1e-3 * 2.0**-j
+        assert verdict.witness.value == less_noisy_criterion_biso(w, v, q) < -1e-9
+        assert all(less_noisy_criterion_biso(w, v, 1e-3 * 2.0**-i) >= -1e-9 for i in range(1, j))
+        assert _dense_reference_min(w, v) < -1e-9
+
+    def test_limit_needs_every_r1_positive(self):
+        # a row with r1 = 0 adds r0 / q, which has no finite limit at q = 0
+        w = canonicalize_biso(make_bec(0.3))
+        v = BisoChannel([(0.6, 0.1), (0.2, 0.1)])
+        assert orders._limit_violation(orders._flat_rows(w, v)) is None
+        assert orders._limit_violation(orders._flat_rows(v, v)) is None  # the limit is 0
+
+    def test_bernstein_matrix_converts_the_basis(self):
+        rng = np.random.default_rng(41)
+        xs = np.linspace(0.0, 1.0, 11)
+        for n in (0, 1, 5, 12):
+            poly = rng.normal(size=n + 1)
+            b = orders._bernstein_matrix(n) @ poly[::-1]
+            basis = np.array([math.comb(n, k) * xs**k * (1.0 - xs) ** (n - k) for k in range(n + 1)])
+            assert np.allclose(b @ basis, np.polyval(poly, xs), rtol=0.0, atol=1e-12)
+
+    def test_bernstein_certificate(self):
+        positive = np.array([1.0, 1.0])  # 1 + x
+        assert orders._bernstein_positive(positive)
+        assert orders._bernstein_positive(positive, positive)
+        assert orders._bernstein_positive(np.array([orders.VERDICT_TOL]))  # identical channels
+        interior_root = np.array([1.0, -1.0, 0.25])  # (x - 1/2)^2 >= 0, zero at 1/2
+        end_touch = np.array([1.0, 1.0, 0.0])  # x (1 + x), zero at x = 0
+        for poly in (interior_root, end_touch):
+            assert not orders._bernstein_positive(poly)
+            assert not orders._bernstein_positive(poly, np.abs(poly))
+        thin = np.array([1e-16])  # positive, but by less than its margin
+        assert not orders._bernstein_positive(thin)
+        assert not orders._bernstein_positive(thin, np.array([1.0]))
+        assert orders._bernstein_positive(thin, thin)
+
+    def test_matches_root_probe_oracle(self, monkeypatch):
+        # wherever the np.roots path was right, the verdict and witness are its own
+        results = []
+        bernstein = orders._bernstein_positive
+        monkeypatch.setattr(orders, "_bernstein_positive", lambda *a: results.append(bernstein(*a)) or results[-1])
+        seen = Counter()
+        for w, v in _less_noisy_differential_pairs():
+            results.clear()
+            new = is_less_noisy(w, v)
+            try:
+                old = golden_oracle.is_less_noisy(w, v)
+            except np.linalg.LinAlgError:
+                old = None
+            dense = _dense_reference_min(w, v)
+            if any(results):
+                seen["certified"] += 1
+                assert new.holds and dense >= -1e-9, (w, v)
+            if old is not None and (old.fails or dense >= -1e-9):
+                seen[old.relation] += 1
+                assert new == old, (w, v)
+            else:
+                seen["oracle wrong"] += 1
+                assert not new.fails or less_noisy_criterion_biso(w, v, new.witness.parameter) < -1e-9
+        assert seen["certified"] > 1300 and seen["fails"] > 1000 and seen["holds"] > 1300
+        assert seen["oracle wrong"] > 0
 
 
 def _grid_oracle(w, v):
@@ -323,17 +417,17 @@ def _curvature_sum(biso, qs):
     return terms.sum(axis=1)
 
 
-def _convolution_polynomial(w, v, magnitude=False):
+def _convolution_polynomial(w_pairs, v_pairs, magnitude=False):
     """The polynomial of `orders._criterion_polynomial` as it was first built:
     one chain of np.convolve per dropped factor, quadratic in the pairs.
     With magnitude=True every k enters as |k|, which bounds each coefficient's
     terms, since the factors' coefficients are nonnegative.
     """
-    pairs = np.concatenate((w.pairs, v.pairs))
+    pairs = np.concatenate((w_pairs, v_pairs))
     moving = pairs[:, 0] != pairs[:, 1]
     p, pm = pairs[moving].T
     s = p + pm
-    k = np.repeat([4.0, -4.0], (w.num_pairs, v.num_pairs))[moving] * (p - pm) ** 2 / s
+    k = np.repeat([4.0, -4.0], (len(w_pairs), len(v_pairs)))[moving] * (p - pm) ** 2 / s
     if magnitude:
         k = np.abs(k)
     factors = np.stack((((p - pm) / s) ** 2, 4.0 * p * pm / s**2), axis=1)
@@ -393,13 +487,16 @@ _DENSE_QS = np.unique(
 )
 
 
-def _dense_reference_fails(w, v):
-    """Whether the criterion falls below -1e-9 by more than its roundoff on a
-    dense q-grid (log-spaced down to 1e-15, plus uniform; the criterion is
+_DEEP_QS = np.concatenate((np.logspace(-300, -3, 3000), np.linspace(1e-3, 0.5, 4000)))
+
+
+def _dense_reference_min(w, v, qs=_DEEP_QS):
+    """The least value, less its roundoff, of the criterion on a dense q-grid
+    (by default log-spaced down to 1e-300, plus uniform; the criterion is
     symmetric under q -> 1 - q).  It uses conv(1 - conv) = q(1 - q) +
     (1 - 2q)^2 p p_- / s^2, which keeps its precision as q -> 0.
     """
-    q = _DENSE_QS[:, None]
+    q = qs[:, None]
     total = magnitude = 0.0
     for biso, sign in ((w, 1.0), (v, -1.0)):
         p, pm = biso.pairs[:, 0], biso.pairs[:, 1]
@@ -407,7 +504,48 @@ def _dense_reference_fails(w, v):
         terms = (p - pm) ** 2 / s / (q * (1.0 - q) + (1.0 - 2.0 * q) ** 2 * p * pm / s**2)
         total = total + sign * terms.sum(axis=1)
         magnitude = magnitude + terms.sum(axis=1)
-    return bool(np.any(total + 1e-14 * magnitude < -1e-9))
+    return float(np.min(total + 1e-14 * magnitude))
+
+
+def _dense_reference_fails(w, v):
+    """Whether the criterion falls below -1e-9 on q-points down to 1e-15."""
+    return _dense_reference_min(w, v, _DENSE_QS) < -1e-9
+
+
+@functools.lru_cache(maxsize=1)
+def _check_pairs():
+    """Every pair checks 05, 09, 10 and 12 of `paper-check` hand to `is_less_noisy`."""
+    pairs = []
+
+    def recording(w, v):
+        pairs.append((w, v))
+        return is_less_noisy(w, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "is_less_noisy", recording)
+        mp.setattr(extremal, "is_less_noisy", recording)
+        for check in (
+            checks.check_less_noisy_sandwich, checks.check_dim3_comparability,
+            checks.check_reverse_coefficients, checks.check_order_hierarchy,
+        ):
+            check()
+    return tuple(pairs)
+
+
+def _less_noisy_differential_pairs():
+    """The `paper-check` pairs; random, garbled, touching BEC/BSC and zero-entry
+    pairs in both directions; lopsided pairs with u^3 and u^5 entries of up to
+    64 pairs each."""
+    yield from _check_pairs()
+    for w, v in _seeded_pairs(42, 200):
+        yield w, v
+        yield v, w
+    rng = np.random.default_rng(43)
+    for power in (3, 5):
+        for n in (8, 16, 24, 32, 48, 64):
+            for _ in range(12):
+                a, b = rng.uniform(size=(n, 2)) ** power, rng.uniform(size=(n, 2)) ** power
+                yield BisoChannel(a / a.sum()), BisoChannel(b / b.sum())
 
 
 def _skewed_biso(rng, max_pairs=8):
@@ -520,16 +658,48 @@ class TestIsMoreCapable:
         assert golden_oracle.is_more_capable(a, b) == (False, orders.OrderVerdict("holds"))
 
     def test_matches_golden_oracle(self):
+        mirrored = 0
         for a, b in _mc_pairs(31, 120):
             grid_shows, old = golden_oracle.is_more_capable(a, b)
             new = is_more_capable(a, b)
-            if grid_shows:
+            if grid_shows and orders._symmetric(a) and orders._symmetric(b):
+                # only [0, 1/2] is searched: the grid argmin or its mirror, x -> 1 - x
+                x_old, x_new = old.witness.parameter, new.witness.parameter
+                assert new.fails and x_new <= 0.5, (a, b)
+                assert min(abs(x_new - x_old), abs(x_new - (1.0 - x_old))) <= 1e-15, (a, b)
+                assert new.witness.value < -1e-9
+                mirrored += x_old > 0.5
+            elif grid_shows:
                 assert new == old, (a, b)  # the grid argmin, to the last bit
             elif new.relation != old.relation:
                 # only a violation the grid missed may change the verdict
                 assert new.fails, (a, b)
                 assert mutual_information_difference(a, b, new.witness.parameter) < -1e-9
             assert new.relation in ("holds", "fails")
+        assert mirrored > 0
+
+    def test_symmetric_channels(self):
+        shuffled = Channel(ETA_PAIR_A.to_channel().rows[:, [1, 0, 2, 3]])  # not the flat layout
+        for ch in (make_bsc(0.2), make_bec(0.3), ETA_PAIR_A.to_channel(), shuffled, make_bsc(0.0)):
+            assert orders._symmetric(ch)
+        off = Channel([[0.2, 0.8], [0.8 + 2**-52, 0.2 - 2**-52]])  # within every tolerance, not exact
+        for ch in (make_z(0.3), off, Channel([[0.5, 0.5], [0.25, 0.75]])):
+            assert not orders._symmetric(ch)
+
+    def test_half_interval_agrees_with_the_whole(self, monkeypatch):
+        # symmetric pairs search [0, 1/2]; the whole interval gives the same relation
+        pairs = [
+            (a, b) for a, b in _mc_pairs(34, 120) if orders._symmetric(a) and orders._symmetric(b)
+        ]
+        half = [is_more_capable(a, b) for a, b in pairs]
+        monkeypatch.setattr(orders, "_symmetric", lambda ch: False)
+        whole = [is_more_capable(a, b) for a, b in pairs]
+        assert len(pairs) > 40 and {v.relation for v in half} == {"holds", "fails"}
+        for (a, b), h, f in zip(pairs, half, whole):
+            assert h.relation == f.relation, (a, b)
+            if h.fails:
+                assert 0.0 <= h.witness.parameter <= 0.5
+                assert h.witness.value == mutual_information_difference(a, b, h.witness.parameter) < -1e-9
 
     def test_agrees_with_dense_reference(self):
         outcomes = {"holds": 0, "fails": 0}
