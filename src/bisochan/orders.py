@@ -3,19 +3,16 @@
 Degradability is decided exactly by Blackwell's theorem for dichotomies,
 comparing guessing probabilities at finitely many priors; the same curves
 give the refuting prior of a failure and, through the shadows of the
-posterior masses, the degrading map of a success.  The less-noisy order is
-decided from one polynomial, certified positive by its Bernstein
-coefficients or else probed on its sign intervals, and a violation is
-witnessed in (0, 1/2], where the BISO criterion is symmetric under
-q -> 1 - q.  The more-capable order is certified by DC branch and bound
-on the cells of an input-bias grid, half of it for symmetric pairs: a
-violation is a sampled bias, and a holding verdict rests on a lower bound
-of every cell.
+posterior masses, the degrading map of a success.  The less-noisy and
+more-capable orders share one DC branch and bound on the cells of a grid:
+a violation is a sampled point, and a holding verdict rests on a lower
+bound of every cell.  Less-noisy tries a half grid and a Bernstein
+certificate first, nets pairs of equal posterior, and bounds its first
+cell (0, 1e-3] in closed form; symmetric pairs search up to 1/2 only.
 """
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +26,9 @@ DEFAULT_GRID = 999
 _HALF_GRID = np.arange(1, DEFAULT_GRID // 2 + 2) / (DEFAULT_GRID + 1.0)  # the default grid up to 1/2
 _MC_GRID = np.arange(DEFAULT_GRID + 2) / (DEFAULT_GRID + 1.0)  # the default grid with 0 and 1
 _MC_HALF = _MC_GRID[: DEFAULT_GRID // 2 + 2]  # its points up to 1/2
-_LIMIT_QS = 1e-3 * 2.0 ** -np.arange(1.0, 1001.0)  # q = 1e-3 2^-j toward 0, all normal
 _MIN_CELL = 1e-12  # a more-capable cell this narrow that is not certified is undetermined
+_MC_CELLS = 2**17  # more-capable cells open at once, at most
+_LN_TERMS = 2**22  # less-noisy cells open at once, times the rows, at most
 
 
 @dataclass(frozen=True)
@@ -80,12 +78,6 @@ class CriterionProfile:
     values: np.ndarray
 
 
-def _interior_grid(grid_size):
-    if grid_size < 2:
-        raise DegenerateParameterError("grid_size must be at least 2")
-    return np.arange(1, grid_size + 1) / (grid_size + 1.0)
-
-
 # ----------------------------------------------------------------------
 # Guessing probability (min-entropy refutation tool)
 # ----------------------------------------------------------------------
@@ -133,10 +125,14 @@ def less_noisy_criterion_biso(w, v, q):
 
 def _flat_rows(w, v):
     """Terms (d^2, d, r1), d = r0 - r1, of the flat rows of two channels with
-    r0 != r1, so q d + r1 > 0 on (0, 1), and how many are the first's.  A
-    BisoChannel's rows are read from its pairs, in `to_channel` order."""
+    r0 != r1, so q d + r1 > 0 on (0, 1), and how many are the first's.  The
+    rows of a BisoChannel, or of an array of pairs, are read from its pairs,
+    in `to_channel` order."""
     w_rows, v_rows = (
-        ch.flat_rows() if isinstance(ch, BisoChannel) else as_channel(ch).rows for ch in (w, v)
+        ch.flat_rows() if isinstance(ch, BisoChannel)
+        else np.concatenate((ch[::-1, ::-1], ch)).T if isinstance(ch, np.ndarray)
+        else as_channel(ch).rows
+        for ch in (w, v)
     )
     r0, r1 = np.concatenate((w_rows, v_rows), axis=1)
     d = r0 - r1
@@ -160,50 +156,52 @@ def _criterion(rows, qs):
 
 
 def criterion_profile(w, v, grid_size=DEFAULT_GRID):
-    """Criterion samples for the pair (w, v) on the interior grid."""
-    qs = _interior_grid(grid_size)
+    """Criterion samples for the pair (w, v) on the interior grid k / (grid_size + 1)."""
+    if grid_size < 2:
+        raise DegenerateParameterError("grid_size must be at least 2")
+    qs = np.arange(1, grid_size + 1) / (grid_size + 1.0)
     return CriterionProfile(qs, _criterion(_flat_rows(canonicalize_biso(w), canonicalize_biso(v)), qs))
 
 
-def _unshared_pairs(w, v):
-    """The pairs of each BISO channel left once the pairs both share are cancelled.
+def _net_pairs(w, v):
+    """The pairs of two BISO channels, those of equal posterior netted.
 
-    A pair and its mirror (p_-, p) contribute the same term, so they count
-    as one; the multisets are cancelled exactly, each shared pair once, and
-    the remaining pairs keep their order.  Identical channels leave nothing.
+    A pair of mass s = p + p_- and posterior t = min(p, p_-) / s (a mirror
+    gives the same terms) contributes s phi_t(q), so the pairs of one t, W's
+    +s and V's -s, net to the first rescaled to mass |net|, on the side of its
+    sign.  Each s rounds by 2^-53 s at most and a group of n sums with
+    (n - 1) 2^-53 of its gross mass: a net within n 2^-52 of it cancels.  Pairs
+    with p = p_- add nothing; with no t shared, the pairs come back as they are.
     """
-    keys = [[(a, b) if a <= b else (b, a) for a, b in ch.pairs.tolist()] for ch in (w, v)]
-    if set(keys[0]).isdisjoint(keys[1]):
+    groups = {}
+    for sign, ch in ((1.0, w), (-1.0, v)):
+        for a, b in ch.pairs.tolist():
+            if a != b:
+                groups.setdefault(min(a, b) / (a + b), []).append((a, b, sign))
+    if len(groups) == sum(map(len, groups.values())):
         return w.pairs, v.pairs
-    shared = Counter(keys[0]) & Counter(keys[1])
-    left = []
-    for ch, chkeys in zip((w, v), keys):
-        budget = shared.copy()
-        keep = []
-        for key in chkeys:
-            keep.append(budget[key] <= 0)
-            budget[key] -= 1
-        left.append(ch.pairs[keep])
-    return tuple(left)
+    sides = ([], [])
+    for group in groups.values():
+        net = sum(sign * (a + b) for a, b, sign in group)
+        if abs(net) > len(group) * 2.0**-52 * sum(a + b for a, b, _ in group):
+            a, b, _ = group[0]
+            sides[net < 0.0].append((a * (abs(net) / (a + b)), b * (abs(net) / (a + b))))
+    return tuple(np.array(side).reshape(-1, 2) for side in sides)
 
 
-def _criterion_polynomial(w_pairs, v_pairs, magnitude=False):
+def _criterion_polynomial(w_pairs, v_pairs):
     """Coefficients, highest first, of (criterion + VERDICT_TOL) prod(a + cx) in x = 4q(1 - q).
 
     A pair with s = p + p_- contributes 4k / (a + cx), k = (p - p_-)^2 / s,
     c = (p - p_-)^2 / s^2, a = 1 - c = 4 p p_- / s^2; p = p_- contributes
     nothing.  prod(a + cx) > 0 on (0, 1], so the product, a polynomial of
     degree <= l_W + l_V, has the sign of the criterion + VERDICT_TOL there.
-    With `magnitude` every k enters as |k|: its coefficients bound the
-    magnitude of the terms each coefficient sums, since a, c >= 0.
     """
     pairs = np.concatenate((w_pairs, v_pairs))
     moving = pairs[:, 0] != pairs[:, 1]
     p, pm = pairs[moving].T
     s = p + pm
     k = np.repeat([4.0, -4.0], (len(w_pairs), len(v_pairs)))[moving] * (p - pm) ** 2 / s
-    if magnitude:
-        k = np.abs(k)
     # prod_j (c_j x + a_j) and sum_i k_i prod_{j != i} (c_j x + a_j), one factor at a time,
     # in Python floats: each coefficient is the two-term sum np.convolve forms, bit for bit
     prod, acc = [1.0], [0.0]
@@ -230,92 +228,78 @@ def _bernstein_matrix(n):
     return m
 
 
-def _bernstein_positive(poly, magnitude=None):
+def _bernstein_positive(poly):
     """Whether the Bernstein coefficients of `poly` (highest first) prove it positive on [0, 1].
 
     P = sum_k b_k C(n, k) x^k (1 - x)^(n - k) is a convex combination of its
     coefficients b, so P >= min b_k on [0, 1].  Each b_k must exceed
-    4 (n + 4) 2^-52 B_k(Mag), B_k(Mag) being the same transform of the
-    `magnitude` polynomial.  That bounds, in units u = 2^-53 of B_k(Mag), the
-    rounding of k, a and c (each term k / (a + cx) of the criterion moves by
-    under 11u, and the common factor prod(a + cx) > 0 keeps the sign), of
-    the products and sums of `_criterion_polynomial` (gamma_(3n+2)), of the
-    matrix entries (u) and of the sums of M a (gamma_(n+1)): (4n + 15) u in
-    all, under half the margin.  Without `magnitude`, B_k(Mag) <= 9 stands
-    in: each prod_(j != i) (a_j + c_j x) has Bernstein coefficients in
-    [0, 1], those of its factors being (a_j, a_j + c_j) = (a_j, 1), and
-    sum |k_i| = 4 (eta_W + eta_V) <= 8 (1 + 1e-9).  A zero or negative b_k
-    never passes.
+    4 (n + 4) 2^-52 9.  In units u = 2^-53 of B_k(Mag), Mag the polynomial of
+    |k| for k, that bounds the rounding of k, a and c (each term moves by
+    under 11u; prod(a + cx) > 0 keeps the sign), of `_criterion_polynomial`
+    (gamma_(3n+2)), of the matrix (u) and of M a (gamma_(n+1)): (4n + 15) u,
+    under half the margin.  B_k(Mag) <= 9: each prod_(j != i) (a_j + c_j x)
+    has Bernstein coefficients in [0, 1], its factors' being (a_j, 1), and
+    sum |k_i| = 4 (eta_W + eta_V) <= 8 (1 + 1e-9), which netting only lowers.
     """
     n = poly.size - 1
-    m = _bernstein_matrix(n)
-    scale = 9.0 if magnitude is None else m @ magnitude[::-1]
-    return bool(np.all(m @ poly[::-1] > (4.0 * (n + 4) * 2.0**-52) * scale))
+    return bool(np.all(_bernstein_matrix(n) @ poly[::-1] > (4.0 * (n + 4) * 2.0**-52) * 9.0))
 
 
-def _limit_violation(rows):
-    """A first q = 1e-3 2^-j, j = 1..1000, where the criterion is below -VERDICT_TOL, or None.
+def _ln_samples(rows, qs):
+    """Rows q, f = F_W - F_V, -F_W and -F_W' at each q for `_flat_rows`, with F = sum d^2 / (q d + r1)
+    convex on (0, 1): f, which is `_criterion` bit for bit, is concave minus concave."""
+    (d2, d, r1), n_w = rows
+    den = qs * d + r1
+    terms = d2 / den
+    fw, fv = (sum(part, np.zeros(len(qs))) for part in (terms[:n_w], terms[n_w:]))
+    return np.array((qs, fw - fv, -fw, (terms[:n_w] * d[:n_w] / den[:n_w]).sum(axis=0)))
 
-    Searched only when no flat row has r1 = 0, so the criterion tends to
-    the finite sum_W d^2 / r1 - sum_V d^2 / r1 as q -> 0, and only when that
-    limit is below -VERDICT_TOL.
+
+def _first_cell(rows):
+    """A lower bound of f on (0, b], as a function of b, for netted `_flat_rows`.
+
+    Only a row with r1 = 0 (one at most, once netted) grows without bound as
+    q -> 0: it adds K / q, K the net noiseless mass.  The other rows are finite
+    at 0, so `_dc_bounds` bounds their f on [0, b], plus K / b if K > 0; if
+    K < 0 the bound is -inf, and halving toward 0 meets a violating midpoint.
     """
-    r1 = rows[0][2]
-    if not np.all(r1 > 0.0) or _criterion(rows, np.zeros(1))[0] >= -VERDICT_TOL:
-        return None
-    vals = _criterion(rows, _LIMIT_QS)
-    below = np.flatnonzero(vals < -VERDICT_TOL)
-    if not below.size:
-        return None
-    return CriterionViolation(float(_LIMIT_QS[below[0]]), float(vals[below[0]]))
-
-
-def _sign_probes(poly):
-    """q-points in (0, 1/2] meeting every sign interval of a `_criterion_polynomial`:
-    each (near-)real root in (0, 1) and the midpoint of each interval between them.
-    """
-    roots = np.roots(poly)
-    real = roots.real[(np.abs(roots.imag) <= 1e-7) & (roots.real > 0.0) & (roots.real < 1.0)]
-    edges = np.concatenate(([0.0], np.sort(real), [1.0]))
-    xs = np.concatenate((real, (edges[:-1] + edges[1:]) / 2.0))
-    qs = xs / (2.0 * (1.0 + np.sqrt(1.0 - xs)))  # the root of 4q(1 - q) = x in (0, 1/2]
-    return qs[qs > 0.0]
+    (_, d, r1), n_w = rows
+    noiseless = r1[:, 0] == 0.0
+    k = float(np.where(np.arange(d.shape[0]) < n_w, d[:, 0], -d[:, 0])[noiseless].sum())
+    rest = (rows[0][:, ~noiseless], n_w - int(np.count_nonzero(noiseless[:n_w])))
+    at0 = _ln_samples(rest, np.zeros(1))
+    return lambda b: -np.inf if k < 0.0 else _dc_bounds(at0, _ln_samples(rest, np.array([b])))[0] + k / b
 
 
 def is_less_noisy(w, v):
     """Decide whether the first BISO channel is less noisy than the second.
 
-    Fails iff the convexity criterion dips below -1e-9 somewhere in (0, 1);
-    every failure is a point where the criterion itself is below -1e-9.  The
-    criterion of a BISO pair is symmetric under q -> 1 - q, so only (0, 1/2]
-    is searched and the witness lies there.  In order: the default q-grid's
-    points up to 1/2, whose argmin is the witness when they show the
-    violation; after cancelling the pairs both channels share, the Bernstein
-    certificate of `_criterion_polynomial` (holds); one `_sign_probes` point
-    per sign interval of the polynomial, the lowest being the witness; and,
-    when the probes miss a violation that hides below them, the limit
-    q -> 0 where it is finite (`_limit_violation`).  Channels sharing a
-    contraction coefficient touch zero at q = 1/2, so roundoff there counts
-    as holds.
+    Fails iff the convexity criterion, symmetric under q -> 1 - q, dips below
+    -1e-9 in (0, 1/2] (so channels of one contraction coefficient, which touch
+    zero at q = 1/2, hold), with a witness q > 0 where the criterion over all
+    flat rows is below -1e-9.  In order: the q-grid up to 1/2, its argmin the
+    witness; the Bernstein certificate of `_criterion_polynomial` of the
+    `_net_pairs`; and `_dc_search` of their rows, its first cell (0, 1e-3]
+    bounded by `_first_cell`, where an unconfirmed witness is undetermined.
     """
     w, v = canonicalize_biso(w), canonicalize_biso(v)
     rows = _flat_rows(w, v)
-    qs = _HALF_GRID
-    vals = _criterion(rows, qs)
-    if vals.min() >= -VERDICT_TOL:
-        w_pairs, v_pairs = _unshared_pairs(w, v)
-        poly = _criterion_polynomial(w_pairs, v_pairs)
-        if _bernstein_positive(poly) or _bernstein_positive(
-            poly, _criterion_polynomial(w_pairs, v_pairs, magnitude=True)
-        ):
-            return OrderVerdict("holds")
-        qs = _sign_probes(poly)
-        vals = _criterion(rows, qs)
-        if vals.min() >= -VERDICT_TOL:
-            limit = _limit_violation(rows)
-            return OrderVerdict("holds") if limit is None else OrderVerdict("fails", limit)
-    k = int(np.argmin(vals))
-    return OrderVerdict("fails", CriterionViolation(float(qs[k]), float(vals[k])))
+    vals = _criterion(rows, _HALF_GRID)
+    if vals.min() < -VERDICT_TOL:
+        k = int(np.argmin(vals))
+        return OrderVerdict("fails", CriterionViolation(float(_HALF_GRID[k]), float(vals[k])))
+    net = _net_pairs(w, v)
+    if _bernstein_positive(_criterion_polynomial(*net)):
+        return OrderVerdict("holds")
+    net_rows = _flat_rows(*net)
+    cells = _LN_TERMS // max(net_rows[0].shape[1], 1)
+    sample = functools.partial(_ln_samples, net_rows)
+    verdict = _dc_search(sample, _HALF_GRID, 0.0, cells, _first_cell(net_rows))
+    if not verdict.fails:
+        return verdict
+    q = verdict.witness.parameter
+    value = less_noisy_criterion_biso(w, v, q)
+    return OrderVerdict("fails" if value < -VERDICT_TOL else "undetermined", CriterionViolation(q, value))
 
 
 def less_noisy_criterion_fd(w, v, p, q):
@@ -360,14 +344,15 @@ def _symmetric(ch):
 
 
 def _dc_bounds(lo, hi):
-    """Lower bound of f = I_P - I_Q on each cell [a, b] from its two `_mc_samples` columns.
+    """Lower bound of f = A - B on each cell [a, b] from its two sample columns (x, f, B, B').
 
-    I_P lies above its chord and I_Q below both end tangents, so f is at
-    least min(f(a), f(b), chord_P(c) - tangent_Q(c)), c = a + t (b - a)
+    A and B are concave (I_P and I_Q for more-capable, -F_V and -F_W for
+    less-noisy): A lies above its chord and B below both end tangents, so f
+    is at least min(f(a), f(b), chord_A(c) - tangent_B(c)), c = a + t (b - a)
     where the tangents cross.  With u and v how far the tangents at b and a
-    lie above I_Q at the other end, t = u / (u + v) and the last term is
-    f(a) + t (f(b) - f(a)) - uv / (u + v).  An infinite end slope makes u or
-    v infinite, which puts c at that end and leaves the other tangent.
+    lie above B at the other end, t = u / (u + v) and the last term is
+    f(a) + t (f(b) - f(a)) - uv / (u + v).  An infinite end slope puts c at
+    that end.
     """
     (a, fa, qa, sa), (b, fb, qb, sb) = lo, hi
     w, dq = b - a, qb - qa
@@ -375,42 +360,56 @@ def _dc_bounds(lo, hi):
     v = np.maximum(sa * w - dq, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = fa + (fb - fa) / (1.0 + v / u) - 1.0 / (1.0 / u + 1.0 / v)
-    return np.fmin(np.minimum(fa, fb), cross)  # NaN where I_Q is linear: no crossing
+    return np.fmin(np.minimum(fa, fb), cross)  # NaN where B is linear: no crossing
+
+
+def _dc_search(sample, xs, min_cell, max_cells, first=None):
+    """Whether f >= -1e-9 on [xs[0], xs[-1]], by DC branch and bound (Horst & Thoai, JOTA 1999).
+
+    `sample(xs)` gives rows x, f, B and B' at each x, f = A - B for concave
+    A and B.  A sample below -1e-9 fails: the argmin of xs, or the lowest
+    midpoint of a round.  Cells whose `_dc_bounds` are below -1e-9 are halved,
+    all of one width at a time, until every cell is certified (holds).  It is
+    undetermined, the lowest cell bound the witness, if a cell to halve is
+    narrower than `min_cell` or has no midpoint strictly inside, or if over
+    `max_cells` cells would be open.  With `first`, the search runs on
+    (0, xs[-1]], and the cell (0, b] is bounded by first(b).
+    """
+    pts = sample(xs)
+    lo, hi = (pts[:, :-1], pts[:, 1:]) if first is None else (np.insert(pts[:, :-1], 0, 0.0, axis=1), pts)
+    k = int(np.argmin(pts[1]))
+    while pts[1, k] >= -VERDICT_TOL:
+        bounds = _dc_bounds(lo, hi)
+        if first is not None and lo[0, 0] == 0.0:
+            bounds[0] = first(hi[0, 0])
+        keep = bounds < -VERDICT_TOL
+        if not keep.any():
+            return OrderVerdict("holds")
+        lo, hi, bounds = lo[:, keep], hi[:, keep], bounds[keep]
+        mids = (lo[0] + hi[0]) / 2.0
+        stuck = np.any((mids <= lo[0]) | (mids >= hi[0]))
+        if hi[0, 0] - lo[0, 0] < min_cell or 2 * mids.size > max_cells or stuck:
+            j = int(np.argmin(bounds))
+            return OrderVerdict("undetermined", CriterionViolation(float(lo[0, j]), float(bounds[j])))
+        pts = sample(mids)
+        lo, hi = np.concatenate((lo, pts), axis=1), np.concatenate((pts, hi), axis=1)
+        k = int(np.argmin(pts[1]))
+    return OrderVerdict("fails", CriterionViolation(float(pts[0, k]), float(pts[1, k])))
 
 
 def is_more_capable(p_channel, q_channel):
     """Decide whether the first binary-input channel is more capable than the second.
 
-    f = I_P - I_Q, a difference of concave functions of the input bias, is
-    sampled at k/1000, k = 0..1000; a sample below -1e-9 fails with the grid
-    argmin as witness.  Otherwise each cell is certified by the bound of
-    `_dc_bounds`, and cells whose bound is below -1e-9 are halved, all of
-    one width at a time (DC branch and bound; Horst & Thoai, JOTA 1999).  A
-    midpoint below -1e-9 fails with the lowest such midpoint as witness; the
-    order holds once every cell is certified, and is undetermined, with the
-    lowest cell bound as witness, if a cell narrower than 1e-12 is not.
-    When both channels are `_symmetric`, f(x) = f(1 - x), and only
-    k <= 500 is sampled, certified and halved, so every witness lies in
-    [0, 1/2].
+    f = I_P - I_Q, concave minus concave in the input bias, is sampled at
+    k/1000, k = 0..1000, and decided by `_dc_search`.  Cells narrower than
+    1e-12 are not halved: I carries an absolute roundoff near 1e-16, above
+    the tangent gap of such a cell (its width squared times the curvature).
+    When both channels are `_symmetric`, f(x) = f(1 - x), and only k <= 500
+    is sampled, so every witness lies in [0, 1/2].
     """
-    p_ch = as_channel(p_channel)
-    q_ch = as_channel(q_channel)
-    pts = _mc_samples(p_ch, q_ch, _MC_HALF if _symmetric(p_ch) and _symmetric(q_ch) else _MC_GRID)
-    lo, hi = pts[:, :-1], pts[:, 1:]
-    k = int(np.argmin(pts[1]))
-    while pts[1, k] >= -VERDICT_TOL:
-        bounds = _dc_bounds(lo, hi)
-        keep = bounds < -VERDICT_TOL
-        if not keep.any():
-            return OrderVerdict("holds")
-        lo, hi, bounds = lo[:, keep], hi[:, keep], bounds[keep]
-        if hi[0, 0] - lo[0, 0] < _MIN_CELL:
-            j = int(np.argmin(bounds))
-            return OrderVerdict("undetermined", CriterionViolation(float(lo[0, j]), float(bounds[j])))
-        pts = _mc_samples(p_ch, q_ch, (lo[0] + hi[0]) / 2.0)
-        lo, hi = np.concatenate((lo, pts), axis=1), np.concatenate((pts, hi), axis=1)
-        k = int(np.argmin(pts[1]))
-    return OrderVerdict("fails", CriterionViolation(float(pts[0, k]), float(pts[1, k])))
+    p_ch, q_ch = as_channel(p_channel), as_channel(q_channel)
+    xs = _MC_HALF if _symmetric(p_ch) and _symmetric(q_ch) else _MC_GRID
+    return _dc_search(functools.partial(_mc_samples, p_ch, q_ch), xs, _MIN_CELL, _MC_CELLS)
 
 
 # ----------------------------------------------------------------------
