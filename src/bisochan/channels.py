@@ -26,15 +26,15 @@ LOADED_TOL = 1e-9    # channels parsed from text (round-trip slack)
 PAIRING_TOL = 1e-9   # column matching during BISO detection
 
 
-def _as_prob_matrix(rows, tol, what="channel"):
+def _as_prob_matrix(rows, tol):
     arr = np.array(rows, dtype=float)
     if arr.ndim != 2:
-        raise InvalidChannelError(f"{what} must be a 2-D matrix, got shape {arr.shape}")
-    clip = _needs_clip(arr, tol, f"{what} entries must lie in [0, 1] within {tol:g}")
+        raise InvalidChannelError(f"channel must be a 2-D matrix, got shape {arr.shape}")
+    clip = _needs_clip(arr, tol, f"channel entries must lie in [0, 1] within {tol:g}")
     sums = arr.sum(axis=1)
     if np.abs(sums - 1.0).max(initial=0.0) > tol:
         bad = np.nonzero(np.abs(sums - 1.0) > tol)[0][0]
-        raise InvalidChannelError(f"{what} row {bad} sums to {sums[bad]!r}, not 1 within {tol:g}")
+        raise InvalidChannelError(f"channel row {bad} sums to {sums[bad]!r}, not 1 within {tol:g}")
     return np.clip(arr, 0.0, 1.0) if clip else arr
 
 
@@ -48,6 +48,11 @@ def _needs_clip(arr, tol, message):
     if not (lo >= -tol and hi <= 1.0 + tol):
         raise InvalidChannelError(message)
     return not (lo >= 0.0 and hi <= 1.0)
+
+
+def _flat_layout(pairs):
+    """The 2 x 2l rows of the flat layout of an (l, 2) array of pairs: row 1 is row 0 reversed."""
+    return np.concatenate((pairs[::-1, ::-1], pairs)).T
 
 
 class Channel:
@@ -108,8 +113,8 @@ class BisoChannel:
         return self.pairs.shape[0]
 
     def flat_rows(self):
-        """The 2 x 2l rows of the flat layout, read from the pairs: row 1 is row 0 reversed."""
-        return np.concatenate((self.pairs[::-1, ::-1], self.pairs)).T
+        """The 2 x 2l rows of the flat layout, read from the pairs."""
+        return _flat_layout(self.pairs)
 
     def to_channel(self):
         """Flatten to the canonical 2 x 2l layout as a Channel; built once."""
@@ -330,7 +335,7 @@ def _content_lines(text):
     return lines
 
 
-def parse_channel(text, tol=LOADED_TOL):
+def parse_channel(text):
     """Parse a channel from its text representation."""
     lines = _content_lines(text)
     if not lines:
@@ -345,7 +350,7 @@ def parse_channel(text, tol=LOADED_TOL):
             raise ChannelFormatError(f"bad probability token: {exc}") from None
         if flat.size < 2 or flat.size % 2 != 0:
             raise ChannelFormatError("BISO shorthand needs an even number of probabilities")
-        return Channel([flat, flat[::-1]], tol=tol)
+        return Channel([flat, flat[::-1]], tol=LOADED_TOL)
     if len(lines) != 3:
         raise ChannelFormatError(f"expected 3 content lines (n, row 0, row 1), got {len(lines)}")
     try:
@@ -363,12 +368,12 @@ def parse_channel(text, tol=LOADED_TOL):
         if len(row) != n:
             raise ChannelFormatError(f"line {lineno}: expected {n} probabilities, got {len(row)}")
         rows.append(row)
-    return Channel(rows, tol=tol)
+    return Channel(rows, tol=LOADED_TOL)
 
 
-def load_channel(path, tol=LOADED_TOL):
+def load_channel(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_channel(fh.read(), tol=tol)
+        return parse_channel(fh.read())
 
 
 def format_channel(channel):

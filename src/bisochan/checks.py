@@ -69,17 +69,23 @@ class CheckResult:
     passed: bool
 
 
-def _row(check_id, description, expected, computed, tolerance):
-    expected = float(expected)
-    computed = float(computed)
-    passed = abs(computed - expected) <= tolerance
-    return CheckResult(check_id, description, expected, computed, tolerance, passed)
+def _row(description, expected, computed, tolerance):
+    """A check's row, without its id: `run_checks` stamps it."""
+    return description, float(expected), float(computed), tolerance
 
 
-def random_biso(rng, max_pairs=6, low=0.02):
-    """Random BISO channel with strictly positive pair entries."""
+CHECKS = []  # (id, title, zero-argument function returning `_row`s), in id order
+
+
+def _check(cid, title):
+    """Register the decorated check function under its id and title."""
+    return lambda fn: CHECKS.append((cid, title, fn)) or fn
+
+
+def random_biso(rng, max_pairs=6):
+    """Random BISO channel with pair entries drawn from [0.02, 1), normalized."""
     l = int(rng.integers(1, max_pairs + 1))
-    raw = rng.uniform(low, 1.0, size=(l, 2))
+    raw = rng.uniform(0.02, 1.0, size=(l, 2))
     return BisoChannel(raw / raw.sum())
 
 
@@ -89,10 +95,10 @@ def random_binary_channel(rng, max_outputs=8):
     return Channel(raw / raw.sum(axis=1, keepdims=True))
 
 
-def random_dim3_equal_eta(rng, eta):
-    """Random 3-output BISO channel with the given contraction coefficient."""
-    s = float(rng.uniform(eta, 1.0))
-    d = math.sqrt(eta * s)
+def _random_dim3(rng, low, gap):
+    """Random 3-output BISO channel of informative mass s ~ U[low, 1) and |p_1 - p_-1| = gap(s)."""
+    s = float(rng.uniform(low, 1.0))
+    d = gap(s)
     p1, pm1 = (s + d) / 2.0, (s - d) / 2.0
     if rng.random() < 0.5:
         p1, pm1 = pm1, p1
@@ -100,27 +106,24 @@ def random_dim3_equal_eta(rng, eta):
     if p0 <= 0.0:
         return BisoChannel([(p1, pm1)])
     return BisoChannel([(p0 / 2.0, p0 / 2.0), (p1, pm1)])
+
+
+def random_dim3_equal_eta(rng, eta):
+    """Random 3-output BISO channel with the given contraction coefficient."""
+    return _random_dim3(rng, eta, lambda s: math.sqrt(eta * s))
 
 
 def random_dim3_equal_alpha(rng, alpha):
     """Random 3-output BISO channel with the given Doeblin coefficient."""
-    d = 1.0 - alpha
-    s = float(rng.uniform(d, 1.0))
-    p1, pm1 = (s + d) / 2.0, (s - d) / 2.0
-    if rng.random() < 0.5:
-        p1, pm1 = pm1, p1
-    p0 = 1.0 - s
-    if p0 <= 0.0:
-        return BisoChannel([(p1, pm1)])
-    return BisoChannel([(p0 / 2.0, p0 / 2.0), (p1, pm1)])
+    return _random_dim3(rng, 1.0 - alpha, lambda s: 1.0 - alpha)
 
 
-def random_degraded_biso(rng, biso, max_pairs=4, low=0.05):
+def random_degraded_biso(rng, biso, max_pairs=4):
     """A BISO channel obtained from `biso` through a symmetric stochastic map."""
     l = biso.num_pairs
     lp = int(rng.integers(1, max_pairs + 1))
-    to_pos = rng.uniform(low, 1.0, size=(l, lp))
-    to_neg = rng.uniform(low, 1.0, size=(l, lp))
+    to_pos = rng.uniform(0.05, 1.0, size=(l, lp))
+    to_neg = rng.uniform(0.05, 1.0, size=(l, lp))
     norm = (to_pos + to_neg).sum(axis=1, keepdims=True)
     to_pos /= norm
     to_neg /= norm
@@ -136,16 +139,16 @@ def random_degraded_biso(rng, biso, max_pairs=4, low=0.05):
 # ----------------------------------------------------------------------
 
 
+@_check("01-closed-form-counterexample", "closed-form contraction of the equal-eta pair")
 def check_closed_form_counterexample():
-    cid = "01-closed-form-counterexample"
     return [
-        _row(cid, "eta of pairs {(0.32,0.48),(0.19,0.01)}", 0.194, eta_kl_biso(ETA_PAIR_A), 1e-12),
-        _row(cid, "eta of pairs {(0,17/997),(0.7,0.3-17/997)}", 0.194, eta_kl_biso(ETA_PAIR_B), 1e-12),
+        _row("eta of pairs {(0.32,0.48),(0.19,0.01)}", 0.194, eta_kl_biso(ETA_PAIR_A), 1e-12),
+        _row("eta of pairs {(0,17/997),(0.7,0.3-17/997)}", 0.194, eta_kl_biso(ETA_PAIR_B), 1e-12),
     ]
 
 
+@_check("02-optimizer-vs-closed-form", "optimizer agrees with the closed form on random channels")
 def check_optimizer_vs_closed_form():
-    cid = "02-optimizer-vs-closed-form"
     rng = np.random.default_rng(20240201)
     max_dev = 0.0
     max_off = 0.0
@@ -155,13 +158,13 @@ def check_optimizer_vs_closed_form():
         max_dev = max(max_dev, abs(eta_opt - eta_kl_biso(b)))
         max_off = max(max_off, abs(qstar - 0.5))
     return [
-        _row(cid, "max |optimizer - closed form| over 200 channels", 0.0, max_dev, 1e-8),
-        _row(cid, "max |maximizer - 1/2| over 200 channels", 0.0, max_off, 1e-4),
+        _row("max |optimizer - closed form| over 200 channels", 0.0, max_dev, 1e-8),
+        _row("max |maximizer - 1/2| over 200 channels", 0.0, max_off, 1e-4),
     ]
 
 
+@_check("03-bsc-bec-identities", "BSC/BEC coefficient identities")
 def check_bsc_bec_identities():
-    cid = "03-bsc-bec-identities"
     ps = np.linspace(0.0, 0.5, 101)
     dev_eta_bsc = max(abs(eta_kl_biso(canonicalize_biso(make_bsc(p))) - (1 - 2 * p) ** 2) for p in ps)
     dev_alpha_bsc = max(abs(doeblin_alpha(make_bsc(p)) - 2 * p) for p in ps)
@@ -169,15 +172,15 @@ def check_bsc_bec_identities():
     dev_alpha_bec = max(abs(doeblin_alpha(make_bec(e)) - e) for e in es)
     dev_eta_bec = max(abs(eta_kl_biso(canonicalize_biso(make_bec(e))) - (1 - e)) for e in es)
     return [
-        _row(cid, "max |eta(BSC(p)) - (1-2p)^2| on 101-point grid", 0.0, dev_eta_bsc, 1e-12),
-        _row(cid, "max |alpha(BSC(p)) - 2p| on 101-point grid", 0.0, dev_alpha_bsc, 1e-12),
-        _row(cid, "max |alpha(BEC(e)) - e| on 101-point grid", 0.0, dev_alpha_bec, 1e-12),
-        _row(cid, "max |eta(BEC(e)) - (1-e)| on 101-point grid", 0.0, dev_eta_bec, 1e-12),
+        _row("max |eta(BSC(p)) - (1-2p)^2| on 101-point grid", 0.0, dev_eta_bsc, 1e-12),
+        _row("max |alpha(BSC(p)) - 2p| on 101-point grid", 0.0, dev_alpha_bsc, 1e-12),
+        _row("max |alpha(BEC(e)) - e| on 101-point grid", 0.0, dev_alpha_bec, 1e-12),
+        _row("max |eta(BEC(e)) - (1-e)| on 101-point grid", 0.0, dev_eta_bec, 1e-12),
     ]
 
 
+@_check("04-binary-coefficient-chain", "total-variation coefficient chain for binary channels")
 def check_binary_coefficient_chain():
-    cid = "04-binary-coefficient-chain"
     rng = np.random.default_rng(20240204)
     worst = 0.0
     for _ in range(1000):
@@ -185,11 +188,11 @@ def check_binary_coefficient_chain():
         tv = eta_tv(ch)
         chain = (1.0 - doeblin_alpha(ch), alpha_max(ch) - 1.0, math.expm1(maximal_leakage(ch)))
         worst = max(worst, max(abs(tv - v) for v in chain))
-    return [_row(cid, "max chain deviation over 1000 channels", 0.0, worst, 1e-12)]
+    return [_row("max chain deviation over 1000 channels", 0.0, worst, 1e-12)]
 
 
+@_check("05-less-noisy-sandwich", "BEC/BSC less-noisy extremality")
 def check_less_noisy_sandwich():
-    cid = "05-less-noisy-sandwich"
     rng = np.random.default_rng(20240205)
     bec_holds = bsc_holds = 0
     n = 100
@@ -203,23 +206,21 @@ def check_less_noisy_sandwich():
         if is_less_noisy(f, bsc).holds:
             bsc_holds += 1
     return [
-        _row(cid, "BEC(1-eta) less noisy than channel (count of 100)", n, bec_holds, 0.0),
-        _row(cid, "channel less noisy than BSC((1-sqrt(eta))/2) (count of 100)", n, bsc_holds, 0.0),
+        _row("BEC(1-eta) less noisy than channel (count of 100)", n, bec_holds, 0.0),
+        _row("channel less noisy than BSC((1-sqrt(eta))/2) (count of 100)", n, bsc_holds, 0.0),
     ]
 
 
+@_check("06-less-noisy-counterexample", "four-output less-noisy counterexample")
 def check_less_noisy_counterexample():
-    cid = "06-less-noisy-counterexample"
     return [
         _row(
-            cid,
             "criterion at q=0.001 for the equal-eta pair",
             -14.44,
             less_noisy_criterion_biso(ETA_PAIR_A, ETA_PAIR_B, 0.001),
             0.15,
         ),
         _row(
-            cid,
             "criterion at q=0.02 for the equal-eta pair",
             0.9,
             less_noisy_criterion_biso(ETA_PAIR_A, ETA_PAIR_B, 0.02),
@@ -228,8 +229,8 @@ def check_less_noisy_counterexample():
     ]
 
 
+@_check("07-degradability-sandwich", "BEC/BSC degradability extremality")
 def check_degradability_sandwich():
-    cid = "07-degradability-sandwich"
     rng = np.random.default_rng(20240207)
     n = 100
     bec_holds = bsc_holds = 0
@@ -247,33 +248,33 @@ def check_degradability_sandwich():
             via_indicator = compose(flat, bsc_degrading_map(f))
             worst_match = max(worst_match, float(np.abs(via_witness.rows - via_indicator.rows).max()))
     return [
-        _row(cid, "BEC(alpha) degrades onto channel (count of 100)", n, bec_holds, 0.0),
-        _row(cid, "channel degrades onto BSC(alpha/2) (count of 100)", n, bsc_holds, 0.0),
-        _row(cid, "max |witness composition - indicator target|", 0.0, worst_match, 1e-10),
+        _row("BEC(alpha) degrades onto channel (count of 100)", n, bec_holds, 0.0),
+        _row("channel degrades onto BSC(alpha/2) (count of 100)", n, bsc_holds, 0.0),
+        _row("max |witness composition - indicator target|", 0.0, worst_match, 1e-10),
     ]
 
 
+@_check("08-degradability-counterexample", "four-output degradability counterexample")
 def check_degradability_counterexample():
-    cid = "08-degradability-counterexample"
     f_flat = ALPHA_PAIR_F.to_channel()
     g_flat = ALPHA_PAIR_G.to_channel()
     fails_fg = 1 if is_degraded(f_flat, g_flat, witness=False).fails else 0
     fails_gf = 1 if is_degraded(g_flat, f_flat, witness=False).fails else 0
     return [
-        _row(cid, "first channel does not degrade onto second", 1, fails_fg, 0.0),
-        _row(cid, "second channel does not degrade onto first", 1, fails_gf, 0.0),
-        _row(cid, "guessing probability of F at bias 0.12", 0.88, guessing_probability(ALPHA_PAIR_F, 0.12), 5e-6),
-        _row(cid, "guessing probability of G at bias 0.12", 0.89268, guessing_probability(ALPHA_PAIR_G, 0.12), 5e-6),
+        _row("first channel does not degrade onto second", 1, fails_fg, 0.0),
+        _row("second channel does not degrade onto first", 1, fails_gf, 0.0),
+        _row("guessing probability of F at bias 0.12", 0.88, guessing_probability(ALPHA_PAIR_F, 0.12), 5e-6),
+        _row("guessing probability of G at bias 0.12", 0.89268, guessing_probability(ALPHA_PAIR_G, 0.12), 5e-6),
         # Known discrepancy: exact arithmetic gives 0.77455; the reference
         # value 0.775 is a three-digit rounding, so this row cannot pass at
         # the stated tolerance.  Kept as stated rather than loosened.
-        _row(cid, "guessing probability of F at bias 0.29", 0.775, guessing_probability(ALPHA_PAIR_F, 0.29), 5e-6),
-        _row(cid, "guessing probability of G at bias 0.29", 0.76756, guessing_probability(ALPHA_PAIR_G, 0.29), 5e-6),
+        _row("guessing probability of F at bias 0.29", 0.775, guessing_probability(ALPHA_PAIR_F, 0.29), 5e-6),
+        _row("guessing probability of G at bias 0.29", 0.76756, guessing_probability(ALPHA_PAIR_G, 0.29), 5e-6),
     ]
 
 
+@_check("09-dim3-comparability", "dimension-3 comparability and degrading maps")
 def check_dim3_comparability():
-    cid = "09-dim3-comparability"
     rng = np.random.default_rng(20240209)
     n = 100
     agree = 0
@@ -294,13 +295,13 @@ def check_dim3_comparability():
         err = float(np.abs(compose(deg.upper, deg.map).rows - deg.lower.rows).max())
         worst_comp = max(worst_comp, err)
     return [
-        _row(cid, "ratio test agrees with grid decision (count of 100)", n, agree, 0.0),
-        _row(cid, "max composition error of dimension-3 degrading maps", 0.0, worst_comp, 1e-10),
+        _row("ratio test agrees with grid decision (count of 100)", n, agree, 0.0),
+        _row("max composition error of dimension-3 degrading maps", 0.0, worst_comp, 1e-10),
     ]
 
 
+@_check("10-reverse-coefficients", "reverse coefficients match bisected thresholds")
 def check_reverse_coefficients():
-    cid = "10-reverse-coefficients"
     rng = np.random.default_rng(20240210)
     n = 50
     dev_alpha = dev_beta = 0.0
@@ -310,8 +311,8 @@ def check_reverse_coefficients():
         dev_alpha = max(dev_alpha, abs(verify_reverse_alpha(b) - rev.alpha_rev))
         dev_beta = max(dev_beta, abs(verify_reverse_beta(b) - rev.beta_rev))
     return [
-        _row(cid, "max |bisected threshold - (1 - eta_tv)| over 50 channels", 0.0, dev_alpha, 1e-6),
-        _row(cid, "max |bisected threshold - (1 - eta_kl)| over 50 channels", 0.0, dev_beta, 1e-6),
+        _row("max |bisected threshold - (1 - eta_tv)| over 50 channels", 0.0, dev_alpha, 1e-6),
+        _row("max |bisected threshold - (1 - eta_kl)| over 50 channels", 0.0, dev_beta, 1e-6),
     ]
 
 
@@ -319,19 +320,19 @@ def _z_capacity(q):
     return math.log2(1.0 + 2.0 ** (-h2(q) / (1.0 - q)))
 
 
+@_check("11-z-channel", "Z-channel contraction, capacity, and comparability")
 def check_z_channel():
-    cid = "11-z-channel"
     rows = []
 
     dev_eta = 0.0
     for p in np.linspace(0.0, 1.0, 51):
         z = make_z(4.0 * p * (1.0 - p))
         dev_eta = max(dev_eta, abs(eta_kl_binary(z) - (1.0 - 2.0 * p) ** 2))
-    rows.append(_row(cid, "max |eta(Z(4p(1-p))) - (1-2p)^2| on 51-point grid", 0.0, dev_eta, 1e-8))
+    rows.append(_row("max |eta(Z(4p(1-p))) - (1-2p)^2| on 51-point grid", 0.0, dev_eta, 1e-8))
 
     qs = np.arange(1, 21) / 21.0
     dev_cap = max(abs(capacity_binary(make_z(q)) - _z_capacity(q)) for q in qs)
-    rows.append(_row(cid, "max |capacity(Z(q)) - closed form| over 20 parameters", 0.0, dev_cap, 1e-9))
+    rows.append(_row("max |capacity(Z(q)) - closed form| over 20 parameters", 0.0, dev_cap, 1e-9))
 
     # Known discrepancy: the reference reports the mutual-information
     # difference of the capacity-matched pair as non-positive, but it peaks
@@ -345,7 +346,7 @@ def check_z_channel():
         diff = mutual_information_grid(z, xs) - mutual_information_grid(bsc, xs)
         worst_pos = max(worst_pos, float(diff.max()))
     rows.append(
-        _row(cid, "max MI difference of capacity-matched Z vs BSC", 0.0, worst_pos, 1e-9)
+        _row("max MI difference of capacity-matched Z vs BSC", 0.0, worst_pos, 1e-9)
     )
 
     violations = 0
@@ -355,19 +356,19 @@ def check_z_channel():
         eta = 1.0 - q
         bsc = make_bsc((1.0 - math.sqrt(eta)) / 2.0)
         violated = any(
-            less_noisy_criterion_fd(z, bsc, 0.5, float(bias)) < -1e-9
+            less_noisy_criterion_fd(z, bsc, float(bias)) < -1e-9
             for bias in check_biases[:: len(check_biases) // 25]
         )
         if violated:
             violations += 1
     rows.append(
-        _row(cid, "contraction-matched Z fails the BSC criterion below 3/4 (count of 20)", 20, violations, 0.0)
+        _row("contraction-matched Z fails the BSC criterion below 3/4 (count of 20)", 20, violations, 0.0)
     )
     return rows
 
 
+@_check("12-order-hierarchy", "degradable implies less noisy implies more capable")
 def check_order_hierarchy():
-    cid = "12-order-hierarchy"
     rng = np.random.default_rng(20240212)
     n = 500
     deg_ln_violations = 0
@@ -386,13 +387,13 @@ def check_order_hierarchy():
         if ln.holds and mc.fails:
             ln_mc_violations += 1
     return [
-        _row(cid, "degradable pairs that fail less-noisy (count of 500)", 0, deg_ln_violations, 0.0),
-        _row(cid, "less-noisy pairs that fail more-capable (count of 500)", 0, ln_mc_violations, 0.0),
+        _row("degradable pairs that fail less-noisy (count of 500)", 0, deg_ln_violations, 0.0),
+        _row("less-noisy pairs that fail more-capable (count of 500)", 0, ln_mc_violations, 0.0),
     ]
 
 
+@_check("13-applications", "secrecy, divergence bounds, and budget-curve bounds")
 def check_applications():
-    cid = "13-applications"
     rng = np.random.default_rng(20240213)
     rows = []
 
@@ -409,8 +410,8 @@ def check_applications():
             lower_violation = max(lower_violation, bounds.lower - rowdiv)
             if not bounds.upper_unbounded:
                 upper_violation = max(upper_violation, rowdiv - bounds.upper)
-    rows.append(_row(cid, "max lower-bound excess over row divergence", 0.0, max(lower_violation, 0.0), 1e-9))
-    rows.append(_row(cid, "max row divergence excess over finite upper bound", 0.0, max(upper_violation, 0.0), 1e-9))
+    rows.append(_row("max lower-bound excess over row divergence", 0.0, max(lower_violation, 0.0), 1e-9))
+    rows.append(_row("max row divergence excess over finite upper bound", 0.0, max(upper_violation, 0.0), 1e-9))
 
     ts = np.linspace(0.0, 2.0, 81)
     order_violation = 0.0
@@ -428,43 +429,26 @@ def check_applications():
             float(np.max(ups[:-1] - ups[1:])),
         )
         flat_violation = max(flat_violation, float(np.abs(ups[ts >= 1.0] - eta).max()))
-    rows.append(_row(cid, "max budget-curve ordering violation", 0.0, order_violation, 1e-9))
-    rows.append(_row(cid, "max budget-curve monotonicity violation", 0.0, monotone_violation, 1e-9))
-    rows.append(_row(cid, "max |upper bound - eta| for budgets >= 1", 0.0, flat_violation, 1e-9))
+    rows.append(_row("max budget-curve ordering violation", 0.0, order_violation, 1e-9))
+    rows.append(_row("max budget-curve monotonicity violation", 0.0, monotone_violation, 1e-9))
+    rows.append(_row("max |upper bound - eta| for budgets >= 1", 0.0, flat_violation, 1e-9))
 
     # spot values derived from the closed forms, computed independently here
     spot_bec = 0.25 - (1.0 - h2(0.25))
     rows.append(
-        _row(cid, "secrecy vs matched BEC for BSC(0.25)", spot_bec, secrecy_capacity_vs_bec(canonicalize_biso(make_bsc(0.25))), 1e-5)
+        _row("secrecy vs matched BEC for BSC(0.25)", spot_bec, secrecy_capacity_vs_bec(canonicalize_biso(make_bsc(0.25))), 1e-5)
     )
     spot_bsc = (1.0 - 0.5) - 1.0 + h2((1.0 - math.sqrt(1.0 - 0.5)) / 2.0)
     rows.append(
-        _row(cid, "secrecy vs matched BSC for BEC(0.5)", spot_bsc, secrecy_capacity_vs_bsc(canonicalize_biso(make_bec(0.5))), 1e-5)
+        _row("secrecy vs matched BSC for BEC(0.5)", spot_bsc, secrecy_capacity_vs_bsc(canonicalize_biso(make_bec(0.5))), 1e-5)
     )
     rows.append(
-        _row(cid, "secrecy vs matched BSC vanishes for a BSC", 0.0, secrecy_capacity_vs_bsc(canonicalize_biso(make_bsc(0.3))), 1e-12)
+        _row("secrecy vs matched BSC vanishes for a BSC", 0.0, secrecy_capacity_vs_bsc(canonicalize_biso(make_bsc(0.3))), 1e-12)
     )
     rows.append(
-        _row(cid, "secrecy vs matched BEC vanishes for a BEC", 0.0, secrecy_capacity_vs_bec(canonicalize_biso(make_bec(0.4))), 1e-12)
+        _row("secrecy vs matched BEC vanishes for a BEC", 0.0, secrecy_capacity_vs_bec(canonicalize_biso(make_bec(0.4))), 1e-12)
     )
     return rows
-
-
-CHECKS = [
-    ("01-closed-form-counterexample", "closed-form contraction of the equal-eta pair", check_closed_form_counterexample),
-    ("02-optimizer-vs-closed-form", "optimizer agrees with the closed form on random channels", check_optimizer_vs_closed_form),
-    ("03-bsc-bec-identities", "BSC/BEC coefficient identities", check_bsc_bec_identities),
-    ("04-binary-coefficient-chain", "total-variation coefficient chain for binary channels", check_binary_coefficient_chain),
-    ("05-less-noisy-sandwich", "BEC/BSC less-noisy extremality", check_less_noisy_sandwich),
-    ("06-less-noisy-counterexample", "four-output less-noisy counterexample", check_less_noisy_counterexample),
-    ("07-degradability-sandwich", "BEC/BSC degradability extremality", check_degradability_sandwich),
-    ("08-degradability-counterexample", "four-output degradability counterexample", check_degradability_counterexample),
-    ("09-dim3-comparability", "dimension-3 comparability and degrading maps", check_dim3_comparability),
-    ("10-reverse-coefficients", "reverse coefficients match bisected thresholds", check_reverse_coefficients),
-    ("11-z-channel", "Z-channel contraction, capacity, and comparability", check_z_channel),
-    ("12-order-hierarchy", "degradable implies less noisy implies more capable", check_order_hierarchy),
-    ("13-applications", "secrecy, divergence bounds, and budget-curve bounds", check_applications),
-]
 
 
 def check_ids():
@@ -472,10 +456,10 @@ def check_ids():
 
 
 def run_checks(only=None):
-    """Run all checks (or those whose id starts with `only`) and return rows."""
-    rows = []
-    for cid, _, fn in CHECKS:
-        if only is not None and not cid.startswith(only):
-            continue
-        rows.extend(fn())
-    return rows
+    """Run all checks (or those whose id starts with `only`) and return their CheckResults."""
+    return [
+        CheckResult(cid, description, expected, computed, tolerance, abs(computed - expected) <= tolerance)
+        for cid, _, fn in CHECKS
+        if only is None or cid.startswith(only)
+        for description, expected, computed, tolerance in fn()
+    ]

@@ -55,9 +55,9 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _print_matrix(mat, indent="  "):
+def _print_matrix(mat):
     for row in np.asarray(mat):
-        print(indent + " ".join(_fmt(v) for v in row))
+        print("  " + " ".join(_fmt(v) for v in row))
 
 
 def _load(path):
@@ -106,7 +106,9 @@ def _describe_verdict(name, verdict):
     w = verdict.witness
     if w is None:
         return
-    if isinstance(w, CriterionViolation):
+    if isinstance(w, CriterionViolation) and verdict.relation == "undetermined":
+        print(f"  uncertified cell at parameter {_fmt(w.parameter)} with lower bound {_fmt(w.value)}")
+    elif isinstance(w, CriterionViolation):
         print(f"  violation at parameter {_fmt(w.parameter)} with value {_fmt(w.value)}")
     elif isinstance(w, InfeasibilityCertificate):
         print(
@@ -159,30 +161,25 @@ def cmd_extremal(args):
     print(f"class_value: {_fmt(match.channel_class.value)}")
     print(f"bsc_p: {_fmt(match.bsc_p)}")
     print(f"bec_eps: {_fmt(match.bec_eps)}")
-    map_entries = None
-    if kind == "alpha":
-        if biso:
-            dmap = bsc_degrading_map(canonicalize_biso(ch))
-            map_entries = dmap.entries
-            print("indicator map (rows follow the flat output layout):")
-            _print_matrix(map_entries)
-        else:
-            target, dmap = general_binary_dominated(ch)
-            map_entries = dmap.entries
-            print("dominated two-output channel:")
-            _print_matrix(target.rows)
-            print("collapsing map:")
-            _print_matrix(map_entries)
+    dmap = None
+    if kind == "alpha" and biso:
+        dmap = bsc_degrading_map(canonicalize_biso(ch))
+        print("indicator map (rows follow the flat output layout):")
+        _print_matrix(dmap.entries)
+    elif kind == "alpha":
+        target, dmap = general_binary_dominated(ch)
+        print("dominated two-output channel:")
+        _print_matrix(target.rows)
+        print("collapsing map:")
+        _print_matrix(dmap.entries)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "bsc.txt"), "w", encoding="utf-8") as fh:
-            fh.write(format_channel(make_bsc(match.bsc_p)))
-        with open(os.path.join(args.out, "bec.txt"), "w", encoding="utf-8") as fh:
-            fh.write(format_channel(make_bec(match.bec_eps)))
-        if map_entries is not None:
-            with open(os.path.join(args.out, "map.txt"), "w", encoding="utf-8") as fh:
-                for row in map_entries:
-                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        files = {"bsc.txt": format_channel(make_bsc(match.bsc_p)), "bec.txt": format_channel(make_bec(match.bec_eps))}
+        if dmap is not None:
+            files["map.txt"] = "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in dmap.entries)
+        for name, text in files.items():
+            with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         print(f"wrote matched channels to {args.out}")
     return EXIT_OK
 
@@ -232,43 +229,37 @@ def _emit_csv(header, columns, out):
         sys.stdout.write(text)
 
 
+_SWEEP_INPUTS = {  # quantity: (file count, the files in words, what they must be if anything)
+    "criterion": (2, "two channel files", "BISO channels"),
+    "fi-bounds": (1, "one channel file", "a BISO channel"),
+    "mi-diff": (2, "two channel files", None),
+}
+
+
 def cmd_sweep(args):
     if args.grid < 1:
         raise DegenerateParameterError(f"grid_size must be at least 1, got {args.grid}")
     if not math.isfinite(args.tmax):
         raise LeakageOutOfRangeError(f"--tmax must be finite, got {args.tmax!r}")
-    files = args.channels
+    count, in_words, biso = _SWEEP_INPUTS[args.quantity]
+    if len(args.channels) != count:
+        print(f"{args.quantity} sweep needs exactly {in_words}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    chans = [_load(f) for f in args.channels]
+    if biso and not all(map(is_biso, chans)):
+        print(f"{args.quantity} sweep requires {biso}", file=sys.stderr)
+        return EXIT_PRECONDITION
     if args.quantity == "criterion":
-        if len(files) != 2:
-            print("criterion sweep needs exactly two channel files", file=sys.stderr)
-            return EXIT_PRECONDITION
-        a, b = (_load(f) for f in files)
-        if not (is_biso(a) and is_biso(b)):
-            print("criterion sweep requires BISO channels", file=sys.stderr)
-            return EXIT_PRECONDITION
-        ba, bb = canonicalize_biso(a), canonicalize_biso(b)
-        fwd = criterion_profile(ba, bb, args.grid)
+        fwd = criterion_profile(*map(canonicalize_biso, chans), args.grid)
         # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned
         header, columns = "q,forward,reverse", (fwd.parameters, fwd.values, 0.0 - fwd.values)
     elif args.quantity == "fi-bounds":
-        if len(files) != 1:
-            print("fi-bounds sweep needs exactly one channel file", file=sys.stderr)
-            return EXIT_PRECONDITION
-        ch = _load(files[0])
-        if not is_biso(ch):
-            print("fi-bounds sweep requires a BISO channel", file=sys.stderr)
-            return EXIT_PRECONDITION
         ts = np.linspace(0.0, args.tmax, args.grid)
-        pts = fi_curve_bounds(canonicalize_biso(ch), ts)
+        pts = fi_curve_bounds(canonicalize_biso(chans[0]), ts)
         header, columns = "t,lower,upper", (ts, pts.lower, pts.upper)
     else:  # mi-diff
-        if len(files) != 2:
-            print("mi-diff sweep needs exactly two channel files", file=sys.stderr)
-            return EXIT_PRECONDITION
-        a, b = (_load(f) for f in files)
         xs = np.arange(1, args.grid + 1) / (args.grid + 1.0)
-        mi_a = mutual_information_grid(as_channel(a), xs)
-        mi_b = mutual_information_grid(as_channel(b), xs)
+        mi_a, mi_b = (mutual_information_grid(as_channel(ch), xs) for ch in chans)
         header, columns = "x,mi_a,mi_b,difference", (xs, mi_a, mi_b, mi_a - mi_b)
     _emit_csv(header, columns, args.out)
     return EXIT_OK

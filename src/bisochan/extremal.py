@@ -16,6 +16,7 @@ from .channels import (
     BisoChannel,
     Channel,
     DegradingMap,
+    _flat_layout,
     as_channel,
     canonicalize_biso,
     compose,
@@ -40,6 +41,7 @@ from .orders import OrderVerdict, is_degraded, is_less_noisy, is_more_capable
 from .search import bisect_threshold
 
 KINDS = ("capacity", "eta_kl", "alpha")
+CLASS_TOL = 1e-9  # how far the class constants of two dimension-3 channels may differ
 
 
 @dataclass(frozen=True)
@@ -117,13 +119,8 @@ def bsc_degrading_map(biso):
     composition lands exactly on the matched BSC.  Rows follow the flat
     output layout of `BisoChannel.to_channel`.
     """
-    biso = canonicalize_biso(biso)
-    p = biso.pairs[:, 0]
-    pm = biso.pairs[:, 1]
-    a_pos = (p >= pm).astype(float)
-    a_neg = (pm > p).astype(float)
-    # flat layout: negative labels descending from -l, then positive ascending
-    a_flat = np.concatenate([a_neg[::-1], a_pos])
+    p, pm = canonicalize_biso(biso).pairs.T
+    a_flat = _flat_layout(np.stack([p >= pm, pm > p], axis=1).astype(float))[0]
     return DegradingMap(np.stack([a_flat, 1.0 - a_flat], axis=1))
 
 
@@ -132,7 +129,7 @@ def bsc_degrading_map(biso):
 # ----------------------------------------------------------------------
 
 
-def _dim3_parts(biso, tol=1e-12):
+def _dim3_parts(biso):
     """Split a dimension-<=3 BISO channel into (p0, p_plus, p_minus).
 
     Accepts one pair, or two pairs of which the tied ones came from a
@@ -142,7 +139,7 @@ def _dim3_parts(biso, tol=1e-12):
     p0 = 0.0
     informative = None
     for p, pm in biso.pairs:
-        if abs(p - pm) <= tol:
+        if abs(p - pm) <= 1e-12:
             p0 += p + pm
         elif informative is None:
             informative = (float(p), float(pm))
@@ -155,11 +152,9 @@ def _dim3_parts(biso, tol=1e-12):
     return float(p0), informative[0], informative[1]
 
 
-def dim3_channel(p0, p_plus, p_minus, tol=1e-9):
+def dim3_channel(p0, p_plus, p_minus):
     """Three-output BISO channel with columns ordered (-1, 0, +1)."""
-    return Channel(
-        [[p_minus, p0, p_plus], [p_plus, p0, p_minus]], tol=tol
-    )
+    return Channel([[p_minus, p0, p_plus], [p_plus, p0, p_minus]], tol=1e-9)
 
 
 def _dim3_ratio(p0, p_plus, p_minus):
@@ -177,7 +172,7 @@ class Dim3Ratios:
     rho_second: float
 
 
-def dim3_less_noisy_compare(f_biso, g_biso, eta_tol=1e-9):
+def dim3_less_noisy_compare(f_biso, g_biso):
     """Less-noisy verdict for two dimension-<=3 BISO channels of equal eta.
 
     With a single informative pair each, the grid criterion collapses to a
@@ -185,11 +180,9 @@ def dim3_less_noisy_compare(f_biso, g_biso, eta_tol=1e-9):
     rho dominates.  Returns the verdict for "first is less noisy than
     second"; swap the arguments for the reverse direction.
     """
-    f_biso = canonicalize_biso(f_biso)
-    g_biso = canonicalize_biso(g_biso)
     eta_f = eta_kl_biso(f_biso)
     eta_g = eta_kl_biso(g_biso)
-    if abs(eta_f - eta_g) > eta_tol:
+    if abs(eta_f - eta_g) > CLASS_TOL:
         raise ClassMismatchError(f"contraction coefficients differ: {eta_f!r} vs {eta_g!r}")
     rho_f = _dim3_ratio(*_dim3_parts(f_biso))
     rho_g = _dim3_ratio(*_dim3_parts(g_biso))
@@ -214,7 +207,7 @@ class Dim3Degradation:
     swapped: bool
 
 
-def dim3_degrading_map(f_biso, g_biso, alpha_tol=1e-9):
+def dim3_degrading_map(f_biso, g_biso):
     """Explicit degrading map between two equal-alpha dimension-<=3 channels.
 
     The channel with the larger 0-mass degrades onto the other.  The map is
@@ -222,13 +215,10 @@ def dim3_degrading_map(f_biso, g_biso, alpha_tol=1e-9):
     matching or flipped orientation; both are row-stochastic by the shared
     total-variation constraint.
     """
-    fb = canonicalize_biso(f_biso)
-    gb = canonicalize_biso(g_biso)
-    f_parts = _dim3_parts(fb)
-    g_parts = _dim3_parts(gb)
+    f_parts, g_parts = _dim3_parts(f_biso), _dim3_parts(g_biso)
     alpha_f = 1.0 - abs(f_parts[1] - f_parts[2])
     alpha_g = 1.0 - abs(g_parts[1] - g_parts[2])
-    if abs(alpha_f - alpha_g) > alpha_tol:
+    if abs(alpha_f - alpha_g) > CLASS_TOL:
         raise ClassMismatchError(f"Doeblin coefficients differ: {alpha_f!r} vs {alpha_g!r}")
 
     swapped = f_parts[0] > g_parts[0]
@@ -290,40 +280,29 @@ def reverse_coefficients(biso):
     )
 
 
-def verify_reverse_alpha(biso, xtol=2e-7):
+def _reverse_threshold(dominated):
+    """The smallest p in [0, 1/2] with `dominated(p)`, by bisection to 2e-7."""
+    return bisect_threshold(dominated, 0.0, 0.5, 2e-7)
+
+
+def verify_reverse_alpha(biso):
     """Bisection for the smallest 2p with the channel degradable onto BSC(p)."""
-    biso = canonicalize_biso(biso)
-    flat = biso.to_channel()
-
-    def dominated(p):
-        return is_degraded(flat, make_bsc(p), witness=False).holds
-
-    p_star = bisect_threshold(dominated, 0.0, 0.5, xtol)
-    return 2.0 * p_star
+    flat = canonicalize_biso(biso).to_channel()
+    return 2.0 * _reverse_threshold(lambda p: is_degraded(flat, make_bsc(p), witness=False).holds)
 
 
-def verify_reverse_beta(biso, xtol=2e-7):
+def verify_reverse_beta(biso):
     """Bisection for the smallest 4p(1-p) with the channel less noisy than BSC(p)."""
     biso = canonicalize_biso(biso)
-
-    def dominated(p):
-        if p >= 0.5:
-            return True
-        return is_less_noisy(biso, BisoChannel([(p, 1.0 - p)])).holds  # canonical BSC(p), p < 1/2
-
-    p_star = bisect_threshold(dominated, 0.0, 0.5, xtol)
+    # BisoChannel([(p, 1 - p)]) is the canonical BSC(p) for p < 1/2
+    p_star = _reverse_threshold(lambda p: p >= 0.5 or is_less_noisy(biso, BisoChannel([(p, 1.0 - p)])).holds)
     return 4.0 * p_star * (1.0 - p_star)
 
 
-def verify_reverse_gamma(biso, xtol=2e-7):
+def verify_reverse_gamma(biso):
     """Bisection for 1 - h2(p) at the smallest p with the channel more capable than BSC(p)."""
-    biso = canonicalize_biso(biso)
-    flat = biso.to_channel()
-
-    def dominated(p):
-        return is_more_capable(flat, make_bsc(p)).holds
-
-    return 1.0 - h2(bisect_threshold(dominated, 0.0, 0.5, xtol))
+    flat = canonicalize_biso(biso).to_channel()
+    return 1.0 - h2(_reverse_threshold(lambda p: is_more_capable(flat, make_bsc(p)).holds))
 
 
 # ----------------------------------------------------------------------

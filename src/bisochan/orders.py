@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BisoChannel, DegradingMap, as_channel, canonicalize_biso, compose
+from .channels import BisoChannel, DegradingMap, _flat_layout, as_channel, canonicalize_biso, compose
 from .coefficients import _mutual_information_and_slope, mutual_information, mutual_information_grid
 from .errors import DegenerateParameterError, NumericalInstabilityError
 
@@ -56,7 +56,12 @@ class InfeasibilityCertificate:
 
 @dataclass(frozen=True)
 class OrderVerdict:
-    """Outcome of a partial-order query: holds, fails, or undetermined."""
+    """Outcome of a partial-order query: holds, fails, or undetermined.
+
+    An undetermined witness holds the left end and the lower bound of the
+    lowest cell `_dc_search` could not certify; a less-noisy sample the
+    criterion over all flat rows does not confirm is the cell [q, q], its bound.
+    """
 
     relation: str
     witness: object = None
@@ -129,9 +134,7 @@ def _flat_rows(w, v):
     rows of a BisoChannel, or of an array of pairs, are read from its pairs,
     in `to_channel` order."""
     w_rows, v_rows = (
-        ch.flat_rows() if isinstance(ch, BisoChannel)
-        else np.concatenate((ch[::-1, ::-1], ch)).T if isinstance(ch, np.ndarray)
-        else as_channel(ch).rows
+        _flat_layout(getattr(ch, "pairs", ch)) if isinstance(ch, (BisoChannel, np.ndarray)) else as_channel(ch).rows
         for ch in (w, v)
     )
     r0, r1 = np.concatenate((w_rows, v_rows), axis=1)
@@ -280,7 +283,8 @@ def is_less_noisy(w, v):
     flat rows is below -1e-9.  In order: the q-grid up to 1/2, its argmin the
     witness; the Bernstein certificate of `_criterion_polynomial` of the
     `_net_pairs`; and `_dc_search` of their rows, its first cell (0, 1e-3]
-    bounded by `_first_cell`, where an unconfirmed witness is undetermined.
+    bounded by `_first_cell`, where a witness the criterion over all flat
+    rows does not confirm is undetermined.
     """
     w, v = canonicalize_biso(w), canonicalize_biso(v)
     rows = _flat_rows(w, v)
@@ -297,19 +301,20 @@ def is_less_noisy(w, v):
     verdict = _dc_search(sample, _HALF_GRID, 0.0, cells, _first_cell(net_rows))
     if not verdict.fails:
         return verdict
-    q = verdict.witness.parameter
-    value = less_noisy_criterion_biso(w, v, q)
-    return OrderVerdict("fails" if value < -VERDICT_TOL else "undetermined", CriterionViolation(q, value))
+    value = less_noisy_criterion_biso(w, v, verdict.witness.parameter)
+    if value >= -VERDICT_TOL:
+        return OrderVerdict("undetermined", verdict.witness)
+    return OrderVerdict("fails", CriterionViolation(verdict.witness.parameter, value))
 
 
-def less_noisy_criterion_fd(w, v, p, q):
+def less_noisy_criterion_fd(w, v, q):
     """Second derivative of the chi-squared difference for general binary channels.
 
     The derivative is in the primal bias p of
     chi2(W o Ber(p) || W o Ber(q)) - chi2(V o Ber(p) || V o Ber(q)).
     Both terms are quadratic in p, so each contributes the constant
-    2 sum (r0 - r1)^2 / (q r0 + (1 - q) r1) over the outputs with r0 != r1;
-    `p` does not change the value.  Equals twice the BISO closed criterion.
+    2 sum (r0 - r1)^2 / (q r0 + (1 - q) r1) over the outputs with r0 != r1,
+    whatever p is.  Equals twice the BISO closed criterion.
     """
     q = float(q)
     if q <= 0.0 or q >= 1.0:

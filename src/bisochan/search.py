@@ -27,7 +27,7 @@ def newton_max(slope):
     return x
 
 
-def bisect_threshold(pred, lo, hi, xtol=1e-8):
+def bisect_threshold(pred, lo, hi, xtol):
     """Locate the boundary of a monotone predicate on [lo, hi].
 
     `pred` must be False on [lo, x*) and True on (x*, hi].  Returns an

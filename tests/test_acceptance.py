@@ -36,6 +36,7 @@ def _format_row(row):
 def test_criterion(cid, title):
     rows = checks.run_checks(only=cid)
     assert rows, f"criterion {cid} produced no checks"
+    assert all(row.check_id == cid for row in rows)
     excluded = KNOWN_IMPOSSIBLE.get(cid, set())
     failures = []
     for row in rows:

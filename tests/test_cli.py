@@ -18,7 +18,7 @@ from bisochan import (
     match_extremal,
     mutual_information_grid,
 )
-from bisochan.channels import format_channel, make_bsc, make_z
+from bisochan.channels import format_biso, format_channel, make_bsc, make_z
 from bisochan.cli import _emit_csv, _fmt, main
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -265,6 +265,23 @@ class TestCompare:
         path.write_text(format_channel(BisoChannel(a / a.sum()).to_channel()))
         assert main(["compare", str(path), str(path), "--order", "ln"]) == 0
         assert capsys.readouterr().out == "less-noisy A>=B: holds\nless-noisy B>=A: holds\n"
+
+    def test_undetermined_prints_the_uncertified_cell(self, tmp_path, capsys):
+        # a 128-pair channel against itself with one pair split at t and renormalized:
+        # the search stops at its cell budget, and the witness is a cell, not a violation
+        rng = np.random.default_rng(7001)
+        a = rng.uniform(size=(128, 2)) ** 5
+        w = BisoChannel(a / a.sum())
+        i, t = int(rng.integers(128)), float(rng.uniform(0.1, 0.9))
+        split = np.vstack((np.delete(w.pairs, i, axis=0), w.pairs[i] * t, w.pairs[i] * (1.0 - t)))
+        paths = [tmp_path / "w.txt", tmp_path / "split.txt"]
+        for path, ch in zip(paths, (w, BisoChannel(split / split.sum()))):
+            path.write_text(format_biso(ch))
+        assert main(["compare", *map(str, paths), "--order", "ln"]) == 0
+        cell = "  uncertified cell at parameter 0 with lower bound -682566.279664"
+        assert capsys.readouterr().out.splitlines() == [
+            "less-noisy A>=B: undetermined", cell, "less-noisy B>=A: undetermined", cell,
+        ]
 
     def test_symmetric_more_capable_witnesses_lie_in_the_lower_half(self, capsys):
         # A>=B was witnessed at 0.9999921875 when the whole bias interval was searched

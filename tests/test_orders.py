@@ -132,7 +132,7 @@ class TestLessNoisyCriterion:
             w = random_biso(rng, max_pairs=3)
             v = random_biso(rng, max_pairs=3)
             q = float(rng.uniform(0.05, 0.95))
-            fd = less_noisy_criterion_fd(w.to_channel(), v.to_channel(), 0.4, q)
+            fd = less_noisy_criterion_fd(w.to_channel(), v.to_channel(), q)
             closed = 2.0 * less_noisy_criterion_biso(w, v, q)
             assert abs(fd - closed) < 1e-12 * max(1.0, abs(closed))
 
@@ -365,6 +365,17 @@ class TestIsLessNoisy:
         verdict = is_less_noisy(w, split)
         assert verdict.relation == "undetermined" and verdict.witness.value < -1e-9
         assert orders._LN_TERMS // 5 < max(terms) <= orders._LN_TERMS // 2
+
+    def test_unconfirmed_sample_is_an_undetermined_cell(self, monkeypatch):
+        # a search sample that the criterion over all flat rows does not confirm is the
+        # uncertified cell [q, q]: the witness keeps the sample, below -1e-9
+        rng = np.random.default_rng(44)
+        a, b = rng.uniform(size=(48, 2)) ** 5, rng.uniform(size=(48, 2)) ** 5
+        w, v = BisoChannel(a / a.sum()), BisoChannel(b / b.sum())
+        monkeypatch.setattr(orders, "less_noisy_criterion_biso", lambda w, v, q: 0.0)
+        verdict = is_less_noisy(w, v)
+        assert verdict.relation == "undetermined"
+        assert 0.0 < verdict.witness.parameter < 1e-3 and verdict.witness.value < -1e-9
 
     def test_both_orders_run_one_search(self, monkeypatch):
         calls = []
