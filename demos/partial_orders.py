@@ -46,7 +46,7 @@ print("sign changes, so neither channel is less noisy than the other:")
 print(f"  W >= V: {bc.is_less_noisy(w, v).relation}")
 print(f"  V >= W: {bc.is_less_noisy(v, w).relation}")
 
-print("\n=== More capable is decided on an input-bias grid ===")
+print("\n=== More capable is certified by DC branch and bound ===")
 print(f"BSC(0.1) vs BSC(0.4): {bc.is_more_capable(bc.make_bsc(0.1), bc.make_bsc(0.4)).relation}")
 mc = bc.is_more_capable(bc.make_bsc(0.4), bc.make_bsc(0.1))
 print(f"BSC(0.4) vs BSC(0.1): {mc.relation} at bias {mc.witness.parameter:.3f}")

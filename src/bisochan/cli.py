@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Commands: analyze, compare, extremal, paper-check, sweep.  Exit codes:
-0 ok, 1 check failure, 2 parse error, 3 invalid channel, 4 precondition
-violation.  All output is deterministic; numbers print with 12 significant
-digits.
+0 ok, 1 check failure, 2 parse error or unwritable output, 3 invalid
+channel, 4 precondition violation.  All output is deterministic; numbers
+print with 12 significant digits.
 """
 
 import argparse
@@ -317,6 +317,9 @@ def main(argv=None):
         return args.func(args)
     except ChannelFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except OSError as exc:  # a write: `_load` maps the reads to ChannelFormatError
+        print(f"cannot write: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except InvalidChannelError as exc:
         print(f"invalid channel: {exc}", file=sys.stderr)

@@ -6,13 +6,14 @@ give the refuting prior of a failure and, through the shadows of the
 posterior masses, the degrading map of a success.  The less-noisy and
 more-capable orders share one DC branch and bound on the cells of a grid:
 a violation is a sampled point, and a holding verdict rests on a lower
-bound of every cell.  Less-noisy tries a half grid and a Bernstein
-certificate first, nets pairs of equal posterior, and bounds its first
-cell (0, 1e-3] in closed form; symmetric pairs search up to 1/2 only.
+bound of every cell.  Less-noisy tries a half grid first, nets pairs of
+equal posterior, and certifies the criterion times a positive product by
+Bernstein coefficients built factor by factor in that basis; the search
+bounds its first cell (0, 1e-3] in closed form, and symmetric pairs search
+up to 1/2 only.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,60 +193,54 @@ def _net_pairs(w, v):
     return tuple(np.array(side).reshape(-1, 2) for side in sides)
 
 
-def _criterion_polynomial(w_pairs, v_pairs):
-    """Coefficients, highest first, of (criterion + VERDICT_TOL) prod(a + cx) in x = 4q(1 - q).
+def _criterion_bernstein(w_pairs, v_pairs):
+    """Bernstein coefficients b_0..b_n on [0, 1] of (criterion + VERDICT_TOL) prod(a + cx), x = 4q(1 - q).
 
-    A pair with s = p + p_- contributes 4k / (a + cx), k = (p - p_-)^2 / s,
-    c = (p - p_-)^2 / s^2, a = 1 - c = 4 p p_- / s^2; p = p_- contributes
-    nothing.  prod(a + cx) > 0 on (0, 1], so the product, a polynomial of
-    degree <= l_W + l_V, has the sign of the criterion + VERDICT_TOL there.
+    A pair with s = p + p_- contributes k / (a + cx), k = +-4 (p - p_-)^2 / s
+    (+ for W), c = (p - p_-)^2 / s^2, a = 4 p p_- / s^2 = 1 - c; p = p_-
+    contributes nothing.  prod(a + cx) > 0 on (0, 1], so the product, of
+    degree n <= l_W + l_V, has the sign of the criterion + VERDICT_TOL there.
+    A factor a + cx = a (1 - x) + x has Bernstein coefficients (a, 1), so c
+    is never formed, and times it a product b of degree j - 1 has the
+    coefficients (j - m)/j a b_m + m/j b_(m-1) (Farouki & Rajan, CAGD 1988):
+    no binomial, and every coefficient stays within +-9 at any degree.
     """
     pairs = np.concatenate((w_pairs, v_pairs))
     moving = pairs[:, 0] != pairs[:, 1]
     p, pm = pairs[moving].T
     s = p + pm
     k = np.repeat([4.0, -4.0], (len(w_pairs), len(v_pairs)))[moving] * (p - pm) ** 2 / s
-    # prod_j (c_j x + a_j) and sum_i k_i prod_{j != i} (c_j x + a_j), one factor at a time,
-    # in Python floats: each coefficient is the two-term sum np.convolve forms, bit for bit
-    prod, acc = [1.0], [0.0]
-    for ki, ci, ai in zip(k.tolist(), (((p - pm) / s) ** 2).tolist(), (4.0 * p * pm / s**2).tolist()):
-        acc = [x * ci + y * ai + ki * z for x, y, z in zip(acc + [0.0], [0.0] + acc, [0.0] + prod)]
-        prod = [x * ci + y * ai for x, y in zip(prod + [0.0], [0.0] + prod)]
-    return VERDICT_TOL * np.array(prod) + np.array(acc)
+    # prod_j (a_j + c_j x) and VERDICT_TOL prod_j + sum_i k_i prod_(j != i), one factor at a
+    # time in Python floats; the sum is raised by one degree as it takes k_j times the product
+    prod, acc = [1.0], [VERDICT_TOL]
+    for j, (kj, aj) in enumerate(zip(k.tolist(), (4.0 * p * pm / s**2).tolist()), 1):
+        up = [m / j for m in range(j + 1)]
+        down = up[::-1]
+        acc = [d * (x * aj + kj * z) + u * (y + kj * w)
+               for d, u, x, y, z, w in zip(down, up, acc + [0.0], [0.0] + acc, prod + [0.0], [0.0] + prod)]
+        prod = [d * (x * aj) + u * y for d, u, x, y in zip(down, up, prod + [0.0], [0.0] + prod)]
+    return np.array(acc)
 
 
-@functools.lru_cache(maxsize=32)
-def _bernstein_matrix(n):
-    """M[k, j] = C(k, j) / C(n, j) for j <= k, each a correctly rounded integer quotient.
+def _bernstein_positive(b):
+    """Whether the coefficients b of `_criterion_bernstein` prove it positive on (0, 1].
 
-    M a, for power coefficients a lowest first, are the degree-n Bernstein
-    coefficients on [0, 1] (Farouki & Rajan, CAGD 1987).
+    P = sum_k b_k C(n, k) x^k (1 - x)^(n - k) is a convex combination of b,
+    so P >= min b_k on [0, 1].  Each b_k must exceed 4 (n + 4) 2^-52 9 =
+    (8n + 32) 9u, u = 2^-53.  The rounded k and a (each within 5u) are the
+    exact inputs of a criterion whose terms are each within 11u of the true
+    ones, times prod(a (1 - x) + x) > 0, which keeps its sign.  The recursion
+    multiplies nonnegative weights, a and products, and only k and
+    VERDICT_TOL carry a sign, so each b_k sums terms that pass at most 5
+    roundings a step: it is within gamma_(5n) B_k(Mag) of the exact value,
+    Mag the polynomial with |k| for k.  With the inputs' 11u that is
+    (5n + 12) u B_k(Mag), under the margin.  B_k(Mag) <= 9: each
+    prod_(j != i) has Bernstein coefficients in [0, (1 + 6u)^n], its
+    factors' being (a_j, 1) with a_j <= 1 + 6u, and sum |k_i| =
+    4 (eta_W + eta_V) <= 8 (1 + 1e-9), which netting only lowers.
     """
-    cn = [math.comb(n, j) for j in range(n + 1)]
-    m = np.zeros((n + 1, n + 1))
-    row = [1]  # C(k, j), j = 0..k: Pascal's triangle
-    for k in range(n + 1):
-        m[k, : k + 1] = [c / d for c, d in zip(row, cn)]
-        row = [a + b for a, b in zip([0] + row, row + [0])]
-    m.setflags(write=False)
-    return m
-
-
-def _bernstein_positive(poly):
-    """Whether the Bernstein coefficients of `poly` (highest first) prove it positive on [0, 1].
-
-    P = sum_k b_k C(n, k) x^k (1 - x)^(n - k) is a convex combination of its
-    coefficients b, so P >= min b_k on [0, 1].  Each b_k must exceed
-    4 (n + 4) 2^-52 9.  In units u = 2^-53 of B_k(Mag), Mag the polynomial of
-    |k| for k, that bounds the rounding of k, a and c (each term moves by
-    under 11u; prod(a + cx) > 0 keeps the sign), of `_criterion_polynomial`
-    (gamma_(3n+2)), of the matrix (u) and of M a (gamma_(n+1)): (4n + 15) u,
-    under half the margin.  B_k(Mag) <= 9: each prod_(j != i) (a_j + c_j x)
-    has Bernstein coefficients in [0, 1], its factors' being (a_j, 1), and
-    sum |k_i| = 4 (eta_W + eta_V) <= 8 (1 + 1e-9), which netting only lowers.
-    """
-    n = poly.size - 1
-    return bool(np.all(_bernstein_matrix(n) @ poly[::-1] > (4.0 * (n + 4) * 2.0**-52) * 9.0))
+    n = b.size - 1
+    return bool(np.all(b > (4.0 * (n + 4) * 2.0**-52) * 9.0))
 
 
 def _ln_samples(rows, qs):
@@ -281,7 +276,7 @@ def is_less_noisy(w, v):
     -1e-9 in (0, 1/2] (so channels of one contraction coefficient, which touch
     zero at q = 1/2, hold), with a witness q > 0 where the criterion over all
     flat rows is below -1e-9.  In order: the q-grid up to 1/2, its argmin the
-    witness; the Bernstein certificate of `_criterion_polynomial` of the
+    witness; the Bernstein certificate of `_criterion_bernstein` of the
     `_net_pairs`; and `_dc_search` of their rows, its first cell (0, 1e-3]
     bounded by `_first_cell`, where a witness the criterion over all flat
     rows does not confirm is undetermined.
@@ -293,7 +288,7 @@ def is_less_noisy(w, v):
         k = int(np.argmin(vals))
         return OrderVerdict("fails", CriterionViolation(float(_HALF_GRID[k]), float(vals[k])))
     net = _net_pairs(w, v)
-    if _bernstein_positive(_criterion_polynomial(*net)):
+    if _bernstein_positive(_criterion_bernstein(*net)):
         return OrderVerdict("holds")
     net_rows = _flat_rows(*net)
     cells = _LN_TERMS // max(net_rows[0].shape[1], 1)

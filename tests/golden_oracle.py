@@ -115,6 +115,28 @@ def is_more_capable(p_channel, q_channel, grid_size=999):
     return bool(vals.min() < -VERDICT_TOL), verdict_from_minimum(best_x, best_v, f)
 
 
+def criterion_polynomial(w_pairs, v_pairs):
+    """Coefficients, highest first, of (criterion + VERDICT_TOL) prod(a + cx) in x = 4q(1 - q).
+
+    A pair with s = p + p_- contributes 4k / (a + cx), k = (p - p_-)^2 / s,
+    c = (p - p_-)^2 / s^2, a = 1 - c = 4 p p_- / s^2; p = p_- contributes
+    nothing.  prod(a + cx) > 0 on (0, 1], so the product, a polynomial of
+    degree <= l_W + l_V, has the sign of the criterion + VERDICT_TOL there.
+    """
+    pairs = np.concatenate((w_pairs, v_pairs))
+    moving = pairs[:, 0] != pairs[:, 1]
+    p, pm = pairs[moving].T
+    s = p + pm
+    k = np.repeat([4.0, -4.0], (len(w_pairs), len(v_pairs)))[moving] * (p - pm) ** 2 / s
+    # prod_j (c_j x + a_j) and sum_i k_i prod_{j != i} (c_j x + a_j), one factor at a time,
+    # in Python floats: each coefficient is the two-term sum np.convolve forms, bit for bit
+    prod, acc = [1.0], [0.0]
+    for ki, ci, ai in zip(k.tolist(), (((p - pm) / s) ** 2).tolist(), (4.0 * p * pm / s**2).tolist()):
+        acc = [x * ci + y * ai + ki * z for x, y, z in zip(acc + [0.0], [0.0] + acc, [0.0] + prod)]
+        prod = [x * ci + y * ai for x, y in zip(prod + [0.0], [0.0] + prod)]
+    return VERDICT_TOL * np.array(prod) + np.array(acc)
+
+
 def sign_probes(poly):
     """q-points in (0, 1/2] meeting every sign interval of the criterion + VERDICT_TOL:
     each (near-)real root in (0, 1) of the polynomial and the midpoint of
@@ -137,7 +159,7 @@ def is_less_noisy(w, v):
     qs = orders._HALF_GRID
     vals = orders._criterion(rows, qs)
     if vals.min() >= -VERDICT_TOL:
-        qs = sign_probes(orders._criterion_polynomial(w.pairs, v.pairs))
+        qs = sign_probes(criterion_polynomial(w.pairs, v.pairs))
         vals = orders._criterion(rows, qs)
         if vals.min() >= -VERDICT_TOL:
             return OrderVerdict("holds")

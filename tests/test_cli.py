@@ -332,6 +332,15 @@ class TestExtremal:
         assert (outdir / "bec.txt").exists()
         assert (outdir / "map.txt").exists()
 
+    def test_out_over_a_regular_file_exit_2(self, eta_file_a, tmp_path, capsys):
+        taken = tmp_path / "F"
+        taken.write_text("keep")
+        assert main(["extremal", eta_file_a, "--kind", "eta", "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "kind: eta" and len(captured.out.splitlines()) == 4
+        assert captured.err.startswith("cannot write") and captured.err.count("\n") == 1
+        assert taken.read_text() == "keep"
+
 
 class TestPaperCheck:
     def test_list(self, capsys):
@@ -407,6 +416,13 @@ class TestSweep:
             ]
         ) == 0
         assert out.read_text().startswith("q,forward,reverse\n")
+
+    def test_out_in_a_missing_directory_exit_2(self, eta_file_a, eta_file_b, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main(["sweep", "--quantity", "mi-diff", eta_file_a, eta_file_b, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.parent.exists()
+        assert captured.err.startswith("cannot write") and captured.err.count("\n") == 1
 
     def test_degenerate_grid_exit_4(self, eta_file_a, eta_file_b, capsys):
         argv = ["sweep", "--quantity", "criterion", eta_file_a, eta_file_b, "--grid", "1"]

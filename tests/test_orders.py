@@ -3,7 +3,9 @@ import inspect
 import math
 import time
 import tracemalloc
+import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -250,21 +252,21 @@ class TestIsLessNoisy:
 
     def test_polynomial_matches_the_convolution_chains(self, monkeypatch):
         cases = list(_polynomial_cases(15))
-        new = [orders._criterion_polynomial(w.pairs, v.pairs) for w, v in cases]
-        relations = [is_less_noisy(w, v).relation for w, v in cases]
-        monkeypatch.setattr(orders, "_criterion_polynomial", _convolution_polynomial)
+        new = [golden_oracle.criterion_polynomial(w.pairs, v.pairs) for w, v in cases]
+        relations = [golden_oracle.is_less_noisy(w, v).relation for w, v in cases]
+        monkeypatch.setattr(golden_oracle, "criterion_polynomial", _convolution_polynomial)
         for (w, v), poly, relation in zip(cases, new, relations):
             old = _convolution_polynomial(w.pairs, v.pairs)
             scale = _convolution_polynomial(w.pairs, v.pairs, magnitude=True)
             assert poly.shape == old.shape
             assert np.all(np.abs(poly - old) <= 1e-12 * scale)
-            assert is_less_noisy(w, v).relation == relation
+            assert golden_oracle.is_less_noisy(w, v).relation == relation
 
     def test_polynomial_matches_the_prefix_convolution_bitwise(self):
         cases = list(_polynomial_cases(16)) + list(_seeded_pairs(17, 400))
         cases += [(ETA_PAIR_A, ETA_PAIR_B), (ETA_PAIR_A, ETA_PAIR_A)]
         for w, v in cases:
-            new, old = orders._criterion_polynomial(w.pairs, v.pairs), _prefix_convolution_polynomial(w, v)
+            new, old = golden_oracle.criterion_polynomial(w.pairs, v.pairs), _prefix_convolution_polynomial(w, v)
             assert new.shape == old.shape and np.array_equal(new, old), (w, v)
 
     def test_flat_rows_match_the_flat_channels_bitwise(self):
@@ -451,25 +453,67 @@ class TestIsLessNoisy:
         assert is_less_noisy(canonicalize_biso(make_bec(1 - eta)), b).holds  # K = 1 - eta > 0
         assert is_less_noisy(b, canonicalize_biso(make_bsc((1 - math.sqrt(eta)) / 2))).holds  # no K
 
-    def test_bernstein_matrix_converts_the_basis(self):
-        rng = np.random.default_rng(41)
-        xs = np.linspace(0.0, 1.0, 11)
-        for n in (0, 1, 5, 12):
-            poly = rng.normal(size=n + 1)
-            b = orders._bernstein_matrix(n) @ poly[::-1]
-            basis = np.array([math.comb(n, k) * xs**k * (1.0 - xs) ** (n - k) for k in range(n + 1)])
-            assert np.allclose(b @ basis, np.polyval(poly, xs), rtol=0.0, atol=1e-12)
+    def test_bernstein_coefficients_match_the_power_polynomial(self):
+        # power coefficients a_j (lowest first), as exact rationals, have the Bernstein
+        # coefficients sum_(j <= k) C(k, j) / C(n, j) a_j.  The new build is within
+        # gamma_(5n) B_k(Mag) of its exact value and the oracle's within gamma_(3n+2); their
+        # factors' coefficient 1 and a + c differ by 10u at most: (18n + 3) u B_k(Mag) in all
+        def bernstein(power):
+            power = [Fraction(c) for c in power[::-1].tolist()]
+            n = len(power) - 1
+            return np.array([
+                float(sum(Fraction(math.comb(k, j), math.comb(n, j)) * power[j] for j in range(k + 1)))
+                for k in range(n + 1)
+            ])
+
+        certified = 0
+        for w, v in list(_polynomial_cases(20)) + list(_seeded_pairs(21, 100)):
+            new = orders._criterion_bernstein(w.pairs, v.pairs)
+            old = bernstein(golden_oracle.criterion_polynomial(w.pairs, v.pairs))
+            mag = bernstein(_convolution_polynomial(w.pairs, v.pairs, magnitude=True))
+            n = new.size - 1
+            assert old.shape == new.shape and np.all(np.abs(new - old) <= (18 * n + 3) * 2.0**-53 * mag), (w, v)
+            assert orders._bernstein_positive(new) == bool(np.all(old > 4.0 * (n + 4) * 2.0**-52 * 9.0))
+            certified += orders._bernstein_positive(new)
+        assert certified > 20
 
     def test_bernstein_certificate(self):
-        positive = np.array([1.0, 1.0])  # 1 + x
+        positive = np.array([1.0, 2.0])  # 1 + x
         assert orders._bernstein_positive(positive)
         assert orders._bernstein_positive(np.array([orders.VERDICT_TOL]))  # identical channels
-        interior_root = np.array([1.0, -1.0, 0.25])  # (x - 1/2)^2 >= 0, zero at 1/2
-        end_touch = np.array([1.0, 1.0, 0.0])  # x (1 + x), zero at x = 0
-        for poly in (interior_root, end_touch):
-            assert not orders._bernstein_positive(poly)
+        interior_root = np.array([0.25, -0.25, 0.25])  # (x - 1/2)^2 >= 0, zero at 1/2
+        end_touch = np.array([0.0, 0.5, 2.0])  # x (1 + x), zero at x = 0
+        for b in (interior_root, end_touch):
+            assert not orders._bernstein_positive(b)
         thin = np.array([1e-16])  # positive, but by less than its margin
         assert not orders._bernstein_positive(thin)
+
+    def test_paper_check_never_searches(self, monkeypatch):
+        # every less-noisy pair of paper-check that the half grid does not refute is
+        # certified: the branch and bound behind the certificate never runs
+        calls = []
+        search = orders._dc_search
+        monkeypatch.setattr(orders, "_dc_search", lambda *a: calls.append(len(a) == 5) or search(*a))
+        checks.run_checks()
+        assert True not in calls and len(calls) > 0
+
+    def test_certificate_is_bounded_at_high_degree(self):
+        # 1,100 pairs against an 8-pair garbling: the product of the a_j underflows, and no
+        # coefficient may overflow, warn or be kept; an (n + 1)^2 float matrix would be 9.8 MB
+        raw = np.random.default_rng(5).uniform(0.02, 1.0, size=(1100, 2))
+        w = BisoChannel(raw / raw.sum())
+        v = random_degraded_biso(np.random.default_rng(7), w, max_pairs=8)
+        assert v.num_pairs == 8
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                certified = orders._bernstein_positive(orders._criterion_bernstein(w.pairs, v.pairs))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(certified, bool)
+        assert peak < 1e6 and kept < 1e4
 
     def test_matches_root_probe_oracle(self, monkeypatch):
         # wherever the half grid or the certificate decides, the verdict and witness are
@@ -546,7 +590,7 @@ def _curvature_sum(biso, qs):
 
 
 def _convolution_polynomial(w_pairs, v_pairs, magnitude=False):
-    """The polynomial of `orders._criterion_polynomial` as it was first built:
+    """The polynomial of `golden_oracle.criterion_polynomial` as it was first built:
     one chain of np.convolve per dropped factor, quadratic in the pairs.
     With magnitude=True every k enters as |k|, which bounds each coefficient's
     terms, since the factors' coefficients are nonnegative.
@@ -566,7 +610,7 @@ def _convolution_polynomial(w_pairs, v_pairs, magnitude=False):
 
 
 def _prefix_convolution_polynomial(w, v):
-    """`orders._criterion_polynomial` as it was: a running product and a
+    """`golden_oracle.criterion_polynomial` as it was: a running product and a
     running sum, two np.convolve per factor."""
     pairs = np.concatenate((w.pairs, v.pairs))
     moving = pairs[:, 0] != pairs[:, 1]
