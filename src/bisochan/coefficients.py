@@ -216,13 +216,17 @@ def mutual_information_grid(channel, ps):
 
 
 def _mutual_information_and_slope(channel, ps, slope=True):
-    """I and I' = H(r1) - H(r0) - sum_y d log2(out_y), d = r0 - r1, at each bias.
+    """I and I' = H(r1) - H(r0) - sum_y d log2(out_y) - sum_y d / ln 2, d = r0 - r1, at each bias.
 
-    An output that only input 0 reaches has out = 0 at p = 0, where I' is
-    +inf; one that only input 1 reaches makes I' = -inf at p = 1.  With
-    `slope=False` I' is not computed, and None takes its place.
+    `channel` may also be a 2 x n array of columns (r0, r1) that need not sum
+    to 1, such as netted ones: I is H(out) - p H(r0) - (1 - p) H(r1) over them,
+    the sum of p r0 log2(r0 / out) + (1 - p) r1 log2(r1 / out), and the last
+    term of I', 0 for a channel, is not 0 for those.  An output that only
+    input 0 reaches has out = 0 at p = 0, where I' is +inf; one that only
+    input 1 reaches makes I' = -inf at p = 1.  With `slope=False` I' is not
+    computed, and None takes its place.
     """
-    rows = as_channel(channel).rows
+    rows = channel if isinstance(channel, np.ndarray) else as_channel(channel).rows
     p = np.asarray(ps, dtype=float)[:, None]
     out = p * rows[0] + (1.0 - p) * rows[1]
     log = np.log2(out, out=np.zeros_like(out), where=out > 0.0)
@@ -232,7 +236,7 @@ def _mutual_information_and_slope(channel, ps, slope=True):
     if not slope:
         return mi, None
     d = rows[0] - rows[1]
-    grad = h1 - h0 - log @ d
+    grad = h1 - h0 - log @ d - d.sum() / _LN2
     if not rows.all():
         grad[(p[:, 0] == 0.0) & np.any((rows[1] == 0.0) & (d != 0.0))] = np.inf
         grad[(p[:, 0] == 1.0) & np.any((rows[0] == 0.0) & (d != 0.0))] = -np.inf

@@ -6,11 +6,16 @@ give the refuting prior of a failure and, through the shadows of the
 posterior masses, the degrading map of a success.  The less-noisy and
 more-capable orders share one DC branch and bound on the cells of a grid:
 a violation is a sampled point, and a holding verdict rests on a lower
-bound of every cell.  Less-noisy tries a half grid first, nets pairs of
-equal posterior, and certifies the criterion times a positive product by
-Bernstein coefficients built factor by factor in that basis; the search
-bounds its first cell (0, 1e-3] in closed form, and symmetric pairs search
-up to 1/2 only.
+bound of every cell.  Both orders first net the output columns of one
+likelihood ratio, whose terms scale with their mass in the chi-squared
+criterion and in the mutual information alike, so a self-comparison holds
+at once; a failing sample of a netted search is confirmed on the two
+channels.  Less-noisy tries a half grid first, nets the pairs, and
+certifies the criterion times a positive product by Bernstein coefficients
+built factor by factor in that basis, unless its end coefficients already
+fail; the search bounds its first cell (0, 1e-3] in closed form, and
+symmetric pairs search up to 1/2 only.  More-capable samples a round in
+slices, so its arrays stay bounded at any channel size.
 """
 
 import functools
@@ -29,7 +34,7 @@ _MC_GRID = np.arange(DEFAULT_GRID + 2) / (DEFAULT_GRID + 1.0)  # the default gri
 _MC_HALF = _MC_GRID[: DEFAULT_GRID // 2 + 2]  # its points up to 1/2
 _MIN_CELL = 1e-12  # a more-capable cell this narrow that is not certified is undetermined
 _MC_CELLS = 2**17  # more-capable cells open at once, at most
-_LN_TERMS = 2**22  # less-noisy cells open at once, times the rows, at most
+_TERMS = 2**22  # less-noisy cells open at once times rows, at most; a quarter bounds a more-capable slice
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,9 @@ class OrderVerdict:
     """Outcome of a partial-order query: holds, fails, or undetermined.
 
     An undetermined witness holds the left end and the lower bound of the
-    lowest cell `_dc_search` could not certify; a less-noisy sample the
-    criterion over all flat rows does not confirm is the cell [q, q], its bound.
+    lowest cell `_dc_search` could not certify; a sample of either order that
+    the un-netted pair does not confirm below -1e-9 (see `_confirmed`) is the
+    cell [x, x], its bound.
     """
 
     relation: str
@@ -167,59 +173,92 @@ def criterion_profile(w, v, grid_size=DEFAULT_GRID):
     return CriterionProfile(qs, _criterion(_flat_rows(canonicalize_biso(w), canonicalize_biso(v)), qs))
 
 
-def _net_pairs(w, v):
-    """The pairs of two BISO channels, those of equal posterior netted.
+def _net_rows(w_rows, v_rows):
+    """The columns (r0, r1) of two channels' rows, those of one likelihood ratio netted.
 
-    A pair of mass s = p + p_- and posterior t = min(p, p_-) / s (a mirror
-    gives the same terms) contributes s phi_t(q), so the pairs of one t, W's
-    +s and V's -s, net to the first rescaled to mass |net|, on the side of its
-    sign.  Each s rounds by 2^-53 s at most and a group of n sums with
-    (n - 1) 2^-53 of its gross mass: a net within n 2^-52 of it cancels.  Pairs
-    with p = p_- add nothing; with no t shared, the pairs come back as they are.
+    A column of mass s = r0 + r1 adds s times a function of t = min(r0, r1) / s
+    and of which row is larger, both to the chi-squared criterion and to I(X;Y),
+    so the columns of one key, W's +s and V's -s, net to the first rescaled to
+    mass |net|, on the side of its sign.  Each s rounds by 2^-53 s at most and a
+    group of n sums with (n - 1) 2^-53 of its gross mass: a net within n 2^-52 of
+    it cancels.  Columns with r0 = r1 add nothing and are dropped; the netted
+    ones keep the order of their groups' first columns.  With no key shared the
+    two arrays come back as they are.
     """
-    groups = {}
-    for sign, ch in ((1.0, w), (-1.0, v)):
-        for a, b in ch.pairs.tolist():
-            if a != b:
-                groups.setdefault(min(a, b) / (a + b), []).append((a, b, sign))
-    if len(groups) == sum(map(len, groups.values())):
-        return w.pairs, v.pairs
-    sides = ([], [])
-    for group in groups.values():
-        net = sum(sign * (a + b) for a, b, sign in group)
-        if abs(net) > len(group) * 2.0**-52 * sum(a + b for a, b, _ in group):
-            a, b, _ = group[0]
-            sides[net < 0.0].append((a * (abs(net) / (a + b)), b * (abs(net) / (a + b))))
-    return tuple(np.array(side).reshape(-1, 2) for side in sides)
+    r0, r1 = np.concatenate((w_rows, v_rows), axis=1)
+    moving = r0 != r1
+    r0, r1 = r0[moving], r1[moving]
+    s = r0 + r1
+    key = np.copysign(np.minimum(r0, r1) / s, r0 - r1).view(np.int64)  # -t where r1 is larger, -0 apart from 0
+    if len(set(key.tolist())) == key.size:
+        return w_rows, v_rows
+    _, first, group, size = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    # bincount sums each group's masses in column order
+    net = np.bincount(group, np.where(np.flatnonzero(moving) < w_rows.shape[1], s, -s))
+    keep = np.abs(net) > size * 2.0**-52 * np.bincount(group, s)
+    by_first = np.argsort(first[keep])
+    first, net = first[keep][by_first], net[keep][by_first]
+    rows = np.stack((r0[first], r1[first])) * (np.abs(net) / s[first])
+    return rows[:, net > 0.0], rows[:, net < 0.0]
 
 
-def _criterion_bernstein(w_pairs, v_pairs):
+def _bernstein_factors(w_pairs, v_pairs):
+    """k and a, as Python floats, of each pair of two BISO channels with p != p_-.
+
+    A pair with s = p + p_- contributes k / (a + cx) to the criterion,
+    x = 4q(1 - q), k = +-4 (p - p_-)^2 / s (+ for W), c = (p - p_-)^2 / s^2,
+    a = 4 p p_- / s^2 = 1 - c; p = p_- contributes nothing.
+    """
+    k, a = [], []
+    for sign, pairs in ((4.0, w_pairs), (-4.0, v_pairs)):
+        for p, pm in pairs.tolist():
+            if p != pm:
+                s = p + pm
+                k.append(sign * (p - pm) * (p - pm) / s)
+                a.append(4.0 * p * pm / (s * s))
+    return k, a
+
+
+def _criterion_bernstein(k, a):
     """Bernstein coefficients b_0..b_n on [0, 1] of (criterion + VERDICT_TOL) prod(a + cx), x = 4q(1 - q).
 
-    A pair with s = p + p_- contributes k / (a + cx), k = +-4 (p - p_-)^2 / s
-    (+ for W), c = (p - p_-)^2 / s^2, a = 4 p p_- / s^2 = 1 - c; p = p_-
-    contributes nothing.  prod(a + cx) > 0 on (0, 1], so the product, of
-    degree n <= l_W + l_V, has the sign of the criterion + VERDICT_TOL there.
-    A factor a + cx = a (1 - x) + x has Bernstein coefficients (a, 1), so c
-    is never formed, and times it a product b of degree j - 1 has the
-    coefficients (j - m)/j a b_m + m/j b_(m-1) (Farouki & Rajan, CAGD 1988):
-    no binomial, and every coefficient stays within +-9 at any degree.
+    k and a are the `_bernstein_factors`.  prod(a + cx) > 0 on (0, 1], so the
+    product, of degree n <= l_W + l_V, has the sign of the criterion +
+    VERDICT_TOL there.  A factor a + cx = a (1 - x) + x has Bernstein
+    coefficients (a, 1), so c is never formed, and times it a product b of
+    degree j - 1 has the coefficients (j - m)/j a b_m + m/j b_(m-1) (Farouki
+    & Rajan, CAGD 1988): no binomial, and every coefficient stays within +-9
+    at any degree.
     """
-    pairs = np.concatenate((w_pairs, v_pairs))
-    moving = pairs[:, 0] != pairs[:, 1]
-    p, pm = pairs[moving].T
-    s = p + pm
-    k = np.repeat([4.0, -4.0], (len(w_pairs), len(v_pairs)))[moving] * (p - pm) ** 2 / s
     # prod_j (a_j + c_j x) and VERDICT_TOL prod_j + sum_i k_i prod_(j != i), one factor at a
     # time in Python floats; the sum is raised by one degree as it takes k_j times the product
     prod, acc = [1.0], [VERDICT_TOL]
-    for j, (kj, aj) in enumerate(zip(k.tolist(), (4.0 * p * pm / s**2).tolist()), 1):
+    for j, (kj, aj) in enumerate(zip(k, a), 1):
         up = [m / j for m in range(j + 1)]
         down = up[::-1]
         acc = [d * (x * aj + kj * z) + u * (y + kj * w)
                for d, u, x, y, z, w in zip(down, up, acc + [0.0], [0.0] + acc, prod + [0.0], [0.0] + prod)]
         prod = [d * (x * aj) + u * y for d, u, x, y in zip(down, up, prod + [0.0], [0.0] + prod)]
     return np.array(acc)
+
+
+def _bernstein_ends(k, a):
+    """b_0 and b_n of `_criterion_bernstein(k, a)` in O(n), rounded as its build rounds them.
+
+    At m = 0 a step's weights are 1 and 0, so b_0 <- b_0 a_j + k_j prod_0 and
+    prod_0 <- prod_0 a_j; at m = j they are 0 and 1, and the product's last
+    coefficient stays 1, so b_n = VERDICT_TOL + k_1 + ... + k_n.  Each adds
+    the build's zero term, + 0.0, which turns a -0.0 into 0.0.
+    """
+    first, last, prod = VERDICT_TOL, VERDICT_TOL, 1.0
+    for kj, aj in zip(k, a):
+        first, prod, last = first * aj + kj * prod + 0.0, prod * aj, last + kj + 0.0
+    return first, last
+
+
+def _bernstein_margin(n):
+    """What each coefficient of a degree-n `_criterion_bernstein` must exceed; see `_bernstein_positive`."""
+    return (4.0 * (n + 4) * 2.0**-52) * 9.0
 
 
 def _bernstein_positive(b):
@@ -239,8 +278,7 @@ def _bernstein_positive(b):
     factors' being (a_j, 1) with a_j <= 1 + 6u, and sum |k_i| =
     4 (eta_W + eta_V) <= 8 (1 + 1e-9), which netting only lowers.
     """
-    n = b.size - 1
-    return bool(np.all(b > (4.0 * (n + 4) * 2.0**-52) * 9.0))
+    return bool(np.all(b > _bernstein_margin(b.size - 1)))
 
 
 def _ln_samples(rows, qs):
@@ -276,10 +314,11 @@ def is_less_noisy(w, v):
     -1e-9 in (0, 1/2] (so channels of one contraction coefficient, which touch
     zero at q = 1/2, hold), with a witness q > 0 where the criterion over all
     flat rows is below -1e-9.  In order: the q-grid up to 1/2, its argmin the
-    witness; the Bernstein certificate of `_criterion_bernstein` of the
-    `_net_pairs`; and `_dc_search` of their rows, its first cell (0, 1e-3]
-    bounded by `_first_cell`, where a witness the criterion over all flat
-    rows does not confirm is undetermined.
+    witness; the pairs, each ordered larger first so that a pair and its mirror
+    net, through `_net_rows`; the Bernstein certificate of `_criterion_bernstein`
+    of the netted pairs, built only if `_bernstein_ends` clear its margin; and
+    `_dc_search` of their rows, its first cell (0, 1e-3] bounded by
+    `_first_cell`, its witness `_confirmed` on all flat rows.
     """
     w, v = canonicalize_biso(w), canonicalize_biso(v)
     rows = _flat_rows(w, v)
@@ -287,19 +326,18 @@ def is_less_noisy(w, v):
     if vals.min() < -VERDICT_TOL:
         k = int(np.argmin(vals))
         return OrderVerdict("fails", CriterionViolation(float(_HALF_GRID[k]), float(vals[k])))
-    net = _net_pairs(w, v)
-    if _bernstein_positive(_criterion_bernstein(*net)):
+    larger_first = [np.sort(ch.pairs, axis=1)[:, ::-1].T for ch in (w, v)]
+    net = _net_rows(*larger_first)
+    # with nothing netted the search keeps the order of the channels' own flat rows, and their bits
+    net = (w.pairs, v.pairs) if net[0] is larger_first[0] else (net[0].T, net[1].T)
+    k, a = _bernstein_factors(*net)
+    if min(_bernstein_ends(k, a)) > _bernstein_margin(len(k)) and _bernstein_positive(_criterion_bernstein(k, a)):
         return OrderVerdict("holds")
     net_rows = _flat_rows(*net)
-    cells = _LN_TERMS // max(net_rows[0].shape[1], 1)
+    cells = _TERMS // max(net_rows[0].shape[1], 1)
     sample = functools.partial(_ln_samples, net_rows)
     verdict = _dc_search(sample, _HALF_GRID, 0.0, cells, _first_cell(net_rows))
-    if not verdict.fails:
-        return verdict
-    value = less_noisy_criterion_biso(w, v, verdict.witness.parameter)
-    if value >= -VERDICT_TOL:
-        return OrderVerdict("undetermined", verdict.witness)
-    return OrderVerdict("fails", CriterionViolation(verdict.witness.parameter, value))
+    return _confirmed(verdict, lambda q: less_noisy_criterion_biso(w, v, q))
 
 
 def less_noisy_criterion_fd(w, v, q):
@@ -327,10 +365,20 @@ def mutual_information_difference(p_channel, q_channel, x):
     return mutual_information(p_channel, x) - mutual_information(q_channel, x)
 
 
-def _mc_samples(p_ch, q_ch, xs):
-    """Rows x, f = I_P - I_Q, I_Q and I_Q' at each bias."""
-    iq, sq = _mutual_information_and_slope(q_ch, xs)
-    return np.array((xs, mutual_information_grid(p_ch, xs) - iq, iq, sq))
+def _mc_samples(rows, xs):
+    """Rows x, f = I_P - I_Q, I_Q and I_Q' at each bias, for the columns (P's, Q's) of `_net_rows`.
+
+    A round of more than _TERMS / 4 biases times columns is sampled in
+    slices of at most that many, so it holds a few float arrays of 8 MB at
+    any channel size; each bias's sums run over its own row of outputs, so
+    the slices give the bits of the whole round.
+    """
+    p_rows, q_rows = rows
+    step = max(_TERMS // 4 // max(p_rows.shape[1] + q_rows.shape[1], 1), 1)
+    if xs.size > step:
+        return np.concatenate([_mc_samples(rows, xs[i : i + step]) for i in range(0, xs.size, step)], axis=1)
+    iq, sq = _mutual_information_and_slope(q_rows, xs)
+    return np.array((xs, mutual_information_grid(p_rows, xs) - iq, iq, sq))
 
 
 def _symmetric(ch):
@@ -397,19 +445,36 @@ def _dc_search(sample, xs, min_cell, max_cells, first=None):
     return OrderVerdict("fails", CriterionViolation(float(pts[0, k]), float(pts[1, k])))
 
 
+def _confirmed(verdict, value):
+    """A `_dc_search` verdict on netted rows, a failing sample x re-valued by `value(x)`, f over
+    all of the pair's rows: below -1e-9 it fails with that value, else it is the uncertified cell [x, x]."""
+    if not verdict.fails:
+        return verdict
+    x = verdict.witness.parameter
+    at = value(x)
+    if at >= -VERDICT_TOL:
+        return OrderVerdict("undetermined", verdict.witness)
+    return OrderVerdict("fails", CriterionViolation(x, at))
+
+
 def is_more_capable(p_channel, q_channel):
     """Decide whether the first binary-input channel is more capable than the second.
 
     f = I_P - I_Q, concave minus concave in the input bias, is sampled at
-    k/1000, k = 0..1000, and decided by `_dc_search`.  Cells narrower than
-    1e-12 are not halved: I carries an absolute roundoff near 1e-16, above
-    the tangent gap of such a cell (its width squared times the curvature).
-    When both channels are `_symmetric`, f(x) = f(1 - x), and only k <= 500
+    k/1000, k = 0..1000, on the columns of `_net_rows`, and decided by
+    `_dc_search`; a failing sample of netted columns is `_confirmed` on the two
+    channels.  Cells narrower than 1e-12 are not halved: I carries an
+    absolute roundoff near 1e-16, above the tangent gap of such a cell (its
+    width squared times the curvature).  When both channels are `_symmetric`, f(x) = f(1 - x), and only k <= 500
     is sampled, so every witness lies in [0, 1/2].
     """
     p_ch, q_ch = as_channel(p_channel), as_channel(q_channel)
     xs = _MC_HALF if _symmetric(p_ch) and _symmetric(q_ch) else _MC_GRID
-    return _dc_search(functools.partial(_mc_samples, p_ch, q_ch), xs, _MIN_CELL, _MC_CELLS)
+    rows = _net_rows(p_ch.rows, q_ch.rows)
+    verdict = _dc_search(functools.partial(_mc_samples, rows), xs, _MIN_CELL, _MC_CELLS)
+    if rows[0] is p_ch.rows:
+        return verdict  # sampled on the channels' own rows: a sample is f itself, bit for bit
+    return _confirmed(verdict, lambda x: mutual_information_difference(p_ch, q_ch, x))
 
 
 # ----------------------------------------------------------------------

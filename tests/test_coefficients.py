@@ -239,6 +239,24 @@ class TestMutualInformation:
             fd = (mutual_information_grid(ch, xs + h) - mutual_information_grid(ch, xs - h)) / (2.0 * h)
             assert np.allclose(slope, fd, rtol=1e-6, atol=1e-6), ch
 
+    def test_rows_that_need_not_sum_to_one(self):
+        # netted columns: I sums the concave term of each column, so it scales with the
+        # columns and vanishes at both ends, and its slope carries -sum(r0 - r1) / ln 2
+        rng = np.random.default_rng(44)
+        xs = np.linspace(0.01, 0.99, 99)
+        for n in (1, 3, 7):
+            rows = rng.uniform(0.0, 0.3, size=(2, n))
+            mi, slope = coefficients._mutual_information_and_slope(rows, xs)
+            assert abs(rows[0].sum() - rows[1].sum()) > 1e-3
+            h = 1e-6
+            up, down = (coefficients._mutual_information_and_slope(rows, xs + e, slope=False)[0] for e in (h, -h))
+            assert np.allclose(slope, (up - down) / (2.0 * h), rtol=1e-6, atol=1e-8)
+            twice = coefficients._mutual_information_and_slope(2.0 * rows, xs)
+            assert np.allclose(twice[0], 2.0 * mi, rtol=1e-12, atol=1e-15)
+            assert np.allclose(twice[1], 2.0 * slope, rtol=1e-12, atol=1e-15)
+            ends = coefficients._mutual_information_and_slope(rows, np.array([0.0, 1.0]), slope=False)[0]
+            assert np.all(np.abs(ends) <= 1e-15)
+
     def test_slope_is_infinite_where_an_output_has_zero_mass(self):
         ends = np.array([0.0, 1.0])
         assert coefficients._mutual_information_and_slope(make_bec(0.4), ends)[1].tolist() == [np.inf, -np.inf]

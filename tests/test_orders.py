@@ -366,7 +366,7 @@ class TestIsLessNoisy:
         monkeypatch.setattr(orders, "_ln_samples", lambda rows, qs: terms.append(qs.size * rows[0].shape[1]) or samples(rows, qs))
         verdict = is_less_noisy(w, split)
         assert verdict.relation == "undetermined" and verdict.witness.value < -1e-9
-        assert orders._LN_TERMS // 5 < max(terms) <= orders._LN_TERMS // 2
+        assert orders._TERMS // 5 < max(terms) <= orders._TERMS // 2
 
     def test_unconfirmed_sample_is_an_undetermined_cell(self, monkeypatch):
         # a search sample that the criterion over all flat rows does not confirm is the
@@ -391,19 +391,21 @@ class TestIsLessNoisy:
         # pairs of one posterior net by mass, a pair and its mirror alike
         w = BisoChannel([(0.1, 0.2), (0.3, 0.1), (0.1, 0.2)])
         v = BisoChannel([(0.2, 0.1), (0.25, 0.35), (0.1, 0.0)])
-        w_net, v_net = orders._net_pairs(w, v)
-        assert w_net.tolist() == [[0.1, 0.2], [0.3, 0.1]]
-        assert v_net.tolist() == [[0.25, 0.35], [0.1, 0.0]]
-        assert all(side.shape == (0, 2) for side in orders._net_pairs(w, w))
-        assert all(side.shape == (0, 2) for side in orders._net_pairs(w, BisoChannel(w.pairs[::-1, ::-1])))
+        w_net, v_net = _netted_pairs(w, v)
+        assert w_net.tolist() == [[0.2, 0.1], [0.3, 0.1]]
+        assert v_net.tolist() == [[0.35, 0.25], [0.1, 0.0]]
+        assert all(side.shape == (0, 2) for side in _netted_pairs(w, w))
+        assert all(side.shape == (0, 2) for side in _netted_pairs(w, BisoChannel(w.pairs[::-1, ::-1])))
         # a net below zero moves to V's side
-        w_net, v_net = orders._net_pairs(BisoChannel([(0.2, 0.1), (0.7, 0.0)]), BisoChannel([(0.4, 0.2), (0.4, 0.0)]))
+        w_net, v_net = _netted_pairs(BisoChannel([(0.2, 0.1), (0.7, 0.0)]), BisoChannel([(0.4, 0.2), (0.4, 0.0)]))
         assert v_net.tolist() == [[0.2, 0.1]]
         assert np.allclose(w_net, [[0.3, 0.0]], rtol=0.0, atol=1e-16)
-        # with no posterior shared the pairs come back as they are (p = p_- too, which
-        # adds no row), and their flat rows, read from the arrays, are the channels' own
+        # with no posterior shared the rows come back as they are (p = p_- too, which
+        # adds no row), and the flat rows of the pairs, read from the arrays, are the channels' own
         a, b = BisoChannel([(0.5, 0.2), (0.3, 0.0)]), BisoChannel([(0.6, 0.3), (0.05, 0.05)])
-        assert all(side is ch.pairs for side, ch in zip(orders._net_pairs(a, b), (a, b)))
+        rows = [np.sort(ch.pairs, axis=1)[:, ::-1].T for ch in (a, b)]
+        assert all(side is row for side, row in zip(orders._net_rows(*rows), rows))
+        assert all(side is ch.pairs for side, ch in zip(_netted_pairs(a, b), (a, b)))
         (net_rows, n_net), (rows, n_rows) = orders._flat_rows(a.pairs, b.pairs), orders._flat_rows(a, b)
         assert n_net == n_rows and net_rows.tobytes() == rows.tobytes()
 
@@ -413,8 +415,12 @@ class TestIsLessNoisy:
         three = BisoChannel([(0.3, 0.0), (0.0, 0.5), (0.2000000000000001, 0.0)])
         one = BisoChannel([(1.0, 0.0)])
         assert three.pairs.sum() == 1.0 + 2.0**-52
-        assert all(side.shape == (0, 2) for side in orders._net_pairs(three, one))
+        assert all(side.shape == (0, 2) for side in _netted_pairs(three, one))
         assert is_less_noisy(three, one).holds and is_less_noisy(one, three).holds
+        # as flat columns, the three against the one net to nothing on each side
+        flat = [as_channel(ch).rows for ch in (three, one)]
+        assert all(side.shape == (2, 0) for side in orders._net_rows(*flat))
+        assert is_more_capable(three, one).holds and is_more_capable(one, three).holds
 
     def test_violation_below_the_probes_fails_at_the_limit(self):
         # the criterion is -0.664 at q = 9e-4 and -11,249 at 1e-5 but +3.88 at 1e-3, the
@@ -446,7 +452,7 @@ class TestIsLessNoisy:
         # ... and a K within rounding cancels; with no certificate the search decides
         monkeypatch.setattr(orders, "_bernstein_positive", lambda poly: False)
         lopsided = BisoChannel([[0, 0.7451701144751403], [0.2548298855248598, 0]])
-        assert all(side.shape == (0, 2) for side in orders._net_pairs(BisoChannel([[0, 1]]), lopsided))
+        assert all(side.shape == (0, 2) for side in _netted_pairs(BisoChannel([[0, 1]]), lopsided))
         assert is_less_noisy(BisoChannel([[0, 1]]), lopsided).holds
         eta = 0.4**2 / 0.6 + 0.3**2 / 0.4
         b = BisoChannel([(0.5, 0.1), (0.05, 0.35)])
@@ -468,7 +474,7 @@ class TestIsLessNoisy:
 
         certified = 0
         for w, v in list(_polynomial_cases(20)) + list(_seeded_pairs(21, 100)):
-            new = orders._criterion_bernstein(w.pairs, v.pairs)
+            new = orders._criterion_bernstein(*orders._bernstein_factors(w.pairs, v.pairs))
             old = bernstein(golden_oracle.criterion_polynomial(w.pairs, v.pairs))
             mag = bernstein(_convolution_polynomial(w.pairs, v.pairs, magnitude=True))
             n = new.size - 1
@@ -497,6 +503,40 @@ class TestIsLessNoisy:
         checks.run_checks()
         assert True not in calls and len(calls) > 0
 
+    def test_bernstein_ends_match_the_full_build_bitwise(self):
+        # b_0 and b_n from their O(n) recursions are the full build's own bits; where either
+        # misses the margin the full build fails the certificate too, so skipping it changes nothing
+        cases = list(_polynomial_cases(24)) + list(_seeded_pairs(25, 400))
+        cases += [(ETA_PAIR_A, ETA_PAIR_B), (ETA_PAIR_A, ETA_PAIR_A)]
+        skipped = 0
+        for w, v in cases:
+            k, a = orders._bernstein_factors(w.pairs, v.pairs)
+            assert np.array((k, a)).tobytes() == np.array(_numpy_factors(w.pairs, v.pairs)).tobytes()
+            full, ends = orders._criterion_bernstein(k, a), np.array(orders._bernstein_ends(k, a))
+            assert ends.tobytes() == full[[0, -1]].tobytes(), (w, v)
+            if not np.all(ends > orders._bernstein_margin(len(k))):
+                skipped += 1
+                assert not orders._bernstein_positive(full), (w, v)
+        assert skipped > 20
+
+    def test_high_degree_decision_skips_the_full_build(self, monkeypatch):
+        # 2,048 pairs against an 8-pair garbling: b_0 underflows far below the margin, so the
+        # O(n^2) build (0.5 s on a 2-CPU Xeon host) never runs and the branch and bound decides
+        raw = np.random.default_rng(5).uniform(0.02, 1.0, size=(2048, 2))
+        w = BisoChannel(raw / raw.sum())
+        v = random_degraded_biso(np.random.default_rng(7), w, max_pairs=8)
+        k, a = orders._bernstein_factors(w.pairs, v.pairs)
+        assert len(k) == 2056 and orders._bernstein_ends(k, a)[0] < orders._bernstein_margin(len(k))
+
+        def forbidden(*args):
+            raise AssertionError("full Bernstein build at degree 2,056")
+
+        monkeypatch.setattr(orders, "_criterion_bernstein", forbidden)
+        start = time.perf_counter()
+        assert is_less_noisy(w, v).holds
+        assert time.perf_counter() - start < 0.5
+        assert is_less_noisy(v, w).fails
+
     def test_certificate_is_bounded_at_high_degree(self):
         # 1,100 pairs against an 8-pair garbling: the product of the a_j underflows, and no
         # coefficient may overflow, warn or be kept; an (n + 1)^2 float matrix would be 9.8 MB
@@ -508,7 +548,9 @@ class TestIsLessNoisy:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                certified = orders._bernstein_positive(orders._criterion_bernstein(w.pairs, v.pairs))
+                certified = orders._bernstein_positive(
+                    orders._criterion_bernstein(*orders._bernstein_factors(w.pairs, v.pairs))
+                )
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -518,12 +560,14 @@ class TestIsLessNoisy:
     def test_matches_root_probe_oracle(self, monkeypatch):
         # wherever the half grid or the certificate decides, the verdict and witness are
         # the np.roots path's own; behind them the branch and bound finds what it found
-        results = []
-        bernstein = orders._bernstein_positive
+        results, searched = [], []
+        bernstein, search = orders._bernstein_positive, orders._dc_search
         monkeypatch.setattr(orders, "_bernstein_positive", lambda poly: results.append(bernstein(poly)) or results[-1])
+        monkeypatch.setattr(orders, "_dc_search", lambda *a: searched.append(a) or search(*a))
         seen = Counter()
         for w, v in _less_noisy_differential_pairs():
             results.clear()
+            searched.clear()
             new = is_less_noisy(w, v)
             try:
                 old = golden_oracle.is_less_noisy(w, v)
@@ -538,18 +582,79 @@ class TestIsLessNoisy:
                 assert dense >= -1e-9, (w, v)
             if old is None or (old.holds and dense < -1e-9):
                 seen["oracle wrong"] += 1
-            elif results and not results[0]:
+            elif searched:
                 seen["searched"] += 1
                 assert new.relation == old.relation, (w, v)
             elif new != old:
                 # a noiseless mass the oracle saw as 1 + 2.2e-16 against 1 nets to nothing
                 seen["cancelled"] += 1
-                assert new.holds and not any(map(len, orders._net_pairs(*map(canonicalize_biso, (w, v)))))
+                assert new.holds and not any(map(len, _netted_pairs(*map(canonicalize_biso, (w, v)))))
             else:
                 seen["certified" if results else old.relation] += 1
         assert seen["certified"] > 1300 and seen["fails"] > 1000 and seen["searched"] > 20
         assert seen["oracle wrong"] > 0 and seen["cancelled"] == 1
         print(seen)
+
+
+class TestNetRows:
+    def test_net_rows_without_a_column_to_key(self):
+        # r0 = r1 everywhere: no key, so the rows come back as they are, and nothing is reduced
+        for a, b in ((make_bsc(0.5), make_bsc(0.5)), (make_bec(1.0), make_bsc(0.5)), (make_bsc(0.5), make_bec(1.0))):
+            net = orders._net_rows(a.rows, b.rows)
+            assert net[0] is a.rows and net[1] is b.rows
+            assert is_more_capable(a, b).holds and is_less_noisy(a, b).holds
+        empty = np.zeros((2, 0))
+        assert all(side is empty for side in orders._net_rows(empty, empty))
+
+    def test_net_rows_keep_noiseless_columns_of_opposite_orientation(self):
+        # (x, 0) and (0, x) both have t = 0; which row is larger tells them apart
+        zero, one = np.array([[0.3], [0.0]]), np.array([[0.0], [0.3]])
+        net = orders._net_rows(zero, one)
+        assert net[0] is zero and net[1] is one
+        w, v = np.array([[0.3, 0.0], [0.0, 0.3]]), np.array([[0.0, 0.3], [0.3, 0.0]])
+        w_net, v_net = orders._net_rows(w, v)
+        assert w_net.shape == v_net.shape == (2, 0)
+        assert orders._net_rows(w, w[:, ::-1])[0].shape == (2, 0)
+
+    def test_net_rows_net_a_pair_against_its_mirror(self):
+        # the columns of the flat layout of a BISO channel and of its mirror net one by one
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            w = random_biso(rng, max_pairs=8)
+            mirror = BisoChannel(w.pairs[::-1, ::-1])
+            net = orders._net_rows(w.to_channel().rows, mirror.to_channel().rows)
+            assert all(side.shape == (2, 0) for side in net)
+            assert all(side.shape == (0, 2) for side in _netted_pairs(w, mirror))
+
+    def test_net_rows_net_columns_of_one_ratio_within_a_channel(self):
+        # (0.2, 0.1) and (0.4, 0.2) share t = 1/3 bit for bit: one column of mass 0.9 is left
+        w = np.array([[0.2, 0.4, 0.4], [0.1, 0.2, 0.7]])
+        v = np.array([[0.3, 0.7], [0.6, 0.4]])
+        w_net, v_net = orders._net_rows(w, v)
+        assert np.allclose(w_net, [[0.6, 0.4], [0.3, 0.7]], rtol=0.0, atol=1e-15)
+        assert w_net[:, 1].tolist() == [0.4, 0.7] and v_net.tolist() == v.tolist()
+        # the first column of a group keeps its place, and netted columns keep their order
+        w_net, _ = orders._net_rows(w[:, ::-1], np.zeros((2, 0)))
+        assert w_net[:, 0].tolist() == [0.4, 0.7]
+        assert np.allclose(w_net[:, 1], [0.6, 0.3], rtol=0.0, atol=1e-15)
+
+
+def _numpy_factors(w_pairs, v_pairs):
+    """`orders._bernstein_factors` as numpy arrays built them, the same arithmetic."""
+    pairs = np.concatenate((w_pairs, v_pairs))
+    moving = pairs[:, 0] != pairs[:, 1]
+    p, pm = pairs[moving].T
+    s = p + pm
+    k = np.repeat([4.0, -4.0], (len(w_pairs), len(v_pairs)))[moving] * (p - pm) ** 2 / s
+    return k.tolist(), (4.0 * p * pm / s**2).tolist()
+
+
+def _netted_pairs(w, v):
+    """The pairs `is_less_noisy` certifies and searches: each ordered larger first and
+    netted by `orders._net_rows`, or the channels' own pairs where nothing nets."""
+    rows = [np.sort(ch.pairs, axis=1)[:, ::-1].T for ch in (w, v)]
+    net = orders._net_rows(*rows)
+    return (w.pairs, v.pairs) if net[0] is rows[0] else (net[0].T, net[1].T)
 
 
 def _grid_oracle(w, v):
@@ -773,6 +878,30 @@ def _mc_pairs(seed, n):
         yield (a, b) if rng.random() < 0.5 else (b, a)
 
 
+def _netting_pairs(seed, n):
+    """Pairs of Z, BEC, BSC, 2-6-output channels with zero entries and general
+    channels, drawn at random: noiseless and erasure columns are shared often."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        u = float(rng.uniform(0.02, 0.98))
+        kind = int(rng.integers(5))
+        if kind < 3:
+            return (make_z, make_bec, make_bsc)[kind](u / (1.0 + (kind == 2)))
+        return _general_channel(rng, zeros=kind == 3)
+
+    for _ in range(n):
+        yield draw(), draw()
+
+
+def _general_outputs(n, seed):
+    """The rows of a general channel of n outputs with entries in U[0.02, 1), an
+    output index and the generator that drew them."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.02, 1.0, size=(2, n))
+    return raw / raw.sum(axis=1, keepdims=True), int(rng.integers(n)), rng
+
+
 _DENSE_XS = np.unique(
     np.concatenate((np.logspace(-15, -1, 4000), 1.0 - np.logspace(-15, -1, 4000), np.linspace(0.0, 1.0, 8001)))
 )
@@ -889,9 +1018,13 @@ class TestIsMoreCapable:
             assert is_more_capable(a, b).relation == relation
 
     def test_undetermined_when_no_cell_may_be_halved(self, monkeypatch):
-        ch = ETA_PAIR_A.to_channel()
+        # I_A - I_B >= 0, but the cells at the ends need halving; two BSCs share no
+        # likelihood ratio, so nothing nets and the search meets the min-cell stop
+        a, b = make_bsc(0.1), make_bsc(0.1 + 1e-6)
+        assert orders._net_rows(a.rows, b.rows)[0] is a.rows
+        assert is_more_capable(a, b).holds
         monkeypatch.setattr(orders, "_MIN_CELL", 2e-3)
-        verdict = is_more_capable(ch, ch)
+        verdict = is_more_capable(a, b)
         assert verdict.relation == "undetermined"
         assert -1e-3 < verdict.witness.value < -1e-9
 
@@ -910,6 +1043,90 @@ class TestIsMoreCapable:
             assert tracemalloc.get_traced_memory()[1] < 100e6
         finally:
             tracemalloc.stop()
+
+
+    def test_netting_moves_no_relation(self, monkeypatch):
+        # Z, BEC and BSC families and 2-6-output channels with zero entries, whose noiseless
+        # and erasure columns net: the searches on netted and on all columns agree
+        cases = list(_netting_pairs(35, 600))
+        shared = sum(orders._net_rows(a.rows, b.rows)[0] is not a.rows for a, b in cases)
+        netted = [is_more_capable(a, b) for a, b in cases]
+        monkeypatch.setattr(orders, "_net_rows", lambda w_rows, v_rows: (w_rows, v_rows))
+        moved = 0
+        for (a, b), new in zip(cases, netted):
+            old = is_more_capable(a, b)
+            assert new.relation == old.relation, (a, b)
+            moved += new != old
+            if new.fails:
+                assert new.witness.value == mutual_information_difference(a, b, new.witness.parameter) < -1e-9
+        assert shared > 200 and {v.relation for v in netted} == {"holds", "fails"}
+        print(f"{shared} of {len(cases)} pairs netted, {moved} witnesses moved")
+
+    def test_unconfirmed_sample_is_an_undetermined_cell(self, monkeypatch):
+        # the rule of less-noisy: a sample of netted rows that the two channels do not
+        # confirm is the cell [x, x]; Z(0.6) and Z(0.3) share their noiseless column
+        a, b = make_z(0.6), make_z(0.3)
+        assert orders._net_rows(a.rows, b.rows)[0] is not a.rows
+        fails = is_more_capable(a, b)
+        assert fails.fails and fails.witness.value == mutual_information_difference(a, b, fails.witness.parameter)
+        monkeypatch.setattr(orders, "mutual_information_difference", lambda p, q, x: 0.0)
+        verdict = is_more_capable(a, b)
+        assert verdict.relation == "undetermined" and verdict.witness.value < -1e-9
+        assert verdict.witness.parameter == fails.witness.parameter
+
+    def test_slices_sample_as_one_round(self, monkeypatch):
+        # a round sampled in slices of 100 biases is the round sampled at once, bit for bit
+        rng = np.random.default_rng(37)
+        rows = (_general_channel(rng, zeros=True).rows, _general_channel(rng).rows)
+        whole = orders._mc_samples(rows, orders._MC_GRID)
+        monkeypatch.setattr(orders, "_TERMS", 4 * 100 * (rows[0].shape[1] + rows[1].shape[1]))
+        sizes = []
+        slope = orders._mutual_information_and_slope
+        monkeypatch.setattr(orders, "_mutual_information_and_slope", lambda r, xs: sizes.append(xs.size) or slope(r, xs))
+        assert orders._mc_samples(rows, orders._MC_GRID).tobytes() == whole.tobytes()
+        assert sizes == [100] * 10 + [1]
+
+    @pytest.mark.parametrize("n", [128, 256, 1024])
+    def test_large_near_self_comparisons_net_at_once(self, n):
+        # against itself, a column-shuffled copy or one column halved, every column nets
+        w, i, rng = _general_outputs(n, 5)
+        halved = np.hstack((np.delete(w, i, axis=1), w[:, [i]] / 2.0, w[:, [i]] / 2.0))
+        for other in (w, w[:, rng.permutation(n)], halved):
+            for a, b in ((w, other), (other, w)):
+                a, b = Channel(a), Channel(b)
+                tracemalloc.start()
+                try:
+                    start = time.perf_counter()
+                    assert is_more_capable(a, b).holds
+                    assert time.perf_counter() - start < 0.05
+                    assert tracemalloc.get_traced_memory()[1] < 1e6
+                finally:
+                    tracemalloc.stop()
+
+    def test_large_split_comparisons_are_bounded(self, monkeypatch):
+        # one column split at t and the rows renormalized: few columns net, f is 0 up to
+        # roundoff, and each round is sampled in slices of at most 2^20 biases times columns
+        sizes = []
+        slope = orders._mutual_information_and_slope
+        monkeypatch.setattr(
+            orders, "_mutual_information_and_slope", lambda rows, xs: sizes.append(xs.size) or slope(rows, xs)
+        )
+        for n in (256, 512, 1024):
+            for seed in range(6):
+                w, i, rng = _general_outputs(n, seed)
+                t = float(rng.uniform(0.1, 0.9))
+                split = np.hstack((np.delete(w, i, axis=1), w[:, [i]] * t, w[:, [i]] * (1.0 - t)))
+                a, b = Channel(w), Channel(split / split.sum(axis=1, keepdims=True))
+                columns = sum(side.shape[1] for side in orders._net_rows(a.rows, b.rows))
+                sizes.clear()
+                tracemalloc.start()
+                try:
+                    assert is_more_capable(a, b).holds
+                    assert tracemalloc.get_traced_memory()[1] < 64e6
+                finally:
+                    tracemalloc.stop()
+                assert sizes[0] == min(orders._MC_GRID.size, orders._TERMS // 4 // max(columns, 1))
+                assert max(sizes) * columns <= orders._TERMS // 4
 
 
 class TestIsDegraded:
