@@ -9,7 +9,7 @@ a violation is a sampled point, and a holding verdict rests on a lower
 bound of every cell.  Both orders first net the output columns of one
 likelihood ratio, whose terms scale with their mass in the chi-squared
 criterion and in the mutual information alike, so a self-comparison holds
-at once; a failing sample of a netted search is confirmed on the two
+at once; a failing sample of either search is confirmed on the two
 channels.  Less-noisy tries a half grid first, nets the pairs, and
 certifies the criterion times a positive product by Bernstein coefficients
 built factor by factor in that basis, unless its end coefficients already
@@ -186,10 +186,13 @@ def _net_rows(w_rows, v_rows):
     two arrays come back as they are.
     """
     r0, r1 = np.concatenate((w_rows, v_rows), axis=1)
-    moving = r0 != r1
-    r0, r1 = r0[moving], r1[moving]
     s = r0 + r1
-    key = np.copysign(np.minimum(r0, r1) / s, r0 - r1).view(np.int64)  # -t where r1 is larger, -0 apart from 0
+    # -t where r1 is larger, -0 apart from 0; a column of zeros keys as 0
+    key = np.copysign(np.minimum(r0, r1) / np.maximum(s, 5e-324), r0 - r1).view(np.int64)
+    if len(set(key.tolist())) == key.size:
+        return w_rows, v_rows
+    moving = r0 != r1  # columns with r0 = r1, which add nothing, may share a key: test again without them
+    r0, r1, s, key = r0[moving], r1[moving], s[moving], key[moving]
     if len(set(key.tolist())) == key.size:
         return w_rows, v_rows
     _, first, group, size = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
@@ -202,21 +205,28 @@ def _net_rows(w_rows, v_rows):
     return rows[:, net > 0.0], rows[:, net < 0.0]
 
 
+def _net_biso(w, v):
+    """The pairs of two BISO channels through `_net_rows`, each ordered larger first so that
+    a pair and its mirror net; with nothing netted, the channels' own pairs, so that the
+    search keeps the order of their flat rows, and their bits."""
+    larger_first = [np.sort(ch.pairs.T, axis=0)[::-1] for ch in (w, v)]
+    net = _net_rows(*larger_first)
+    return (w.pairs, v.pairs) if net[0] is larger_first[0] else (net[0].T, net[1].T)
+
+
 def _bernstein_factors(w_pairs, v_pairs):
-    """k and a, as Python floats, of each pair of two BISO channels with p != p_-.
+    """k and a, as lists of floats, of each pair of two BISO channels with p != p_-.
 
     A pair with s = p + p_- contributes k / (a + cx) to the criterion,
     x = 4q(1 - q), k = +-4 (p - p_-)^2 / s (+ for W), c = (p - p_-)^2 / s^2,
     a = 4 p p_- / s^2 = 1 - c; p = p_- contributes nothing.
     """
-    k, a = [], []
-    for sign, pairs in ((4.0, w_pairs), (-4.0, v_pairs)):
-        for p, pm in pairs.tolist():
-            if p != pm:
-                s = p + pm
-                k.append(sign * (p - pm) * (p - pm) / s)
-                a.append(4.0 * p * pm / (s * s))
-    return k, a
+    pairs = np.concatenate((w_pairs, v_pairs))
+    moving = pairs[:, 0] != pairs[:, 1]
+    p, pm = pairs[moving].T
+    s = p + pm
+    k = np.repeat([4.0, -4.0], (len(w_pairs), len(v_pairs)))[moving] * (p - pm) ** 2 / s
+    return k.tolist(), (4.0 * p * pm / s**2).tolist()
 
 
 def _criterion_bernstein(k, a):
@@ -314,9 +324,8 @@ def is_less_noisy(w, v):
     -1e-9 in (0, 1/2] (so channels of one contraction coefficient, which touch
     zero at q = 1/2, hold), with a witness q > 0 where the criterion over all
     flat rows is below -1e-9.  In order: the q-grid up to 1/2, its argmin the
-    witness; the pairs, each ordered larger first so that a pair and its mirror
-    net, through `_net_rows`; the Bernstein certificate of `_criterion_bernstein`
-    of the netted pairs, built only if `_bernstein_ends` clear its margin; and
+    witness; the Bernstein certificate of `_criterion_bernstein` of the pairs
+    `_net_biso` nets, built only if `_bernstein_ends` clear its margin; and
     `_dc_search` of their rows, its first cell (0, 1e-3] bounded by
     `_first_cell`, its witness `_confirmed` on all flat rows.
     """
@@ -326,10 +335,7 @@ def is_less_noisy(w, v):
     if vals.min() < -VERDICT_TOL:
         k = int(np.argmin(vals))
         return OrderVerdict("fails", CriterionViolation(float(_HALF_GRID[k]), float(vals[k])))
-    larger_first = [np.sort(ch.pairs, axis=1)[:, ::-1].T for ch in (w, v)]
-    net = _net_rows(*larger_first)
-    # with nothing netted the search keeps the order of the channels' own flat rows, and their bits
-    net = (w.pairs, v.pairs) if net[0] is larger_first[0] else (net[0].T, net[1].T)
+    net = _net_biso(w, v)
     k, a = _bernstein_factors(*net)
     if min(_bernstein_ends(k, a)) > _bernstein_margin(len(k)) and _bernstein_positive(_criterion_bernstein(k, a)):
         return OrderVerdict("holds")
@@ -446,8 +452,8 @@ def _dc_search(sample, xs, min_cell, max_cells, first=None):
 
 
 def _confirmed(verdict, value):
-    """A `_dc_search` verdict on netted rows, a failing sample x re-valued by `value(x)`, f over
-    all of the pair's rows: below -1e-9 it fails with that value, else it is the uncertified cell [x, x]."""
+    """A `_dc_search` verdict on the rows `_net_rows` left, a failing sample x re-valued by `value(x)`,
+    f over all of the pair's rows: below -1e-9 it fails with that value, else it is the uncertified cell [x, x]."""
     if not verdict.fails:
         return verdict
     x = verdict.witness.parameter
@@ -462,18 +468,16 @@ def is_more_capable(p_channel, q_channel):
 
     f = I_P - I_Q, concave minus concave in the input bias, is sampled at
     k/1000, k = 0..1000, on the columns of `_net_rows`, and decided by
-    `_dc_search`; a failing sample of netted columns is `_confirmed` on the two
-    channels.  Cells narrower than 1e-12 are not halved: I carries an
-    absolute roundoff near 1e-16, above the tangent gap of such a cell (its
-    width squared times the curvature).  When both channels are `_symmetric`, f(x) = f(1 - x), and only k <= 500
-    is sampled, so every witness lies in [0, 1/2].
+    `_dc_search`; a failing sample is `_confirmed` on the two channels.  Cells
+    narrower than 1e-12 are not halved: I carries an absolute roundoff near
+    1e-16, above the tangent gap of such a cell (its width squared times the
+    curvature).  When both channels are `_symmetric`, f(x) = f(1 - x), and
+    only k <= 500 is sampled, so every witness lies in [0, 1/2].
     """
     p_ch, q_ch = as_channel(p_channel), as_channel(q_channel)
     xs = _MC_HALF if _symmetric(p_ch) and _symmetric(q_ch) else _MC_GRID
     rows = _net_rows(p_ch.rows, q_ch.rows)
     verdict = _dc_search(functools.partial(_mc_samples, rows), xs, _MIN_CELL, _MC_CELLS)
-    if rows[0] is p_ch.rows:
-        return verdict  # sampled on the channels' own rows: a sample is f itself, bit for bit
     return _confirmed(verdict, lambda x: mutual_information_difference(p_ch, q_ch, x))
 
 
