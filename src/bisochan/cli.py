@@ -16,7 +16,6 @@ import numpy as np
 from .applications import fi_curve_bounds
 from .channels import (
     as_channel,
-    canonicalize_biso,
     format_channel,
     is_biso,
     load_channel,
@@ -124,20 +123,16 @@ def cmd_compare(args):
     a = _load(args.channel_a)
     b = _load(args.channel_b)
     orders = ("deg", "ln", "mc") if args.order == "all" else (args.order,)
-    if args.order == "ln" and not (is_biso(a) and is_biso(b)):
-        print("less-noisy comparison requires BISO channels", file=sys.stderr)
-        return EXIT_PRECONDITION
     for order in orders:
         if order == "deg":
             _describe_verdict("degradable A->B", is_degraded(a, b))
             _describe_verdict("degradable B->A", is_degraded(b, a))
         elif order == "ln":
-            if not (is_biso(a) and is_biso(b)):
+            if args.order == "all" and not (is_biso(a) and is_biso(b)):
                 print("less-noisy: skipped (non-BISO pair)")
                 continue
-            ba, bb = canonicalize_biso(a), canonicalize_biso(b)
-            _describe_verdict("less-noisy A>=B", is_less_noisy(ba, bb))
-            _describe_verdict("less-noisy B>=A", is_less_noisy(bb, ba))
+            _describe_verdict("less-noisy A>=B", is_less_noisy(a, b))
+            _describe_verdict("less-noisy B>=A", is_less_noisy(b, a))
         else:
             _describe_verdict("more-capable A>=B", is_more_capable(a, b))
             _describe_verdict("more-capable B>=A", is_more_capable(b, a))
@@ -163,7 +158,7 @@ def cmd_extremal(args):
     print(f"bec_eps: {_fmt(match.bec_eps)}")
     dmap = None
     if kind == "alpha" and biso:
-        dmap = bsc_degrading_map(canonicalize_biso(ch))
+        dmap = bsc_degrading_map(ch)
         print("indicator map (rows follow the flat output layout):")
         _print_matrix(dmap.entries)
     elif kind == "alpha":
@@ -229,10 +224,10 @@ def _emit_csv(header, columns, out):
         sys.stdout.write(text)
 
 
-_SWEEP_INPUTS = {  # quantity: (file count, the files in words, what they must be if anything)
-    "criterion": (2, "two channel files", "BISO channels"),
-    "fi-bounds": (1, "one channel file", "a BISO channel"),
-    "mi-diff": (2, "two channel files", None),
+_SWEEP_INPUTS = {  # quantity: (file count, the files in words)
+    "criterion": (2, "two channel files"),
+    "fi-bounds": (1, "one channel file"),
+    "mi-diff": (2, "two channel files"),
 }
 
 
@@ -241,21 +236,18 @@ def cmd_sweep(args):
         raise DegenerateParameterError(f"grid_size must be at least 1, got {args.grid}")
     if not math.isfinite(args.tmax):
         raise LeakageOutOfRangeError(f"--tmax must be finite, got {args.tmax!r}")
-    count, in_words, biso = _SWEEP_INPUTS[args.quantity]
+    count, in_words = _SWEEP_INPUTS[args.quantity]
     if len(args.channels) != count:
         print(f"{args.quantity} sweep needs exactly {in_words}", file=sys.stderr)
         return EXIT_PRECONDITION
     chans = [_load(f) for f in args.channels]
-    if biso and not all(map(is_biso, chans)):
-        print(f"{args.quantity} sweep requires {biso}", file=sys.stderr)
-        return EXIT_PRECONDITION
     if args.quantity == "criterion":
-        fwd = criterion_profile(*map(canonicalize_biso, chans), args.grid)
+        fwd = criterion_profile(*chans, args.grid)
         # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned
         header, columns = "q,forward,reverse", (fwd.parameters, fwd.values, 0.0 - fwd.values)
     elif args.quantity == "fi-bounds":
         ts = np.linspace(0.0, args.tmax, args.grid)
-        pts = fi_curve_bounds(canonicalize_biso(chans[0]), ts)
+        pts = fi_curve_bounds(chans[0], ts)
         header, columns = "t,lower,upper", (ts, pts.lower, pts.upper)
     else:  # mi-diff
         xs = np.arange(1, args.grid + 1) / (args.grid + 1.0)

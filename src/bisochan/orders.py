@@ -6,16 +6,18 @@ give the refuting prior of a failure and, through the shadows of the
 posterior masses, the degrading map of a success.  The less-noisy and
 more-capable orders share one DC branch and bound on the cells of a grid:
 a violation is a sampled point, and a holding verdict rests on a lower
-bound of every cell.  Both orders first net the output columns of one
-likelihood ratio, whose terms scale with their mass in the chi-squared
+bound of every cell.  Both orders run on flat rows, less-noisy on the
+canonical flat layout of its BISO pair, and first net the output columns of
+one likelihood ratio, whose terms scale with their mass in the chi-squared
 criterion and in the mutual information alike, so a self-comparison holds
-at once; a failing sample of either search is confirmed on the two
-channels.  Less-noisy tries a half grid first, nets the pairs, and
-certifies the criterion times a positive product by Bernstein coefficients
-built factor by factor in that basis, unless its end coefficients already
-fail; the search bounds its first cell (0, 1e-3] in closed form, and
-symmetric pairs search up to 1/2 only.  More-capable samples a round in
-slices, so its arrays stay bounded at any channel size.
+at once; a failing sample of either search is re-valued by the search's own
+kernel on the un-netted rows.  Less-noisy tries a half grid first, then
+certifies the criterion times a positive product by Bernstein coefficients,
+one factor per pair read from the netted columns with r0 > r1 and built in
+that basis, unless its end coefficients already fail; the search bounds its
+first cell (0, 1e-3] in closed form, and symmetric pairs search up to 1/2
+only.  More-capable samples a round in slices, so its arrays stay bounded
+at any channel size.
 """
 
 import functools
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BisoChannel, DegradingMap, _flat_layout, as_channel, canonicalize_biso, compose
+from .channels import DegradingMap, as_channel, canonicalize_biso, compose
 from .coefficients import _mutual_information_and_slope, mutual_information, mutual_information_grid
 from .errors import DegenerateParameterError, NumericalInstabilityError
 
@@ -65,8 +67,8 @@ class OrderVerdict:
     """Outcome of a partial-order query: holds, fails, or undetermined.
 
     An undetermined witness holds the left end and the lower bound of the
-    lowest cell `_dc_search` could not certify; a sample of either order that
-    the un-netted pair does not confirm below -1e-9 (see `_confirmed`) is the
+    lowest cell `_dc_search` could not certify; a sample of either order whose
+    value on the un-netted rows is not below -1e-9 (see `_confirmed`) is the
     cell [x, x], its bound.
     """
 
@@ -136,18 +138,17 @@ def less_noisy_criterion_biso(w, v, q):
 
 
 def _flat_rows(w, v):
-    """Terms (d^2, d, r1), d = r0 - r1, of the flat rows of two channels with
-    r0 != r1, so q d + r1 > 0 on (0, 1), and how many are the first's.  The
-    rows of a BisoChannel, or of an array of pairs, are read from its pairs,
-    in `to_channel` order."""
-    w_rows, v_rows = (
-        _flat_layout(getattr(ch, "pairs", ch)) if isinstance(ch, (BisoChannel, np.ndarray)) else as_channel(ch).rows
-        for ch in (w, v)
-    )
+    """Terms (A, B, C), each adding A / (q B + C), of the flat rows of two channels, or of two
+    row arrays, with r0 != r1, and how many are the first's: (d^2, d, r1), d = r0 - r1, so
+    q d + r1 > 0 on (0, 1), and (d, 1, 0) for a noiseless row (r1 = 0), whose d^2 / (q d) is
+    d / q: neither d^2 nor q d may underflow to 0 / 0 there."""
+    w_rows, v_rows = (ch if isinstance(ch, np.ndarray) else as_channel(ch).rows for ch in (w, v))
     r0, r1 = np.concatenate((w_rows, v_rows), axis=1)
     d = r0 - r1
     keep = d != 0.0
-    return np.stack((d * d, d, r1))[:, keep, None], int(np.count_nonzero(keep[: w_rows.shape[1]]))
+    noiseless = r1 == 0.0
+    terms = np.stack((np.where(noiseless, d, d * d), np.where(noiseless, 1.0, d), r1))
+    return terms[:, keep, None], int(np.count_nonzero(keep[: w_rows.shape[1]]))
 
 
 def _criterion(rows, qs):
@@ -158,8 +159,8 @@ def _criterion(rows, qs):
     conv = (q p_- + (1 - q) p) / s, but conv (1 - conv) is never formed: it
     cancels as q -> 0 for lopsided pairs.
     """
-    (d2, d, r1), n_w = rows
-    terms = d2 / (qs * d + r1)
+    (a, b, c), n_w = rows
+    terms = a / (qs * b + c)
     zero = np.zeros(len(qs))
     # row after row: identical channels cancel exactly, and one q rounds as in a grid
     return sum(terms[:n_w], zero) - sum(terms[n_w:], zero)
@@ -205,28 +206,20 @@ def _net_rows(w_rows, v_rows):
     return rows[:, net > 0.0], rows[:, net < 0.0]
 
 
-def _net_biso(w, v):
-    """The pairs of two BISO channels through `_net_rows`, each ordered larger first so that
-    a pair and its mirror net; with nothing netted, the channels' own pairs, so that the
-    search keeps the order of their flat rows, and their bits."""
-    larger_first = [np.sort(ch.pairs.T, axis=0)[::-1] for ch in (w, v)]
-    net = _net_rows(*larger_first)
-    return (w.pairs, v.pairs) if net[0] is larger_first[0] else (net[0].T, net[1].T)
-
-
-def _bernstein_factors(w_pairs, v_pairs):
-    """k and a, as lists of floats, of each pair of two BISO channels with p != p_-.
+def _bernstein_factors(w_rows, v_rows):
+    """k and a, as lists of floats, of each pair of two BISO channels' flat rows with p != p_-,
+    read from its column with r0 > r1 (a pair and its mirror give the same k and a).
 
     A pair with s = p + p_- contributes k / (a + cx) to the criterion,
     x = 4q(1 - q), k = +-4 (p - p_-)^2 / s (+ for W), c = (p - p_-)^2 / s^2,
-    a = 4 p p_- / s^2 = 1 - c; p = p_- contributes nothing.
+    a = 4 (p / s)(p_- / s) = 1 - c; p = p_- contributes nothing.
     """
-    pairs = np.concatenate((w_pairs, v_pairs))
-    moving = pairs[:, 0] != pairs[:, 1]
-    p, pm = pairs[moving].T
+    p, pm = np.concatenate((w_rows, v_rows), axis=1)
+    larger = p > pm
+    sign = np.where(np.arange(p.size) < w_rows.shape[1], 4.0, -4.0)[larger]
+    p, pm = p[larger], pm[larger]
     s = p + pm
-    k = np.repeat([4.0, -4.0], (len(w_pairs), len(v_pairs)))[moving] * (p - pm) ** 2 / s
-    return k.tolist(), (4.0 * p * pm / s**2).tolist()
+    return (sign * (p - pm) ** 2 / s).tolist(), (4.0 * (p / s) * (pm / s)).tolist()
 
 
 def _criterion_bernstein(k, a):
@@ -294,22 +287,23 @@ def _bernstein_positive(b):
 def _ln_samples(rows, qs):
     """Rows q, f = F_W - F_V, -F_W and -F_W' at each q for `_flat_rows`, with F = sum d^2 / (q d + r1)
     convex on (0, 1): f, which is `_criterion` bit for bit, is concave minus concave."""
-    (d2, d, r1), n_w = rows
-    den = qs * d + r1
-    terms = d2 / den
+    (a, b, c), n_w = rows
+    den = qs * b + c
+    terms = a / den
     fw, fv = (sum(part, np.zeros(len(qs))) for part in (terms[:n_w], terms[n_w:]))
-    return np.array((qs, fw - fv, -fw, (terms[:n_w] * d[:n_w] / den[:n_w]).sum(axis=0)))
+    return np.array((qs, fw - fv, -fw, (terms[:n_w] * b[:n_w] / den[:n_w]).sum(axis=0)))
 
 
 def _first_cell(rows):
     """A lower bound of f on (0, b], as a function of b, for netted `_flat_rows`.
 
     Only a row with r1 = 0 (one at most, once netted) grows without bound as
-    q -> 0: it adds K / q, K the net noiseless mass.  The other rows are finite
-    at 0, so `_dc_bounds` bounds their f on [0, b], plus K / b if K > 0; if
-    K < 0 the bound is -inf, and halving toward 0 meets a violating midpoint.
+    q -> 0: it adds K / q, K the net noiseless mass, read from the row's first
+    term d.  The other rows are finite at 0, so `_dc_bounds` bounds their f on
+    [0, b], plus K / b if K > 0; if K < 0 the bound is -inf, and halving
+    toward 0 meets a violating midpoint.
     """
-    (_, d, r1), n_w = rows
+    (d, _, r1), n_w = rows
     noiseless = r1[:, 0] == 0.0
     k = float(np.where(np.arange(d.shape[0]) < n_w, d[:, 0], -d[:, 0])[noiseless].sum())
     rest = (rows[0][:, ~noiseless], n_w - int(np.count_nonzero(noiseless[:n_w])))
@@ -323,27 +317,27 @@ def is_less_noisy(w, v):
     Fails iff the convexity criterion, symmetric under q -> 1 - q, dips below
     -1e-9 in (0, 1/2] (so channels of one contraction coefficient, which touch
     zero at q = 1/2, hold), with a witness q > 0 where the criterion over all
-    flat rows is below -1e-9.  In order: the q-grid up to 1/2, its argmin the
-    witness; the Bernstein certificate of `_criterion_bernstein` of the pairs
-    `_net_biso` nets, built only if `_bernstein_ends` clear its margin; and
-    `_dc_search` of their rows, its first cell (0, 1e-3] bounded by
-    `_first_cell`, its witness `_confirmed` on all flat rows.
+    flat rows is below -1e-9.  In order, on the canonical flat rows: the
+    q-grid up to 1/2, its argmin the witness; the Bernstein certificate of
+    `_criterion_bernstein` of the rows `_net_rows` nets, built only if
+    `_bernstein_ends` clear its margin; and `_dc_search` of those rows, its
+    first cell (0, 1e-3] bounded by `_first_cell`, its witness `_confirmed`
+    by `_ln_samples` of all flat rows.
     """
-    w, v = canonicalize_biso(w), canonicalize_biso(v)
-    rows = _flat_rows(w, v)
+    w_rows, v_rows = (canonicalize_biso(ch).to_channel().rows for ch in (w, v))
+    rows = _flat_rows(w_rows, v_rows)
     vals = _criterion(rows, _HALF_GRID)
     if vals.min() < -VERDICT_TOL:
         k = int(np.argmin(vals))
         return OrderVerdict("fails", CriterionViolation(float(_HALF_GRID[k]), float(vals[k])))
-    net = _net_biso(w, v)
+    net = _net_rows(w_rows, v_rows)
     k, a = _bernstein_factors(*net)
     if min(_bernstein_ends(k, a)) > _bernstein_margin(len(k)) and _bernstein_positive(_criterion_bernstein(k, a)):
         return OrderVerdict("holds")
     net_rows = _flat_rows(*net)
     cells = _TERMS // max(net_rows[0].shape[1], 1)
-    sample = functools.partial(_ln_samples, net_rows)
-    verdict = _dc_search(sample, _HALF_GRID, 0.0, cells, _first_cell(net_rows))
-    return _confirmed(verdict, lambda q: less_noisy_criterion_biso(w, v, q))
+    verdict = _dc_search(functools.partial(_ln_samples, net_rows), _HALF_GRID, 0.0, cells, _first_cell(net_rows))
+    return _confirmed(verdict, functools.partial(_ln_samples, rows))
 
 
 def less_noisy_criterion_fd(w, v, q):
@@ -451,16 +445,17 @@ def _dc_search(sample, xs, min_cell, max_cells, first=None):
     return OrderVerdict("fails", CriterionViolation(float(pts[0, k]), float(pts[1, k])))
 
 
-def _confirmed(verdict, value):
-    """A `_dc_search` verdict on the rows `_net_rows` left, a failing sample x re-valued by `value(x)`,
-    f over all of the pair's rows: below -1e-9 it fails with that value, else it is the uncertified cell [x, x]."""
+def _confirmed(verdict, sample):
+    """A `_dc_search` verdict on the rows `_net_rows` left, a failing sample x re-valued as f of
+    `sample([x])`, the search's own kernel on all of the pair's rows: below -1e-9 it fails with
+    that value, else, NaN too, it is the uncertified cell [x, x]."""
     if not verdict.fails:
         return verdict
     x = verdict.witness.parameter
-    at = value(x)
-    if at >= -VERDICT_TOL:
-        return OrderVerdict("undetermined", verdict.witness)
-    return OrderVerdict("fails", CriterionViolation(x, at))
+    at = float(sample(np.array([x]))[1, 0])
+    if at < -VERDICT_TOL:
+        return OrderVerdict("fails", CriterionViolation(x, at))
+    return OrderVerdict("undetermined", verdict.witness)
 
 
 def is_more_capable(p_channel, q_channel):
@@ -468,17 +463,18 @@ def is_more_capable(p_channel, q_channel):
 
     f = I_P - I_Q, concave minus concave in the input bias, is sampled at
     k/1000, k = 0..1000, on the columns of `_net_rows`, and decided by
-    `_dc_search`; a failing sample is `_confirmed` on the two channels.  Cells
-    narrower than 1e-12 are not halved: I carries an absolute roundoff near
-    1e-16, above the tangent gap of such a cell (its width squared times the
-    curvature).  When both channels are `_symmetric`, f(x) = f(1 - x), and
-    only k <= 500 is sampled, so every witness lies in [0, 1/2].
+    `_dc_search`; a failing sample is `_confirmed` by `_mc_samples` of the two
+    channels' rows.  Cells narrower than 1e-12 are not halved: I carries an
+    absolute roundoff near 1e-16, above the tangent gap of such a cell (its
+    width squared times the curvature).  When both channels are `_symmetric`,
+    f(x) = f(1 - x), and only k <= 500 is sampled, so every witness lies in
+    [0, 1/2].
     """
     p_ch, q_ch = as_channel(p_channel), as_channel(q_channel)
     xs = _MC_HALF if _symmetric(p_ch) and _symmetric(q_ch) else _MC_GRID
     rows = _net_rows(p_ch.rows, q_ch.rows)
     verdict = _dc_search(functools.partial(_mc_samples, rows), xs, _MIN_CELL, _MC_CELLS)
-    return _confirmed(verdict, lambda x: mutual_information_difference(p_ch, q_ch, x))
+    return _confirmed(verdict, functools.partial(_mc_samples, (p_ch.rows, q_ch.rows)))
 
 
 # ----------------------------------------------------------------------

@@ -212,8 +212,17 @@ class TestCompare:
         assert "degradable A->B: holds" in out
         assert "degrading map:" in out
 
-    def test_ln_requires_biso_exit_4(self, z_file, eta_file_a):
+    def test_ln_requires_biso_exit_4(self, z_file, eta_file_a, capsys):
+        # the library's NotBisoError is the gate: nothing reaches stdout
         assert main(["compare", z_file, eta_file_a, "--order", "ln"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("precondition violated:")
+
+    def test_order_all_skips_less_noisy_for_a_non_biso_pair(self, z_file, capsys):
+        assert main(["compare", z_file, str(DEMO_DATA / "eta_pair_a.txt"), "--order", "all"]) == 0
+        captured = capsys.readouterr()
+        assert "\nless-noisy: skipped (non-BISO pair)\nmore-capable A>=B: " in captured.out
+        assert captured.err == ""
 
     def test_grid_option_is_rejected(self, eta_file_a, eta_file_b, capsys):
         # the certified more-capable decision has no grid to set
@@ -436,8 +445,15 @@ class TestSweep:
     def test_wrong_file_count_exit_4(self, eta_file_a):
         assert main(["sweep", "--quantity", "criterion", eta_file_a]) == 4
 
-    def test_criterion_requires_biso_exit_4(self, z_file, eta_file_a):
+    def test_criterion_requires_biso_exit_4(self, z_file, eta_file_a, capsys):
         assert main(["sweep", "--quantity", "criterion", z_file, eta_file_a]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("precondition violated:")
+
+    def test_fi_bounds_requires_biso_exit_4(self, z_file, capsys):
+        assert main(["sweep", "--quantity", "fi-bounds", z_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("precondition violated:")
 
     def test_csv_rows_recompute_to_printed_precision(self, eta_file_a, eta_file_b, capsys):
         from bisochan import canonicalize_biso, less_noisy_criterion_biso, load_channel

@@ -369,15 +369,17 @@ class TestIsLessNoisy:
         assert orders._TERMS // 5 < max(terms) <= orders._TERMS // 2
 
     def test_unconfirmed_sample_is_an_undetermined_cell(self, monkeypatch):
-        # a search sample that the criterion over all flat rows does not confirm is the
-        # uncertified cell [q, q]: the witness keeps the sample, below -1e-9
+        # a search sample that the criterion over all flat rows does not confirm (0, or NaN)
+        # is the uncertified cell [q, q]: the witness keeps the sample, below -1e-9
         rng = np.random.default_rng(44)
         a, b = rng.uniform(size=(48, 2)) ** 5, rng.uniform(size=(48, 2)) ** 5
         w, v = BisoChannel(a / a.sum()), BisoChannel(b / b.sum())
-        monkeypatch.setattr(orders, "less_noisy_criterion_biso", lambda w, v, q: 0.0)
-        verdict = is_less_noisy(w, v)
-        assert verdict.relation == "undetermined"
-        assert 0.0 < verdict.witness.parameter < 1e-3 and verdict.witness.value < -1e-9
+        for value in (0.0, math.nan):
+            _confirm_with(monkeypatch, value)
+            verdict = is_less_noisy(w, v)
+            assert verdict.relation == "undetermined"
+            assert 0.0 < verdict.witness.parameter < 1e-3 and verdict.witness.value < -1e-9
+            monkeypatch.undo()
 
     def test_both_orders_run_one_search(self, monkeypatch):
         calls = []
@@ -389,24 +391,24 @@ class TestIsLessNoisy:
 
     def test_shared_pairs_cancel_as_multisets(self):
         # pairs of one posterior net by mass, a pair and its mirror alike
+        # (the pairs of netted flat rows are their columns with r0 > r1)
         w = BisoChannel([(0.1, 0.2), (0.3, 0.1), (0.1, 0.2)])
         v = BisoChannel([(0.2, 0.1), (0.25, 0.35), (0.1, 0.0)])
-        w_net, v_net = orders._net_biso(w, v)
-        assert w_net.tolist() == [[0.2, 0.1], [0.3, 0.1]]
-        assert v_net.tolist() == [[0.35, 0.25], [0.1, 0.0]]
-        assert all(side.shape == (0, 2) for side in orders._net_biso(w, w))
-        assert all(side.shape == (0, 2) for side in orders._net_biso(w, BisoChannel(w.pairs[::-1, ::-1])))
+        w_net, v_net = orders._net_rows(_flat(w), _flat(v))
+        assert _pairs_of(w_net).tolist() == [[0.2, 0.1], [0.3, 0.1]]
+        assert _pairs_of(v_net).tolist() == [[0.35, 0.25], [0.1, 0.0]]
+        assert all(side.shape == (2, 0) for side in orders._net_rows(_flat(w), _flat(w)))
+        assert all(side.shape == (2, 0) for side in orders._net_rows(_flat(w), _flat(BisoChannel(w.pairs[::-1, ::-1]))))
         # a net below zero moves to V's side
-        w_net, v_net = orders._net_biso(BisoChannel([(0.2, 0.1), (0.7, 0.0)]), BisoChannel([(0.4, 0.2), (0.4, 0.0)]))
-        assert v_net.tolist() == [[0.2, 0.1]]
-        assert np.allclose(w_net, [[0.3, 0.0]], rtol=0.0, atol=1e-16)
+        w_net, v_net = orders._net_rows(_flat(BisoChannel([(0.2, 0.1), (0.7, 0.0)])), _flat(BisoChannel([(0.4, 0.2), (0.4, 0.0)])))
+        assert _pairs_of(v_net).tolist() == [[0.2, 0.1]]
+        assert np.allclose(_pairs_of(w_net), [[0.3, 0.0]], rtol=0.0, atol=1e-16)
         # with no posterior shared the rows come back as they are (p = p_- too, which
-        # adds no row), and the flat rows of the pairs, read from the arrays, are the channels' own
+        # adds no row), and the terms of the row arrays are the channels' own
         a, b = BisoChannel([(0.5, 0.2), (0.3, 0.0)]), BisoChannel([(0.6, 0.3), (0.05, 0.05)])
-        rows = [np.sort(ch.pairs.T, axis=0)[::-1] for ch in (a, b)]
+        rows = [_flat(ch) for ch in (a, b)]
         assert all(side is row for side, row in zip(orders._net_rows(*rows), rows))
-        assert all(side is ch.pairs for side, ch in zip(orders._net_biso(a, b), (a, b)))
-        (net_rows, n_net), (rows, n_rows) = orders._flat_rows(a.pairs, b.pairs), orders._flat_rows(a, b)
+        (net_rows, n_net), (rows, n_rows) = orders._flat_rows(*rows), orders._flat_rows(a, b)
         assert n_net == n_rows and net_rows.tobytes() == rows.tobytes()
 
     def test_noiseless_masses_within_rounding_cancel(self):
@@ -415,11 +417,9 @@ class TestIsLessNoisy:
         three = BisoChannel([(0.3, 0.0), (0.0, 0.5), (0.2000000000000001, 0.0)])
         one = BisoChannel([(1.0, 0.0)])
         assert three.pairs.sum() == 1.0 + 2.0**-52
-        assert all(side.shape == (0, 2) for side in orders._net_biso(three, one))
-        assert is_less_noisy(three, one).holds and is_less_noisy(one, three).holds
         # as flat columns, the three against the one net to nothing on each side
-        flat = [as_channel(ch).rows for ch in (three, one)]
-        assert all(side.shape == (2, 0) for side in orders._net_rows(*flat))
+        assert all(side.shape == (2, 0) for side in orders._net_rows(_flat(three), _flat(one)))
+        assert is_less_noisy(three, one).holds and is_less_noisy(one, three).holds
         assert is_more_capable(three, one).holds and is_more_capable(one, three).holds
 
     def test_violation_below_the_probes_fails_at_the_limit(self):
@@ -452,12 +452,28 @@ class TestIsLessNoisy:
         # ... and a K within rounding cancels; with no certificate the search decides
         monkeypatch.setattr(orders, "_bernstein_positive", lambda poly: False)
         lopsided = BisoChannel([[0, 0.7451701144751403], [0.2548298855248598, 0]])
-        assert all(side.shape == (0, 2) for side in orders._net_biso(BisoChannel([[0, 1]]), lopsided))
+        assert all(side.shape == (2, 0) for side in orders._net_rows(_flat(BisoChannel([[0, 1]])), _flat(lopsided)))
         assert is_less_noisy(BisoChannel([[0, 1]]), lopsided).holds
         eta = 0.4**2 / 0.6 + 0.3**2 / 0.4
         b = BisoChannel([(0.5, 0.1), (0.05, 0.35)])
         assert is_less_noisy(canonicalize_biso(make_bec(1 - eta)), b).holds  # K = 1 - eta > 0
         assert is_less_noisy(b, canonicalize_biso(make_bsc((1 - math.sqrt(eta)) / 2))).holds  # no K
+
+    def test_tiny_noiseless_mass_fails_at_a_finite_violation(self):
+        # d^2 and q d of a noiseless row of mass below 1.5e-154 underflow: its term was
+        # 0 / 0 = NaN at q = 1.69e-24, where the criterion is -5.9e-277, and the NaN passed
+        # as a violation; stored as d / q it fails only where the criterion is below -1e-9
+        one = Channel([[1.0], [1.0]])
+        tiny = Channel([[1.943808437406911e-300, 1.0, 0.0], [1.0046502987042566e-299, 1.0, 0.0]])
+        cases = [(one, tiny)]
+        cases += [(BisoChannel([(0.5, 0.5)]), BisoChannel([(0.5, 0.5 - m), (m, 0.0)])) for m in (1e-300, 1e-200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w, v in cases:
+                verdict = is_less_noisy(w, v)
+                assert verdict.fails, (w, v)
+                value = less_noisy_criterion_biso(w, v, verdict.witness.parameter)
+                assert math.isfinite(value) and value < -1e-9 and value == verdict.witness.value
 
     def test_bernstein_coefficients_match_the_power_polynomial(self):
         # power coefficients a_j (lowest first), as exact rationals, have the Bernstein
@@ -474,7 +490,7 @@ class TestIsLessNoisy:
 
         certified = 0
         for w, v in list(_polynomial_cases(20)) + list(_seeded_pairs(21, 100)):
-            new = orders._criterion_bernstein(*orders._bernstein_factors(w.pairs, v.pairs))
+            new = orders._criterion_bernstein(*orders._bernstein_factors(_flat(w), _flat(v)))
             old = bernstein(golden_oracle.criterion_polynomial(w.pairs, v.pairs))
             mag = bernstein(_convolution_polynomial(w.pairs, v.pairs, magnitude=True))
             n = new.size - 1
@@ -510,7 +526,7 @@ class TestIsLessNoisy:
         cases += [(ETA_PAIR_A, ETA_PAIR_B), (ETA_PAIR_A, ETA_PAIR_A)]
         skipped = 0
         for w, v in cases:
-            k, a = orders._bernstein_factors(w.pairs, v.pairs)
+            k, a = orders._bernstein_factors(_flat(w), _flat(v))
             full, ends = orders._criterion_bernstein(k, a), np.array(orders._bernstein_ends(k, a))
             assert ends.tobytes() == full[[0, -1]].tobytes(), (w, v)
             if not np.all(ends > orders._bernstein_margin(len(k))):
@@ -518,13 +534,28 @@ class TestIsLessNoisy:
                 assert not orders._bernstein_positive(full), (w, v)
         assert skipped > 20
 
+    def test_bernstein_factors_are_the_pairs_own(self):
+        # one (k, a) per pair with p != p_-, read from its column with r0 > r1 of the flat
+        # rows: as a multiset, the (k, a) of the pairs themselves, bit for bit
+        def hexed(k, a):
+            return Counter((x.hex(), y.hex()) for x, y in zip(k, a))
+
+        for w, v in list(_polynomial_cases(26)) + list(_seeded_pairs(27, 200)):
+            pairs = np.concatenate((w.pairs, v.pairs))
+            moving = pairs[:, 0] != pairs[:, 1]
+            p, pm = pairs[moving].T
+            s = p + pm
+            k = np.repeat([4.0, -4.0], (w.num_pairs, v.num_pairs))[moving] * (p - pm) ** 2 / s
+            a = 4.0 * (p / s) * (pm / s)
+            assert hexed(*orders._bernstein_factors(_flat(w), _flat(v))) == hexed(k.tolist(), a.tolist()), (w, v)
+
     def test_high_degree_decision_skips_the_full_build(self, monkeypatch):
         # 2,048 pairs against an 8-pair garbling: b_0 underflows far below the margin, so the
         # O(n^2) build (0.5 s on a 2-CPU Xeon host) never runs and the branch and bound decides
         raw = np.random.default_rng(5).uniform(0.02, 1.0, size=(2048, 2))
         w = BisoChannel(raw / raw.sum())
         v = random_degraded_biso(np.random.default_rng(7), w, max_pairs=8)
-        k, a = orders._bernstein_factors(w.pairs, v.pairs)
+        k, a = orders._bernstein_factors(_flat(w), _flat(v))
         assert len(k) == 2056 and orders._bernstein_ends(k, a)[0] < orders._bernstein_margin(len(k))
 
         def forbidden(*args):
@@ -543,13 +574,12 @@ class TestIsLessNoisy:
         w = BisoChannel(raw / raw.sum())
         v = random_degraded_biso(np.random.default_rng(7), w, max_pairs=8)
         assert v.num_pairs == 8
+        rows = _flat(w), _flat(v)  # memoized on the channels: not the certificate's memory
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                certified = orders._bernstein_positive(
-                    orders._criterion_bernstein(*orders._bernstein_factors(w.pairs, v.pairs))
-                )
+                certified = orders._bernstein_positive(orders._criterion_bernstein(*orders._bernstein_factors(*rows)))
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -587,7 +617,7 @@ class TestIsLessNoisy:
             elif new != old:
                 # a noiseless mass the oracle saw as 1 + 2.2e-16 against 1 nets to nothing
                 seen["cancelled"] += 1
-                assert new.holds and not any(map(len, orders._net_biso(*map(canonicalize_biso, (w, v)))))
+                assert new.holds and not any(side.size for side in orders._net_rows(_flat(w), _flat(v)))
             else:
                 seen["certified" if results else old.relation] += 1
         assert seen["certified"] > 1300 and seen["fails"] > 1000 and seen["searched"] > 20
@@ -634,7 +664,19 @@ class TestNetRows:
             mirror = BisoChannel(w.pairs[::-1, ::-1])
             net = orders._net_rows(w.to_channel().rows, mirror.to_channel().rows)
             assert all(side.shape == (2, 0) for side in net)
-            assert all(side.shape == (0, 2) for side in orders._net_biso(w, mirror))
+            assert orders._bernstein_factors(*net) == ([], [])  # no pair is left to certify
+
+    def test_net_rows_net_a_channel_against_itself_to_nothing(self):
+        # flat rows against themselves and against their mirror, and BEC(eps) against itself
+        rng = np.random.default_rng(29)
+        cases = []
+        for eps in (0.0, 0.3, 0.999):
+            cases += [(make_bec(eps).rows, make_bec(eps).rows), (_flat(make_bec(eps)), _flat(make_bec(eps)))]
+        for _ in range(20):
+            w = _with_zeros(rng, random_biso(rng, max_pairs=8))
+            cases += [(_flat(w), _flat(w)), (_flat(w), _flat(BisoChannel(w.pairs[::-1, ::-1])))]
+        for a, b in cases:
+            assert all(side.shape == (2, 0) for side in orders._net_rows(a, b)), (a, b)
 
     def test_net_rows_net_columns_of_one_ratio_within_a_channel(self):
         # (0.2, 0.1) and (0.4, 0.2) share t = 1/3 bit for bit: one column of mass 0.9 is left
@@ -722,9 +764,27 @@ def _prefix_convolution_polynomial(w, v):
     return orders.VERDICT_TOL * prod + acc
 
 
+def _flat(ch):
+    """The canonical flat rows of a BISO channel, as `is_less_noisy` reads them."""
+    return canonicalize_biso(ch).to_channel().rows
+
+
+def _pairs_of(rows):
+    """The pairs (p, p_-), p > p_-, of flat rows: their columns with r0 > r1."""
+    return rows[:, rows[0] > rows[1]].T
+
+
+def _confirm_with(monkeypatch, value):
+    """Make `orders._confirmed` see f = value on all of the pair's rows."""
+    confirmed = orders._confirmed
+    f_row = np.array([[False], [True], [False], [False]])
+    monkeypatch.setattr(orders, "_confirmed", lambda verdict, sample: confirmed(verdict, lambda xs: np.where(f_row, value, sample(xs))))
+
+
 def _flat_rows_of_channels(w, v):
-    """`orders._flat_rows` as it was: the rows of the flat Channels, a
-    BisoChannel's built as `to_channel` built them."""
+    """`orders._flat_rows` rebuilt from the rows of the flat Channels, a
+    BisoChannel's built as `to_channel` built them; a noiseless row (r1 = 0)
+    is (d, 1, 0)."""
 
     def flat(ch):
         if isinstance(ch, BisoChannel):
@@ -736,7 +796,8 @@ def _flat_rows_of_channels(w, v):
     r0, r1 = np.concatenate((w_ch.rows, v_ch.rows), axis=1)
     d = r0 - r1
     keep = d != 0.0
-    return np.stack((d * d, d, r1))[:, keep, None], int(np.count_nonzero(keep[: w_ch.n_outputs]))
+    terms = np.where(r1 == 0.0, np.stack((d, np.ones_like(d), r1)), np.stack((d * d, d, r1)))
+    return terms[:, keep, None], int(np.count_nonzero(keep[: w_ch.n_outputs]))
 
 
 def _polynomial_cases(seed):
@@ -1061,10 +1122,30 @@ class TestIsMoreCapable:
         assert orders._net_rows(a.rows, b.rows)[0] is not a.rows
         fails = is_more_capable(a, b)
         assert fails.fails and fails.witness.value == mutual_information_difference(a, b, fails.witness.parameter)
-        monkeypatch.setattr(orders, "mutual_information_difference", lambda p, q, x: 0.0)
+        _confirm_with(monkeypatch, 0.0)
         verdict = is_more_capable(a, b)
         assert verdict.relation == "undetermined" and verdict.witness.value < -1e-9
         assert verdict.witness.parameter == fails.witness.parameter
+
+    def test_confirmation_kernels_are_the_public_criteria_bitwise(self):
+        # `_confirmed` re-values a failing sample by the search's own kernel on all rows:
+        # that is less_noisy_criterion_biso and mutual_information_difference, bit for bit
+        failing = 0
+        for w, v in _seeded_pairs(31, 200):
+            verdict = is_less_noisy(w, v)
+            if verdict.fails:
+                q = verdict.witness.parameter
+                at = orders._ln_samples(orders._flat_rows(_flat(w), _flat(v)), np.array([q]))[1, 0]
+                assert at.hex() == less_noisy_criterion_biso(w, v, q).hex() == verdict.witness.value.hex()
+                failing += 1
+        for a, b in list(_mc_pairs(32, 200)) + list(_netting_pairs(33, 200)):
+            verdict = is_more_capable(a, b)
+            if verdict.fails:
+                x = verdict.witness.parameter
+                at = orders._mc_samples((a.rows, b.rows), np.array([x]))[1, 0]
+                assert at.hex() == mutual_information_difference(a, b, x).hex() == verdict.witness.value.hex()
+                failing += 1
+        assert failing > 200
 
     def test_slices_sample_as_one_round(self, monkeypatch):
         # a round sampled in slices of 100 biases is the round sampled at once, bit for bit
