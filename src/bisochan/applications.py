@@ -21,8 +21,6 @@ from .coefficients import (
 )
 from .errors import LeakageOutOfRangeError
 
-_LN2 = math.log(2.0)
-
 
 def secrecy_capacity_vs_bec(w):
     """Secrecy capacity of the contraction-matched BEC main channel against eavesdropper w.

@@ -33,7 +33,7 @@ from .errors import (
     LeakageOutOfRangeError,
     NotBisoError,
 )
-from .extremal import ChannelClass, _matched, bsc_degrading_map, general_binary_dominated, match_extremal
+from .extremal import ChannelClass, _matched, general_binary_dominated, match_extremal
 from .orders import (
     CriterionViolation,
     InfeasibilityCertificate,
@@ -147,8 +147,7 @@ def cmd_compare(args):
 def cmd_extremal(args):
     ch = _load(args.channel)
     kind = {"eta": "eta_kl", "alpha": "alpha", "capacity": "capacity"}[args.kind]
-    biso = is_biso(ch)
-    if kind in ("eta_kl", "capacity") and not biso:
+    if kind != "alpha" and not is_biso(ch):
         print(f"{args.kind} extremal construction requires a BISO channel", file=sys.stderr)
         return EXIT_PRECONDITION
     match = match_extremal(ch, kind)
@@ -157,15 +156,11 @@ def cmd_extremal(args):
     print(f"bsc_p: {_fmt(match.bsc_p)}")
     print(f"bec_eps: {_fmt(match.bec_eps)}")
     dmap = None
-    if kind == "alpha" and biso:
-        dmap = bsc_degrading_map(ch)
-        print("indicator map (rows follow the flat output layout):")
-        _print_matrix(dmap.entries)
-    elif kind == "alpha":
+    if kind == "alpha":
         target, dmap = general_binary_dominated(ch)
         print("dominated two-output channel:")
         _print_matrix(target.rows)
-        print("collapsing map:")
+        print("collapsing map (rows follow the file's output columns):")
         _print_matrix(dmap.entries)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -3,7 +3,8 @@
 For a BISO channel, the BSC and BEC sharing its capacity, KL contraction
 coefficient, or Doeblin coefficient bound it from below and above in the
 matching partial order.  This module constructs those representatives, the
-explicit indicator map onto the matched BSC, the dimension-3 comparability
+vote map collapsing a binary-input channel onto a two-output channel of its
+Doeblin coefficient (the matched BSC if BISO), the dimension-3 comparability
 tests and degrading maps, and the reverse (BSC-anchored) coefficients.
 """
 
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    PAIRING_TOL,
     BisoChannel,
     Channel,
     DegradingMap,
-    _flat_layout,
     as_channel,
     canonicalize_biso,
     compose,
@@ -106,22 +107,25 @@ def _matched(cls):
 
 
 # ----------------------------------------------------------------------
-# Indicator map onto the Doeblin-matched BSC
+# Vote map onto the Doeblin-matched two-output channel
 # ----------------------------------------------------------------------
 
 
-def bsc_degrading_map(biso):
-    """Deterministic map collapsing a BISO channel onto BSC(alpha / 2).
+def _vote_map(channel):
+    """Each output column (r0, r1) of `channel` to the input it favours, rows in its own column
+    order: output 0 if r0 > r1, output 1 if r0 < r1, half to each if |r0 - r1| <= PAIRING_TOL.
+    The composition keeps the Doeblin coefficient, up to the tied columns' row differences."""
+    r0, r1 = as_channel(channel).rows
+    a = np.where(np.abs(r0 - r1) <= PAIRING_TOL, 0.5, (r0 > r1).astype(float))
+    return DegradingMap(np.stack([a, 1.0 - a], axis=1))
 
-    Each output votes for the more likely input: output +y maps to 0 when
-    p_y >= p_-y, output -y maps to 0 when p_-y > p_y.  The strict inequality
-    on the negative side keeps tied pairs from voting twice, so the
-    composition lands exactly on the matched BSC.  Rows follow the flat
-    output layout of `BisoChannel.to_channel`.
-    """
-    p, pm = canonicalize_biso(biso).pairs.T
-    a_flat = _flat_layout(np.stack([p >= pm, pm > p], axis=1).astype(float))[0]
-    return DegradingMap(np.stack([a_flat, 1.0 - a_flat], axis=1))
+
+def bsc_degrading_map(channel):
+    """`_vote_map` of a BISO channel: a pair and its mirror vote for opposite inputs, so in any
+    column order it composes onto BSC(alpha / 2) within the pairing tolerance.  Raises
+    NotBisoError for other channels."""
+    canonicalize_biso(channel)
+    return _vote_map(channel)
 
 
 # ----------------------------------------------------------------------
@@ -313,15 +317,10 @@ def verify_reverse_gamma(biso):
 def general_binary_dominated(channel):
     """A two-output channel every general binary channel degrades onto.
 
-    Each output votes for the input whose transition probability dominates
-    it; the resulting two-output channel shares the Doeblin coefficient of
-    the original.  Unlike the BISO constructions, the target depends on the
-    channel itself, not only on its class constant.  Returns (target, map).
+    `_vote_map` collapses the channel onto a two-output channel with its
+    Doeblin coefficient.  Unlike the BISO constructions, the target depends on
+    the channel itself, not only on its class constant.  Returns (target, map).
     """
     ch = as_channel(channel)
-    r = ch.rows[0]
-    s = ch.rows[1]
-    a = (s <= r).astype(float)
-    dmap = DegradingMap(np.stack([a, 1.0 - a], axis=1))
-    target = compose(ch, dmap)
-    return target, dmap
+    dmap = _vote_map(ch)
+    return compose(ch, dmap), dmap

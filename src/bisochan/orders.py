@@ -140,14 +140,15 @@ def less_noisy_criterion_biso(w, v, q):
 def _flat_rows(w, v):
     """Terms (A, B, C), each adding A / (q B + C), of the flat rows of two channels, or of two
     row arrays, with r0 != r1, and how many are the first's: (d^2, d, r1), d = r0 - r1, so
-    q d + r1 > 0 on (0, 1), and (d, 1, 0) for a noiseless row (r1 = 0), whose d^2 / (q d) is
-    d / q: neither d^2 nor q d may underflow to 0 / 0 there."""
+    q d + r1 > 0 on (0, 1).  A row with a zero entry is stored by its mass s = |d|, as
+    (s, 1, 0) if r1 = 0 (a noiseless row, d^2 / (q d) = s / q) and (s, -1, 1) if r0 = 0
+    (s / (1 - q)): neither d^2 nor q d + r1 may underflow to 0 / 0 there."""
     w_rows, v_rows = (ch if isinstance(ch, np.ndarray) else as_channel(ch).rows for ch in (w, v))
     r0, r1 = np.concatenate((w_rows, v_rows), axis=1)
     d = r0 - r1
     keep = d != 0.0
-    noiseless = r1 == 0.0
-    terms = np.stack((np.where(noiseless, d, d * d), np.where(noiseless, 1.0, d), r1))
+    zero = (r0 == 0.0) | (r1 == 0.0)
+    terms = np.stack((np.where(zero, np.abs(d), d * d), np.where(zero, np.sign(d), d), np.where(r0 == 0.0, 1.0, r1)))
     return terms[:, keep, None], int(np.count_nonzero(keep[: w_rows.shape[1]]))
 
 
@@ -399,14 +400,14 @@ def _dc_bounds(lo, hi):
     is at least min(f(a), f(b), chord_A(c) - tangent_B(c)), c = a + t (b - a)
     where the tangents cross.  With u and v how far the tangents at b and a
     lie above B at the other end, t = u / (u + v) and the last term is
-    f(a) + t (f(b) - f(a)) - uv / (u + v).  An infinite end slope puts c at
-    that end.
+    f(a) + t (f(b) - f(a)) - uv / (u + v).  An infinite end slope, or a u or v
+    so small that its reciprocal overflows, puts c at that end.
     """
     (a, fa, qa, sa), (b, fb, qb, sb) = lo, hi
     w, dq = b - a, qb - qa
     u = np.maximum(dq - sb * w, 0.0)
     v = np.maximum(sa * w - dq, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cross = fa + (fb - fa) / (1.0 + v / u) - 1.0 / (1.0 / u + 1.0 / v)
     return np.fmin(np.minimum(fa, fb), cross)  # NaN where B is linear: no crossing
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from bisochan import (
     BisoChannel,
     as_channel,
     canonicalize_biso,
+    compose,
     criterion_profile,
     fi_curve_bounds,
     load_channel,
@@ -51,6 +53,15 @@ def alpha_file_g(tmp_path):
     path = tmp_path / "alpha_g.txt"
     path.write_text("biso 0.245 0.515 0.221 0.019\n")
     return str(path)
+
+
+@pytest.fixture
+def subnormal_files(tmp_path):
+    """A BSC(1/2) and a copy whose second pair is (5e-324, 0), the smallest subnormal."""
+    half, sub = tmp_path / "half.txt", tmp_path / "sub.txt"
+    half.write_text("biso 0.5 0.5\n")
+    sub.write_text("biso 0.0 0.5 0.5 5e-324\n")
+    return str(half), str(sub)
 
 
 @pytest.fixture
@@ -192,6 +203,19 @@ class TestCompare:
         assert out.count("fails") == 2
         assert out.count("guessing-probability refutation") == 2
 
+    def test_subnormal_column_decides_less_noisy_without_warnings(self, subnormal_files, capsys):
+        # 1 / u overflowed in the DC bound of a cell next to q = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", *subnormal_files, "--order", "ln"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "less-noisy A>=B: fails",
+            "  violation at parameter 2.71615461299e-315 with value -1.81898940318e-09",
+            "less-noisy B>=A: holds",
+        ]
+        assert captured.err == ""
+
     def test_non_biso_pair_fails_degradability_with_guessing_witness(
         self, z_file, tmp_path, capsys
     ):
@@ -313,10 +337,11 @@ class TestCompare:
 class TestExtremal:
     def test_alpha_kind_prints_match_and_map(self, alpha_file_f, capsys):
         assert main(["extremal", alpha_file_f, "--kind", "alpha"]) == 0
-        out = capsys.readouterr().out
-        assert "bsc_p: 0.24" in out
-        assert "bec_eps: 0.48" in out
-        assert "indicator map" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "kind: alpha", "class_value: 0.48", "bsc_p: 0.24", "bec_eps: 0.48",
+            "dominated two-output channel:", "  0.76 0.24", "  0.24 0.76",
+            "collapsing map (rows follow the file's output columns):", "  1 0", "  1 0", "  0 1", "  0 1",
+        ]
 
     def test_eta_kind_on_bsc(self, tmp_path, capsys):
         path = tmp_path / "bsc.txt"
@@ -340,6 +365,24 @@ class TestExtremal:
         assert (outdir / "bsc.txt").exists()
         assert (outdir / "bec.txt").exists()
         assert (outdir / "map.txt").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3\n0.7 0.3 0.0\n0.0 0.3 0.7\n",  # BEC(0.3): an odd column, not in pairs
+            "4\n0.6 0.4 0 0\n0.4 0.6 0 0\n",  # a zero pair
+            "5\n0.05 0.3 0.2 0.35 0.1\n0.2 0.3 0.05 0.1 0.35\n",  # shuffled, an equal-rows column
+        ],
+        ids=["bec", "zero-pair", "shuffled"],
+    )
+    def test_alpha_map_composes_the_file_onto_its_bsc(self, text, tmp_path, capsys):
+        path, outdir = tmp_path / "ch.txt", tmp_path / "matched"
+        path.write_text(text)
+        assert main(["extremal", str(path), "--kind", "alpha", "--out", str(outdir)]) == 0
+        ch = load_channel(str(path))
+        dmap = np.loadtxt(outdir / "map.txt", ndmin=2)
+        assert dmap.shape == (ch.n_outputs, 2)
+        assert compose(ch, dmap).isclose(load_channel(str(outdir / "bsc.txt")), atol=1e-12)
 
     def test_out_over_a_regular_file_exit_2(self, eta_file_a, tmp_path, capsys):
         taken = tmp_path / "F"
@@ -449,6 +492,15 @@ class TestSweep:
         assert main(["sweep", "--quantity", "criterion", z_file, eta_file_a]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("precondition violated:")
+
+    def test_subnormal_column_sweeps_criterion_without_nan(self, subnormal_files, capsys):
+        # its flat row (d^2, d, r1) was 0 / 0 at every q > 1/2: q d rounds to -r1, d^2 to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--quantity", "criterion", *subnormal_files]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1000 and "nan" not in captured.out
+        assert captured.err == ""
 
     def test_fi_bounds_requires_biso_exit_4(self, z_file, capsys):
         assert main(["sweep", "--quantity", "fi-bounds", z_file]) == 4

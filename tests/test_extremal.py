@@ -8,6 +8,7 @@ from bisochan import (
     Channel,
     ClassMismatchError,
     DimensionTooLargeError,
+    NotBisoError,
     ParameterOutOfRangeError,
     bsc_degrading_map,
     canonicalize_biso,
@@ -91,12 +92,11 @@ class TestIndicatorMap:
         composed = compose(ETA_PAIR_A.to_channel(), m)
         assert composed.isclose(make_bsc(0.33), atol=1e-12)
 
-    def test_tie_votes_positive_output_for_input_zero(self):
+    def test_tied_pair_splits_evenly(self):
         b = BisoChannel([(0.25, 0.25), (0.4, 0.1)])
         m = bsc_degrading_map(b)
-        # +1 carries the tie (vote 1), -1 must not double-vote
-        flat_votes = m.entries[:, 0]  # outputs (-2, -1, +1, +2)
-        assert flat_votes[2] == 1.0 and flat_votes[1] == 0.0
+        # outputs (-2, -1, +1, +2): the tied -1 and +1 go half to each input
+        np.testing.assert_array_equal(m.entries[:, 0], [0.0, 0.5, 0.5, 1.0])
         alpha = doeblin_alpha(b.to_channel())
         assert compose(b.to_channel(), m).isclose(make_bsc(alpha / 2), atol=1e-12)
 
@@ -106,6 +106,49 @@ class TestIndicatorMap:
             b = random_biso(rng)
             target = make_bsc(doeblin_alpha(b.to_channel()) / 2)
             assert compose(b.to_channel(), bsc_degrading_map(b)).isclose(target, atol=1e-12)
+
+    def test_shuffled_columns_compose_onto_the_matched_bsc(self):
+        rng = np.random.default_rng(36)
+        for _ in range(300):
+            ch = _shuffled_biso(rng)
+            dmap = bsc_degrading_map(ch)
+            assert dmap.shape == (ch.n_outputs, 2)
+            assert compose(ch, dmap).isclose(make_bsc(doeblin_alpha(ch) / 2), atol=1e-12)
+            np.testing.assert_array_equal(general_binary_dominated(ch)[1].entries, dmap.entries)
+            # the same file with 2e-10 of rounding noise: a tied pair must still split
+            noisy = ch.rows + rng.uniform(-1e-10, 1e-10, size=ch.rows.shape) * (ch.rows > 0.0)
+            noisy = Channel(noisy / noisy.sum(axis=1, keepdims=True))
+            target = make_bsc(doeblin_alpha(noisy) / 2)
+            assert compose(noisy, bsc_degrading_map(noisy)).isclose(target, atol=1e-9)
+
+    def test_untied_votes_match_the_flat_layout_rule(self):
+        # +y votes for input 0 when p_y >= p_-y, -y when p_-y > p_y
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            b = random_biso(rng)
+            p, pm = b.pairs.T
+            votes = np.concatenate(((pm > p)[::-1], p >= pm)).astype(float)
+            assert bsc_degrading_map(b).entries[:, 0].tobytes() == votes.tobytes()
+
+    def test_non_biso_channel_is_refused(self):
+        with pytest.raises(NotBisoError):
+            bsc_degrading_map(make_z(0.3))
+
+
+def _shuffled_biso(rng):
+    """A seeded BISO channel of 1-6 pairs, each plain, tied (p = p_-) or zero, on odd
+    draws with a middle column of equal rows, its output columns shuffled."""
+    l = int(rng.integers(1, 7))
+    pairs = rng.uniform(0.02, 1.0, size=(l, 2))
+    kind = rng.integers(0, 3, size=l)
+    kind[0] = 0
+    pairs[kind == 1, 1] = pairs[kind == 1, 0]
+    pairs[kind == 2] = 0.0
+    middle = rng.uniform(0.02, 1.0, size=int(rng.integers(0, 2)))
+    rows = np.array([np.concatenate((pairs[:, 0], pairs[:, 1], middle)),
+                     np.concatenate((pairs[:, 1], pairs[:, 0], middle))])
+    rows /= pairs.sum() + middle.sum()
+    return Channel(rows[:, rng.permutation(rows.shape[1])])
 
 
 class TestDim3LessNoisy:
@@ -267,3 +310,18 @@ class TestGeneralBinary:
             assert abs(doeblin_alpha(target) - doeblin_alpha(ch)) < 1e-12
             assert abs(eta_tv(target) - eta_tv(ch)) < 1e-12
             assert is_degraded(ch, target).holds
+
+    def test_tied_columns_split_and_keep_the_coefficients(self):
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            r0 = rng.dirichlet(np.ones(6))
+            r1 = r0.copy()
+            free = rng.permutation(6)[: int(rng.integers(2, 5))]
+            r1[free] = rng.dirichlet(np.ones(free.size)) * r0[free].sum()
+            ch = Channel([r0, r1])
+            target, dmap = general_binary_dominated(ch)
+            tied = np.ones(6, dtype=bool)
+            tied[free] = False
+            np.testing.assert_array_equal(dmap.entries[tied], 0.5)
+            assert abs(doeblin_alpha(target) - doeblin_alpha(ch)) < 1e-12
+            assert abs(eta_tv(target) - eta_tv(ch)) < 1e-12

@@ -784,7 +784,7 @@ def _confirm_with(monkeypatch, value):
 def _flat_rows_of_channels(w, v):
     """`orders._flat_rows` rebuilt from the rows of the flat Channels, a
     BisoChannel's built as `to_channel` built them; a noiseless row (r1 = 0)
-    is (d, 1, 0)."""
+    is (d, 1, 0) and a row with r0 = 0 is (-d, -1, 1)."""
 
     def flat(ch):
         if isinstance(ch, BisoChannel):
@@ -796,7 +796,9 @@ def _flat_rows_of_channels(w, v):
     r0, r1 = np.concatenate((w_ch.rows, v_ch.rows), axis=1)
     d = r0 - r1
     keep = d != 0.0
-    terms = np.where(r1 == 0.0, np.stack((d, np.ones_like(d), r1)), np.stack((d * d, d, r1)))
+    one = np.ones_like(d)
+    terms = np.where(r1 == 0.0, np.stack((d, one, r1)), np.stack((d * d, d, r1)))
+    terms = np.where(r0 == 0.0, np.stack((-d, -one, one)), terms)
     return terms[:, keep, None], int(np.count_nonzero(keep[: w_ch.n_outputs]))
 
 
