@@ -48,6 +48,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INVALID_CHANNEL = 3
 EXIT_PRECONDITION = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that closed the pipe
 
 
 def _fmt(x):
@@ -301,10 +302,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except ChannelFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except BrokenPipeError:  # stdout's reader has gone, as with `| head`: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OSError as exc:  # a write: `_load` maps the reads to ChannelFormatError
         print(f"cannot write: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -88,6 +88,8 @@ def binary_convolution(a, b):
 def _entropy_bits(vec):
     """Shannon entropy of a probability vector (last axis), 0 log 0 = 0."""
     v = np.asarray(vec, dtype=float)
+    if v.all():  # no zero entry: the masked path's bits without its masks
+        return (-v * np.log2(v)).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(v > 0.0, -v * np.log2(np.where(v > 0.0, v, 1.0)), 0.0)
     return terms.sum(axis=-1)
@@ -229,7 +231,7 @@ def _mutual_information_and_slope(channel, ps, slope=True):
     rows = channel if isinstance(channel, np.ndarray) else as_channel(channel).rows
     p = np.asarray(ps, dtype=float)[:, None]
     out = p * rows[0] + (1.0 - p) * rows[1]
-    log = np.log2(out, out=np.zeros_like(out), where=out > 0.0)
+    log = np.log2(out) if out.all() else np.log2(out, out=np.zeros_like(out), where=out > 0.0)
     hy = -(out * log).sum(axis=1)
     h0, h1 = _entropy_bits(rows)
     mi = np.maximum(hy - (p[:, 0] * h0 + (1.0 - p[:, 0]) * h1), 0.0)

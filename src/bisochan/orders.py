@@ -4,20 +4,20 @@ Degradability is decided exactly by Blackwell's theorem for dichotomies,
 comparing guessing probabilities at finitely many priors; the same curves
 give the refuting prior of a failure and, through the shadows of the
 posterior masses, the degrading map of a success.  The less-noisy and
-more-capable orders share one DC branch and bound on the cells of a grid:
-a violation is a sampled point, and a holding verdict rests on a lower
-bound of every cell.  Both orders run on flat rows, less-noisy on the
-canonical flat layout of its BISO pair, and first net the output columns of
-one likelihood ratio, whose terms scale with their mass in the chi-squared
-criterion and in the mutual information alike, so a self-comparison holds
-at once; a failing sample of either search is re-valued by the search's own
-kernel on the un-netted rows.  Less-noisy tries a half grid first, then
-certifies the criterion times a positive product by Bernstein coefficients,
-one factor per pair read from the netted columns with r0 > r1 and built in
-that basis, unless its end coefficients already fail; the search bounds its
-first cell (0, 1e-3] in closed form, and symmetric pairs search up to 1/2
-only.  More-capable samples a round in slices, so its arrays stay bounded
-at any channel size.
+more-capable orders share one DC branch and bound on the cells of a grid,
+tried first on every 20th point: a violation is a sampled point, and a
+holding verdict rests on a lower bound of every cell.  Both orders run on
+flat rows, less-noisy on the canonical flat layout of its BISO pair, and
+first net the output columns of one likelihood ratio, whose terms scale
+with their mass in the chi-squared criterion and in the mutual information
+alike, so a self-comparison holds at once; a failing sample of netted rows
+is re-valued by the search's own kernel on all rows.  Less-noisy certifies
+the criterion times a positive product by Bernstein coefficients, one
+factor per pair read from the netted columns with r0 > r1 and built in that
+basis unless its end coefficients already fail, ahead of a half grid up to
+netted degree 20 and behind it above; the search bounds its first cell
+(0, 1e-3] in closed form, and symmetric pairs search up to 1/2 only.
+More-capable samples a round in slices, so its arrays stay bounded.
 """
 
 import functools
@@ -37,6 +37,8 @@ _MC_HALF = _MC_GRID[: DEFAULT_GRID // 2 + 2]  # its points up to 1/2
 _MIN_CELL = 1e-12  # a more-capable cell this narrow that is not certified is undetermined
 _MC_CELLS = 2**17  # more-capable cells open at once, at most
 _TERMS = 2**22  # less-noisy cells open at once times rows, at most; a quarter bounds a more-capable slice
+_COARSE = 20  # `_dc_search` first bounds the cells between every 20th point of its grid
+_CERTIFY_FIRST = 20  # netted pairs up to which the O(n^2) certificate costs no more than the half grid
 
 
 @dataclass(frozen=True)
@@ -318,22 +320,30 @@ def is_less_noisy(w, v):
     Fails iff the convexity criterion, symmetric under q -> 1 - q, dips below
     -1e-9 in (0, 1/2] (so channels of one contraction coefficient, which touch
     zero at q = 1/2, hold), with a witness q > 0 where the criterion over all
-    flat rows is below -1e-9.  In order, on the canonical flat rows: the
-    q-grid up to 1/2, its argmin the witness; the Bernstein certificate of
-    `_criterion_bernstein` of the rows `_net_rows` nets, built only if
-    `_bernstein_ends` clear its margin; and `_dc_search` of those rows, its
-    first cell (0, 1e-3] bounded by `_first_cell`, its witness `_confirmed`
-    by `_ln_samples` of all flat rows.
+    flat rows is below -1e-9.  On the canonical flat rows: the Bernstein
+    certificate of `_criterion_bernstein` of the rows `_net_rows` nets, built
+    only if `_bernstein_ends` clear its margin, and the q-grid up to 1/2, its
+    argmin the witness, in this order up to `_CERTIFY_FIRST` netted pairs and
+    the other way above; then `_dc_search` of the netted rows, its first cell
+    (0, 1e-3] bounded by `_first_cell`, its witness `_confirmed` by
+    `_ln_samples` of all flat rows.
     """
     w_rows, v_rows = (canonicalize_biso(ch).to_channel().rows for ch in (w, v))
+    net = _net_rows(w_rows, v_rows)
+    small = sum(np.count_nonzero(r[0] > r[1]) for r in net) <= _CERTIFY_FIRST  # the certificate's degree
+
+    def certified():
+        k, a = _bernstein_factors(*net)
+        return min(_bernstein_ends(k, a)) > _bernstein_margin(len(k)) and _bernstein_positive(_criterion_bernstein(k, a))
+
+    if small and certified():
+        return OrderVerdict("holds")
     rows = _flat_rows(w_rows, v_rows)
     vals = _criterion(rows, _HALF_GRID)
     if vals.min() < -VERDICT_TOL:
         k = int(np.argmin(vals))
         return OrderVerdict("fails", CriterionViolation(float(_HALF_GRID[k]), float(vals[k])))
-    net = _net_rows(w_rows, v_rows)
-    k, a = _bernstein_factors(*net)
-    if min(_bernstein_ends(k, a)) > _bernstein_margin(len(k)) and _bernstein_positive(_criterion_bernstein(k, a)):
+    if not small and certified():
         return OrderVerdict("holds")
     net_rows = _flat_rows(*net)
     cells = _TERMS // max(net_rows[0].shape[1], 1)
@@ -416,21 +426,30 @@ def _dc_search(sample, xs, min_cell, max_cells, first=None):
     """Whether f >= -1e-9 on [xs[0], xs[-1]], by DC branch and bound (Horst & Thoai, JOTA 1999).
 
     `sample(xs)` gives rows x, f, B and B' at each x, f = A - B for concave
-    A and B.  A sample below -1e-9 fails: the argmin of xs, or the lowest
-    midpoint of a round.  Cells whose `_dc_bounds` are below -1e-9 are halved,
-    all of one width at a time, until every cell is certified (holds).  It is
+    A and B.  A first round of every `_COARSE`-th point of xs and the last
+    holds if it certifies every cell; if not, the search starts over on xs.
+    A sample below -1e-9 fails: the argmin of xs, or the lowest midpoint of a
+    round.  Cells whose `_dc_bounds` are below -1e-9 are halved, all of one
+    width at a time, until every cell is certified (holds).  It is
     undetermined, the lowest cell bound the witness, if a cell to halve is
     narrower than `min_cell` or has no midpoint strictly inside, or if over
     `max_cells` cells would be open.  With `first`, the search runs on
     (0, xs[-1]], and the cell (0, b] is bounded by first(b).
     """
-    pts = sample(xs)
-    lo, hi = (pts[:, :-1], pts[:, 1:]) if first is None else (np.insert(pts[:, :-1], 0, 0.0, axis=1), pts)
-    k = int(np.argmin(pts[1]))
-    while pts[1, k] >= -VERDICT_TOL:
+    def bounded(lo, hi):
         bounds = _dc_bounds(lo, hi)
         if first is not None and lo[0, 0] == 0.0:
             bounds[0] = first(hi[0, 0])
+        return bounds
+
+    for grid in (np.append(xs[:-1:_COARSE], xs[-1]), xs):  # a coarse round may certify every cell at once
+        pts = sample(grid)
+        lo, hi = (pts[:, :-1], pts[:, 1:]) if first is None else (np.insert(pts[:, :-1], 0, 0.0, axis=1), pts)
+        if grid is not xs and pts[1].min() >= -VERDICT_TOL and not np.any(bounded(lo, hi) < -VERDICT_TOL):
+            return OrderVerdict("holds")
+    k = int(np.argmin(pts[1]))
+    while pts[1, k] >= -VERDICT_TOL:
+        bounds = bounded(lo, hi)
         keep = bounds < -VERDICT_TOL
         if not keep.any():
             return OrderVerdict("holds")
@@ -464,8 +483,9 @@ def is_more_capable(p_channel, q_channel):
 
     f = I_P - I_Q, concave minus concave in the input bias, is sampled at
     k/1000, k = 0..1000, on the columns of `_net_rows`, and decided by
-    `_dc_search`; a failing sample is `_confirmed` by `_mc_samples` of the two
-    channels' rows.  Cells narrower than 1e-12 are not halved: I carries an
+    `_dc_search`; a failing sample of netted columns is `_confirmed` by
+    `_mc_samples` of the two channels' rows (of un-netted ones it is that
+    value already).  Cells narrower than 1e-12 are not halved: I carries an
     absolute roundoff near 1e-16, above the tangent gap of such a cell (its
     width squared times the curvature).  When both channels are `_symmetric`,
     f(x) = f(1 - x), and only k <= 500 is sampled, so every witness lies in
@@ -475,6 +495,8 @@ def is_more_capable(p_channel, q_channel):
     xs = _MC_HALF if _symmetric(p_ch) and _symmetric(q_ch) else _MC_GRID
     rows = _net_rows(p_ch.rows, q_ch.rows)
     verdict = _dc_search(functools.partial(_mc_samples, rows), xs, _MIN_CELL, _MC_CELLS)
+    if rows[0] is p_ch.rows:  # nothing netted: a failing sample is f of the channels' own rows already
+        return verdict
     return _confirmed(verdict, functools.partial(_mc_samples, (p_ch.rows, q_ch.rows)))
 
 

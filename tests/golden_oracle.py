@@ -6,8 +6,16 @@ optimizers once refined a 1001-point scan the same way.  The exact and
 certified procedures replaced them, and these copies check that they
 agree wherever the old grids already decided.  The less-noisy decision
 then probed every sign interval between the real roots `np.roots` finds of
-the criterion polynomial; `is_less_noisy` below keeps that path.
+the criterion polynomial; `is_less_noisy` below keeps that path.  The
+decisions that followed sampled before they certified: less-noisy ran its
+half grid ahead of the Bernstein certificate at every degree, the DC branch
+and bound bounded the cells of its full grid from the first round, and the
+mutual-information kernel took every log2 under a mask; the `grid_first`,
+`full_grid` and `masked` copies below keep them.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -165,3 +173,90 @@ def is_less_noisy(w, v):
             return OrderVerdict("holds")
     k = int(np.argmin(vals))
     return OrderVerdict("fails", CriterionViolation(float(qs[k]), float(vals[k])))
+
+
+def masked_mi_and_slope(rows, ps):
+    """I and I' of the columns (r0, r1) at each bias, as `_mutual_information_and_slope` took
+    them before it had an unmasked path: every log2 under a mask, 0 log 0 = 0."""
+    p = np.asarray(ps, dtype=float)[:, None]
+    out = p * rows[0] + (1.0 - p) * rows[1]
+    log = np.log2(out, out=np.zeros_like(out), where=out > 0.0)
+    hy = -(out * log).sum(axis=1)
+    h0, h1 = masked_entropy_bits(rows)
+    mi = np.maximum(hy - (p[:, 0] * h0 + (1.0 - p[:, 0]) * h1), 0.0)
+    d = rows[0] - rows[1]
+    grad = h1 - h0 - log @ d - d.sum() / math.log(2.0)
+    if not rows.all():
+        grad[(p[:, 0] == 0.0) & np.any((rows[1] == 0.0) & (d != 0.0))] = np.inf
+        grad[(p[:, 0] == 1.0) & np.any((rows[0] == 0.0) & (d != 0.0))] = -np.inf
+    return mi, grad
+
+
+def masked_entropy_bits(v):
+    """`_entropy_bits` as it was: every entry under a mask."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(v > 0.0, -v * np.log2(np.where(v > 0.0, v, 1.0)), 0.0)
+    return terms.sum(axis=-1)
+
+
+def masked_mc_samples(rows, xs):
+    """`orders._mc_samples` on the masked kernel, in one round."""
+    p_rows, q_rows = rows
+    iq, sq = masked_mi_and_slope(q_rows, xs)
+    return np.array((xs, masked_mi_and_slope(p_rows, xs)[0] - iq, iq, sq))
+
+
+def full_grid_dc_search(sample, xs, min_cell, max_cells, first=None):
+    """`orders._dc_search` as it was: the cells of all of xs from the first round, no coarse pass."""
+    pts = sample(xs)
+    lo, hi = (pts[:, :-1], pts[:, 1:]) if first is None else (np.insert(pts[:, :-1], 0, 0.0, axis=1), pts)
+    k = int(np.argmin(pts[1]))
+    while pts[1, k] >= -VERDICT_TOL:
+        bounds = orders._dc_bounds(lo, hi)
+        if first is not None and lo[0, 0] == 0.0:
+            bounds[0] = first(hi[0, 0])
+        keep = bounds < -VERDICT_TOL
+        if not keep.any():
+            return OrderVerdict("holds")
+        lo, hi, bounds = lo[:, keep], hi[:, keep], bounds[keep]
+        mids = (lo[0] + hi[0]) / 2.0
+        stuck = np.any((mids <= lo[0]) | (mids >= hi[0]))
+        if hi[0, 0] - lo[0, 0] < min_cell or 2 * mids.size > max_cells or stuck:
+            j = int(np.argmin(bounds))
+            return OrderVerdict("undetermined", CriterionViolation(float(lo[0, j]), float(bounds[j])))
+        pts = sample(mids)
+        lo, hi = np.concatenate((lo, pts), axis=1), np.concatenate((pts, hi), axis=1)
+        k = int(np.argmin(pts[1]))
+    return OrderVerdict("fails", CriterionViolation(float(pts[0, k]), float(pts[1, k])))
+
+
+def full_grid_is_more_capable(p_channel, q_channel):
+    """`orders.is_more_capable` on the full-grid search and the masked kernel, every failing
+    sample confirmed on the channels' rows."""
+    p_ch, q_ch = as_channel(p_channel), as_channel(q_channel)
+    xs = orders._MC_HALF if orders._symmetric(p_ch) and orders._symmetric(q_ch) else orders._MC_GRID
+    rows = orders._net_rows(p_ch.rows, q_ch.rows)
+    verdict = full_grid_dc_search(functools.partial(masked_mc_samples, rows), xs, orders._MIN_CELL, orders._MC_CELLS)
+    return orders._confirmed(verdict, functools.partial(masked_mc_samples, (p_ch.rows, q_ch.rows)))
+
+
+def grid_first_is_less_noisy(w, v):
+    """`orders.is_less_noisy` as it was: the half grid at every degree before the certificate,
+    then the full-grid search."""
+    w_rows, v_rows = (canonicalize_biso(ch).to_channel().rows for ch in (w, v))
+    rows = orders._flat_rows(w_rows, v_rows)
+    vals = orders._criterion(rows, orders._HALF_GRID)
+    if vals.min() < -VERDICT_TOL:
+        i = int(np.argmin(vals))
+        return OrderVerdict("fails", CriterionViolation(float(orders._HALF_GRID[i]), float(vals[i])))
+    net = orders._net_rows(w_rows, v_rows)
+    k, a = orders._bernstein_factors(*net)
+    if min(orders._bernstein_ends(k, a)) > orders._bernstein_margin(len(k)) and orders._bernstein_positive(
+        orders._criterion_bernstein(k, a)
+    ):
+        return OrderVerdict("holds")
+    net_rows = orders._flat_rows(*net)
+    cells = orders._TERMS // max(net_rows[0].shape[1], 1)
+    sample = functools.partial(orders._ln_samples, net_rows)
+    verdict = full_grid_dc_search(sample, orders._HALF_GRID, 0.0, cells, orders._first_cell(net_rows))
+    return orders._confirmed(verdict, functools.partial(orders._ln_samples, rows))

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import bisochan
 from bisochan import (
     BisoChannel,
     as_channel,
@@ -392,6 +396,25 @@ class TestExtremal:
         assert captured.out.splitlines()[0] == "kind: eta" and len(captured.out.splitlines()) == 4
         assert captured.err.startswith("cannot write") and captured.err.count("\n") == 1
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exits_141_quietly(self, alpha_file_f, tmp_path, unbuffered):
+        # a reader that has gone, as with `| head`, is no unwritable --out: the command stops
+        # with 128 + SIGPIPE and nothing on stderr, whether the print or the final flush meets it
+        env = dict(os.environ, PYTHONPATH=str(Path(bisochan.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        argv = ["extremal", alpha_file_f, "--kind", "alpha", "--out", str(tmp_path / "D")]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bisochan.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 141 and proc.stderr == b""
 
 
 class TestPaperCheck:

@@ -48,6 +48,7 @@ from bisochan.coefficients import (
     mutual_information_grid,
 )
 from bisochan.search import newton_max
+import golden_oracle
 from golden_oracle import golden_section_max
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -256,6 +257,31 @@ class TestMutualInformation:
             assert np.allclose(twice[1], 2.0 * slope, rtol=1e-12, atol=1e-15)
             ends = coefficients._mutual_information_and_slope(rows, np.array([0.0, 1.0]), slope=False)[0]
             assert np.all(np.abs(ends) <= 1e-15)
+
+    def test_positive_path_matches_the_masked_kernel_bitwise(self):
+        # with no zero output mass the kernel takes log2 without a mask, with the masked kernel's
+        # bits; entries of 5e-324 to 1e-300 make x r0 + (1 - x) r1 underflow to 0 although every
+        # entry is positive, so the guard reads the output masses; exact zeros keep the mask
+        rng = np.random.default_rng(46)
+        xs = np.concatenate(([0.0, 1.0, 0.5], np.arange(1, 1000) / 1000.0, rng.uniform(size=50)))
+        underflows = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(300):
+                rows = rng.uniform(size=(2, int(rng.integers(1, 24)))) ** 3
+                if i % 3 == 1:
+                    rows[rng.uniform(size=rows.shape) < 0.3] = 0.0
+                elif i % 3 == 2:
+                    tiny = rng.uniform(size=rows.shape) < 0.5
+                    rows[tiny] = 10.0 ** rng.uniform(-323.3, -300.0, size=int(tiny.sum()))
+                    rows[:, 0] = 5e-324
+                    underflows += rows.all() and not (xs[:, None] * rows[0] + (1.0 - xs[:, None]) * rows[1]).all()
+                assert coefficients._entropy_bits(rows).tobytes() == golden_oracle.masked_entropy_bits(rows).tobytes()
+                for ps in [xs] + [xs[j : j + 1] for j in rng.integers(xs.size, size=8)]:
+                    new = coefficients._mutual_information_and_slope(rows, ps)
+                    old = golden_oracle.masked_mi_and_slope(rows, ps)
+                    assert all(n.tobytes() == o.tobytes() for n, o in zip(new, old)), rows
+        assert underflows == 100
 
     def test_slope_is_infinite_where_an_output_has_zero_mass(self):
         ends = np.array([0.0, 1.0])

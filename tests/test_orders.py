@@ -624,6 +624,61 @@ class TestIsLessNoisy:
         assert seen["oracle wrong"] > 0 and seen["cancelled"] == 1
         print(seen)
 
+    def test_matches_the_grid_first_oracle_bitwise(self, monkeypatch):
+        # the certificate runs ahead of the half grid up to the degree limit: every relation and
+        # witness bit is the grid-first path's, and most holding pairs never sample the grid
+        grids = []
+        criterion = orders._criterion
+        monkeypatch.setattr(orders, "_criterion", lambda *a: grids.append(1) or criterion(*a))
+        certified_first = 0
+        for w, v in _less_noisy_differential_pairs():
+            grids.clear()
+            new = is_less_noisy(w, v)
+            certified_first += new.holds and not grids
+            assert _same_bits(new, golden_oracle.grid_first_is_less_noisy(w, v)), (w, v)
+        assert certified_first > 1000
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_interior_violation_past_the_degree_limit_fails_on_the_grid(self, n, monkeypatch):
+        # a 2- against a 3-pair channel whose criterion dips to -20 near q = 0.005 while both
+        # Bernstein ends clear the margin, padded with near-useless pairs of distinct ratios:
+        # past the degree limit the half grid refutes it before any O(n^2) build, as fast as before
+        rng = np.random.default_rng(n)
+        w = _padded([(0.0, 0.166), (0.013, 0.82)], n, rng)
+        v = _padded([(0.005, 0.017), (0.014, 0.007), (0.952, 0.005)], n, rng)
+        k, a = orders._bernstein_factors(*orders._net_rows(_flat(w), _flat(v)))
+        assert len(k) > orders._CERTIFY_FIRST and min(orders._bernstein_ends(k, a)) > orders._bernstein_margin(len(k))
+
+        def forbidden(*args):
+            raise AssertionError("full Bernstein build of a pair the half grid refutes")
+
+        monkeypatch.setattr(orders, "_criterion_bernstein", forbidden)
+        new, old = is_less_noisy(w, v), golden_oracle.grid_first_is_less_noisy(w, v)
+        assert _same_bits(new, old) and new.fails and new.witness.value < -1.0
+        times = {is_less_noisy: [], golden_oracle.grid_first_is_less_noisy: []}
+        for _ in range(7):
+            for decide, spent in times.items():
+                start = time.perf_counter()
+                decide(w, v)
+                spent.append(time.perf_counter() - start)
+        assert min(times[is_less_noisy]) <= 1.25 * min(times[golden_oracle.grid_first_is_less_noisy])
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_holding_pair_under_the_degree_limit_never_samples(self, n, monkeypatch):
+        # a channel against itself with its first four pairs merged, a degraded copy: the other
+        # pairs net away, and the certificate of the five left holds before any grid sample
+        raw = np.random.default_rng(n).uniform(size=(n, 2))
+        w = BisoChannel(raw / raw.sum())
+        v = BisoChannel(np.vstack((w.pairs[:4].sum(axis=0), w.pairs[4:])))
+        k, _ = orders._bernstein_factors(*orders._net_rows(_flat(w), _flat(v)))
+        assert len(k) <= orders._CERTIFY_FIRST
+
+        def forbidden(*args):
+            raise AssertionError("half-grid sample of a pair the certificate decides")
+
+        monkeypatch.setattr(orders, "_criterion", forbidden)
+        assert is_less_noisy(w, v).holds
+
 
 class TestNetRows:
     def test_net_rows_without_a_column_to_key(self):
@@ -769,6 +824,24 @@ def _flat(ch):
     return canonicalize_biso(ch).to_channel().rows
 
 
+def _same_bits(new, old):
+    """Whether two verdicts have one relation and witnesses of the same bits."""
+    def bits(verdict):
+        w = verdict.witness
+        return verdict.relation, None if w is None else (w.parameter.hex(), w.value.hex())
+
+    return bits(new) == bits(old)
+
+
+def _padded(pairs, n, rng):
+    """A channel of n pairs: the given pairs, normalized, at half the mass, and near-useless
+    pairs (p, p_-) of distinct (p - p_-) / (p + p_-) in [1e-5, 1e-4] at the other half."""
+    pairs = np.array(pairs) / np.sum(pairs) / 2.0
+    delta = rng.uniform(1e-5, 1e-4, size=n - len(pairs))
+    useless = np.stack((1.0 + delta, 1.0 - delta), axis=1) / (4.0 * delta.size)
+    return BisoChannel(np.vstack((pairs, useless)))
+
+
 def _pairs_of(rows):
     """The pairs (p, p_-), p > p_-, of flat rows: their columns with r0 > r1."""
     return rows[:, rows[0] > rows[1]].T
@@ -851,6 +924,16 @@ def _check_pairs():
             checks.check_reverse_coefficients, checks.check_order_hierarchy,
         ):
             check()
+    return tuple(pairs)
+
+
+@functools.lru_cache(maxsize=1)
+def _check12_more_capable_pairs():
+    """The 500 pairs check 12 of `paper-check` hands to `is_more_capable`."""
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "is_more_capable", lambda a, b: pairs.append((a, b)) or is_more_capable(a, b))
+        checks.check_order_hierarchy()
     return tuple(pairs)
 
 
@@ -1028,6 +1111,22 @@ class TestIsMoreCapable:
             assert new.relation in ("holds", "fails")
         assert mirrored > 0
 
+    def test_matches_the_full_grid_oracle_bitwise(self, monkeypatch):
+        # the coarse pass, the unmasked kernel and the unconfirmed un-netted samples move no
+        # relation and no witness bit; the coarse pass alone decides many holding pairs
+        cases = list(_mc_pairs(7, 600)) + list(_netting_pairs(8, 600)) + list(_check12_more_capable_pairs())
+        assert len(cases) == 1700
+        rounds = []
+        sample = orders._mc_samples
+        monkeypatch.setattr(orders, "_mc_samples", lambda rows, xs: rounds.append(xs.size) or sample(rows, xs))
+        coarse_only = 0
+        for a, b in cases:
+            rounds.clear()
+            new = is_more_capable(a, b)
+            coarse_only += new.holds and len(rounds) == 1
+            assert _same_bits(new, golden_oracle.full_grid_is_more_capable(a, b)), (a, b)
+        assert coarse_only > 300
+
     def test_symmetric_channels(self):
         shuffled = Channel(ETA_PAIR_A.to_channel().rows[:, [1, 0, 2, 3]])  # not the flat layout
         for ch in (make_bsc(0.2), make_bec(0.3), ETA_PAIR_A.to_channel(), shuffled, make_bsc(0.0)):
@@ -1188,6 +1287,7 @@ class TestIsMoreCapable:
         monkeypatch.setattr(
             orders, "_mutual_information_and_slope", lambda rows, xs: sizes.append(xs.size) or slope(rows, xs)
         )
+        full_rounds = 0
         for n in (256, 512, 1024):
             for seed in range(6):
                 w, i, rng = _general_outputs(n, seed)
@@ -1202,8 +1302,13 @@ class TestIsMoreCapable:
                     assert tracemalloc.get_traced_memory()[1] < 64e6
                 finally:
                     tracemalloc.stop()
-                assert sizes[0] == min(orders._MC_GRID.size, orders._TERMS // 4 // max(columns, 1))
+                # the coarse pass comes first; where it certifies nothing, the first full-grid round follows
+                assert sizes[0] == orders._MC_GRID[:: orders._COARSE].size
+                if sizes[1:]:
+                    assert sizes[1] == min(orders._MC_GRID.size, orders._TERMS // 4 // max(columns, 1))
+                    full_rounds += 1
                 assert max(sizes) * columns <= orders._TERMS // 4
+        assert full_rounds >= 12
 
 
 class TestIsDegraded:
