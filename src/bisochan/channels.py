@@ -108,6 +108,14 @@ class BisoChannel:
         self.pairs = arr
         self._flat = None  # memo of to_channel
 
+    @classmethod
+    def _valid(cls, arr):
+        """A BisoChannel of a fresh (l, 2) float array whose pairs are valid by construction, unchecked."""
+        self = cls.__new__(cls)
+        arr.setflags(write=False)
+        self.pairs, self._flat = arr, None
+        return self
+
     @property
     def num_pairs(self):
         return self.pairs.shape[0]

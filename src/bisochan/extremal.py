@@ -298,8 +298,8 @@ def verify_reverse_alpha(biso):
 def verify_reverse_beta(biso):
     """Bisection for the smallest 4p(1-p) with the channel less noisy than BSC(p)."""
     biso = canonicalize_biso(biso)
-    # BisoChannel([(p, 1 - p)]) is the canonical BSC(p) for p < 1/2
-    p_star = _reverse_threshold(lambda p: p >= 0.5 or is_less_noisy(biso, BisoChannel([(p, 1.0 - p)])).holds)
+    # (p, 1 - p) is the canonical BSC(p) for p < 1/2, valid as built
+    p_star = _reverse_threshold(lambda p: p >= 0.5 or is_less_noisy(biso, BisoChannel._valid(np.array([[p, 1.0 - p]]))).holds)
     return 4.0 * p_star * (1.0 - p_star)
 
 

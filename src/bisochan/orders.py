@@ -164,9 +164,14 @@ def _criterion(rows, qs):
     """
     (a, b, c), n_w = rows
     terms = a / (qs * b + c)
-    zero = np.zeros(len(qs))
-    # row after row: identical channels cancel exactly, and one q rounds as in a grid
-    return sum(terms[:n_w], zero) - sum(terms[n_w:], zero)
+    # row after row: identical channels cancel exactly.  numpy sums the rows in order at 2 or more
+    # points, but one point's column pairwise, a last bit apart: there `_row_sums` loops instead
+    return _row_sums(terms[:n_w]) - _row_sums(terms[n_w:])
+
+
+def _row_sums(terms):
+    """The rows of `terms` (rows x points) summed in order at each point; see `_criterion`."""
+    return terms.sum(axis=0) if terms.shape[1] > 1 else sum(terms, np.zeros(1))
 
 
 def criterion_profile(w, v, grid_size=DEFAULT_GRID):
@@ -215,14 +220,17 @@ def _bernstein_factors(w_rows, v_rows):
 
     A pair with s = p + p_- contributes k / (a + cx) to the criterion,
     x = 4q(1 - q), k = +-4 (p - p_-)^2 / s (+ for W), c = (p - p_-)^2 / s^2,
-    a = 4 (p / s)(p_- / s) = 1 - c; p = p_- contributes nothing.
+    a = 4 (p / s)(p_- / s) = 1 - c; p = p_- contributes nothing.  One pass of Python
+    floats, cheaper than numpy on pair-sized rows, rounds each step as numpy did.
     """
-    p, pm = np.concatenate((w_rows, v_rows), axis=1)
-    larger = p > pm
-    sign = np.where(np.arange(p.size) < w_rows.shape[1], 4.0, -4.0)[larger]
-    p, pm = p[larger], pm[larger]
-    s = p + pm
-    return (sign * (p - pm) ** 2 / s).tolist(), (4.0 * (p / s) * (pm / s)).tolist()
+    k, a = [], []
+    for sign, rows in ((4.0, w_rows), (-4.0, v_rows)):
+        for p, pm in zip(*rows.tolist()):
+            if p > pm:
+                s = p + pm
+                k.append(sign * ((p - pm) * (p - pm)) / s)
+                a.append(4.0 * (p / s) * (pm / s))
+    return k, a
 
 
 def _criterion_bernstein(k, a):
@@ -282,9 +290,10 @@ def _bernstein_positive(b):
     (5n + 12) u B_k(Mag), under the margin.  B_k(Mag) <= 9: each
     prod_(j != i) has Bernstein coefficients in [0, (1 + 6u)^n], its
     factors' being (a_j, 1) with a_j <= 1 + 6u, and sum |k_i| =
-    4 (eta_W + eta_V) <= 8 (1 + 1e-9), which netting only lowers.
+    4 (eta_W + eta_V) <= 8 (1 + 1e-9), which netting only lowers.  The least
+    coefficient is tested; a NaN one fails, as NaN > margin is False.
     """
-    return bool(np.all(b > _bernstein_margin(b.size - 1)))
+    return bool(b.min() > _bernstein_margin(b.size - 1))
 
 
 def _ln_samples(rows, qs):
@@ -293,7 +302,7 @@ def _ln_samples(rows, qs):
     (a, b, c), n_w = rows
     den = qs * b + c
     terms = a / den
-    fw, fv = (sum(part, np.zeros(len(qs))) for part in (terms[:n_w], terms[n_w:]))
+    fw, fv = _row_sums(terms[:n_w]), _row_sums(terms[n_w:])
     return np.array((qs, fw - fv, -fw, (terms[:n_w] * b[:n_w] / den[:n_w]).sum(axis=0)))
 
 

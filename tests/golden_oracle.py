@@ -11,7 +11,9 @@ decisions that followed sampled before they certified: less-noisy ran its
 half grid ahead of the Bernstein certificate at every degree, the DC branch
 and bound bounded the cells of its full grid from the first round, and the
 mutual-information kernel took every log2 under a mask; the `grid_first`,
-`full_grid` and `masked` copies below keep them.
+`full_grid` and `masked` copies below keep them.  The less-noisy kernels
+summed each side's rows in a Python loop at every grid size; the `row_loop`
+copy keeps that.
 """
 
 import functools
@@ -260,3 +262,13 @@ def grid_first_is_less_noisy(w, v):
     sample = functools.partial(orders._ln_samples, net_rows)
     verdict = full_grid_dc_search(sample, orders._HALF_GRID, 0.0, cells, orders._first_cell(net_rows))
     return orders._confirmed(verdict, functools.partial(orders._ln_samples, rows))
+
+
+def row_loop_ln_samples(rows, qs):
+    """`orders._ln_samples` as it was, each side's terms summed row after row by a Python loop;
+    its row f is `orders._criterion` as it was."""
+    (a, b, c), n_w = rows
+    den = qs * b + c
+    terms = a / den
+    fw, fv = (sum(part, np.zeros(len(qs))) for part in (terms[:n_w], terms[n_w:]))
+    return np.array((qs, fw - fv, -fw, (terms[:n_w] * b[:n_w] / den[:n_w]).sum(axis=0)))

@@ -510,6 +510,30 @@ class TestValidationMatchesOldValidators:
             assert format_biso(b) == "biso " + " ".join(repr(float(v)) for v in rows[0]) + "\n"
 
 
+class TestUncheckedConstruction:
+    def test_valid_channels_are_the_validated_ones(self):
+        # `_valid` keeps a constructed array unchecked and uncopied: read-only, the validated
+        # construction's bits, and the memos of `to_channel` and `canonicalize_biso` as before
+        rng = np.random.default_rng(36)
+        for i in range(200):
+            raw = rng.uniform(0.0, 1.0, size=(1 + i % 16, 2)) ** 3
+            raw[rng.uniform(size=raw.shape) < 0.3] = 0.0
+            raw.flat[0] += 0.05
+            pairs = raw / raw.sum()
+            rows = rng.uniform(0.0, 1.0, size=(2, 1 + i % 9)) ** 3 + 1e-3
+            rows /= rows.sum(axis=1, keepdims=True)
+            for cls, arr, field in ((BisoChannel, pairs, "pairs"), (Channel, rows, "rows")):
+                fresh = arr.copy()
+                unchecked, checked = cls._valid(fresh), cls(arr)
+                assert getattr(unchecked, field) is fresh and not fresh.flags.writeable
+                assert fresh.tobytes() == getattr(checked, field).tobytes()
+            b, ch = BisoChannel._valid(pairs.copy()), Channel._valid(rows.copy())
+            assert b.to_channel() is b.to_channel()
+            assert b.to_channel().rows.tobytes() == BisoChannel(pairs).to_channel().rows.tobytes()
+            assert canonicalize_biso(b.to_channel()) is canonicalize_biso(b.to_channel())
+            assert is_biso(ch) == is_biso(Channel(rows)) and ch._canonical is not None
+
+
 class TestTextFormat:
     def test_general_roundtrip(self, tmp_path):
         ch = make_bec(0.3)

@@ -35,6 +35,7 @@ from bisochan import (
     verify_reverse_beta,
     verify_reverse_gamma,
 )
+from bisochan import checks
 from bisochan.checks import (
     ALPHA_PAIR_F,
     ETA_PAIR_A,
@@ -288,6 +289,19 @@ class TestReverseCoefficients:
 
             p_star = bisect_threshold(dominated, 0.0, 0.5, 2e-7)
             assert verify_reverse_beta(b) == 4.0 * p_star * (1.0 - p_star)
+
+    def test_unchecked_bsc_targets_bisect_as_validated_ones(self, monkeypatch):
+        # `verify_reverse_beta` builds each BSC(p) target by `BisoChannel._valid`: on check 10's
+        # 50 channels it bisects to the bits that validated `BisoChannel` targets give
+        channels = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "verify_reverse_beta", lambda b: channels.append(b) or 0.0)
+            checks.check_reverse_coefficients()
+        unchecked = [verify_reverse_beta(b).hex() for b in channels]
+        built = []
+        monkeypatch.setattr(BisoChannel, "_valid", staticmethod(lambda arr: built.append(arr) or BisoChannel(arr)))
+        assert [verify_reverse_beta(b).hex() for b in channels] == unchecked
+        assert len(channels) == 50 and len(built) > 1000
 
     def test_grid_confirms_gamma(self):
         b = canonicalize_biso(make_bsc(0.2))

@@ -536,18 +536,50 @@ class TestIsLessNoisy:
 
     def test_bernstein_factors_are_the_pairs_own(self):
         # one (k, a) per pair with p != p_-, read from its column with r0 > r1 of the flat
-        # rows: as a multiset, the (k, a) of the pairs themselves, bit for bit
+        # rows: as a multiset, numpy's (k, a) of the pairs themselves, bit for bit; of the rows
+        # `_net_rows` leaves, zero entries and u^5 pairs of up to 128 pairs among them, numpy's
+        # (k, a) of those columns in their order
         def hexed(k, a):
-            return Counter((x.hex(), y.hex()) for x, y in zip(k, a))
+            return [(x.hex(), y.hex()) for x, y in zip(k, a)]
 
-        for w, v in list(_polynomial_cases(26)) + list(_seeded_pairs(27, 200)):
-            pairs = np.concatenate((w.pairs, v.pairs))
-            moving = pairs[:, 0] != pairs[:, 1]
-            p, pm = pairs[moving].T
+        def numpy_factors(w_pairs, v_pairs):
+            p, pm = np.concatenate((w_pairs, v_pairs)).T
             s = p + pm
-            k = np.repeat([4.0, -4.0], (w.num_pairs, v.num_pairs))[moving] * (p - pm) ** 2 / s
-            a = 4.0 * (p / s) * (pm / s)
-            assert hexed(*orders._bernstein_factors(_flat(w), _flat(v))) == hexed(k.tolist(), a.tolist()), (w, v)
+            k = np.repeat([4.0, -4.0], (len(w_pairs), len(v_pairs))) * (p - pm) ** 2 / s
+            return hexed(k.tolist(), (4.0 * (p / s) * (pm / s)).tolist())
+
+        netted = 0
+        cases = list(_polynomial_cases(26)) + list(_seeded_pairs(27, 200)) + list(_less_noisy_differential_pairs())
+        for w, v in cases:
+            own = [pairs[pairs[:, 0] != pairs[:, 1]] for pairs in (canonicalize_biso(w).pairs, canonicalize_biso(v).pairs)]
+            new = orders._bernstein_factors(_flat(w), _flat(v))
+            assert Counter(hexed(*new)) == Counter(numpy_factors(*own)), (w, v)
+            net = orders._net_rows(_flat(w), _flat(v))
+            netted += net[0] is not _flat(w)
+            assert hexed(*orders._bernstein_factors(*net)) == numpy_factors(*map(_pairs_of, net)), (w, v)
+        assert len(cases) > 2500 and netted > 100
+
+    def test_row_sums_are_the_row_loop_bitwise(self):
+        # `_criterion` and `_ln_samples` sum each side's rows by one numpy reduction at 2 or more
+        # points and by a row loop at one: at 1, 2 and 500 points they are the loop's bits, on
+        # pairs of 8 rows a side or more, where numpy's pairwise sum of one point rounds otherwise
+        rng = np.random.default_rng(38)
+        pairwise = 0
+        for i in range(300):
+            w, v = (_skewed_biso(rng, 64) for _ in "wv")
+            if i % 3 == 0:
+                w, v = _with_zeros(rng, w), _with_zeros(rng, v)
+            rows = orders._flat_rows(_flat(w), _flat(v))
+            if min(rows[1], rows[0].shape[1] - rows[1]) < 8:
+                continue
+            for qs in (rng.uniform(size=1), np.array([0.5]), np.sort(rng.uniform(size=2)), orders._HALF_GRID):
+                old = golden_oracle.row_loop_ln_samples(rows, qs)
+                assert orders._ln_samples(rows, qs).tobytes() == old.tobytes(), (w, v, qs)
+                assert orders._criterion(rows, qs).tobytes() == old[1].tobytes(), (w, v, qs)
+                (a, b, c), n_w = rows
+                terms = a / (qs * b + c)
+                pairwise += qs.size == 1 and (terms[:n_w].sum(axis=0) - terms[n_w:].sum(axis=0)).tobytes() != old[1].tobytes()
+        assert pairwise > 200  # a plain numpy sum at one point would fail here
 
     def test_high_degree_decision_skips_the_full_build(self, monkeypatch):
         # 2,048 pairs against an 8-pair garbling: b_0 underflows far below the margin, so the
