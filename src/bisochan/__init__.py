@@ -24,22 +24,18 @@ from .channels import (
     as_channel,
     canonicalize_biso,
     compose,
-    format_biso,
     format_channel,
-    identity_map,
     is_biso,
     load_channel,
     make_bec,
     make_bsc,
     make_z,
     parse_channel,
-    save_channel,
 )
 from .coefficients import (
     CoefficientReport,
     FDivergenceGenerator,
     alpha_max,
-    binary_convolution,
     capacity_binary,
     capacity_binary_argmax,
     capacity_biso,
@@ -89,7 +85,6 @@ from .extremal import (
     reverse_coefficients,
     verify_reverse_alpha,
     verify_reverse_beta,
-    verify_reverse_gamma,
 )
 from .orders import (
     CriterionProfile,
@@ -103,7 +98,6 @@ from .orders import (
     is_more_capable,
     less_noisy_criterion_biso,
     less_noisy_criterion_fd,
-    mutual_information_difference,
 )
 
 __version__ = "0.1.0"

@@ -120,14 +120,10 @@ class BisoChannel:
     def num_pairs(self):
         return self.pairs.shape[0]
 
-    def flat_rows(self):
-        """The 2 x 2l rows of the flat layout, read from the pairs."""
-        return _flat_layout(self.pairs)
-
     def to_channel(self):
         """Flatten to the canonical 2 x 2l layout as a Channel; built once."""
         if self._flat is None:
-            self._flat = Channel._valid(self.flat_rows())  # the pairs passed validation
+            self._flat = Channel._valid(_flat_layout(self.pairs))  # the pairs passed validation
         return self._flat
 
     def isclose(self, other, atol=1e-12):
@@ -284,10 +280,6 @@ class DegradingMap:
         return f"DegradingMap({self.entries.tolist()!r})"
 
 
-def identity_map(n):
-    return DegradingMap(np.eye(n))
-
-
 def compose(base, post):
     """Cascade a channel with a post-processing map: rows(result) = rows(base) @ post."""
     base = as_channel(base)
@@ -380,7 +372,7 @@ def parse_channel(text):
 
 
 def load_channel(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_channel(fh.read())
 
 
@@ -391,13 +383,3 @@ def format_channel(channel):
     for row in channel.rows:
         lines.append(" ".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def format_biso(biso):
-    """Render a BISO channel in the one-line shorthand."""
-    return "biso " + " ".join(repr(float(v)) for v in biso.flat_rows()[0]) + "\n"
-
-
-def save_channel(channel, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_channel(channel))

@@ -77,14 +77,6 @@ def _h2_inv_grid(h):
     return np.where(h == 0.0, 0.0, np.where(h == 1.0, 0.5, 0.5 * (lo + hi)))
 
 
-def binary_convolution(a, b):
-    """Crossover probability of two cascaded BSCs: a*b = a(1-b) + (1-a)b."""
-    a, b = float(a), float(b)
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ParameterOutOfRangeError("binary convolution arguments must lie in [0, 1]")
-    return a * (1.0 - b) + (1.0 - a) * b
-
-
 def _entropy_bits(vec):
     """Shannon entropy of a probability vector (last axis), 0 log 0 = 0."""
     v = np.asarray(vec, dtype=float)

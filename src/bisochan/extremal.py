@@ -30,7 +30,6 @@ from .coefficients import (
     eta_kl,
     eta_kl_biso,
     eta_tv,
-    h2,
     h2_inv,
 )
 from .errors import (
@@ -38,7 +37,7 @@ from .errors import (
     DimensionTooLargeError,
     ParameterOutOfRangeError,
 )
-from .orders import OrderVerdict, is_degraded, is_less_noisy, is_more_capable
+from .orders import OrderVerdict, is_degraded, is_less_noisy
 from .search import bisect_threshold
 
 KINDS = ("capacity", "eta_kl", "alpha")
@@ -301,12 +300,6 @@ def verify_reverse_beta(biso):
     # (p, 1 - p) is the canonical BSC(p) for p < 1/2, valid as built
     p_star = _reverse_threshold(lambda p: p >= 0.5 or is_less_noisy(biso, BisoChannel._valid(np.array([[p, 1.0 - p]]))).holds)
     return 4.0 * p_star * (1.0 - p_star)
-
-
-def verify_reverse_gamma(biso):
-    """Bisection for 1 - h2(p) at the smallest p with the channel more capable than BSC(p)."""
-    flat = canonicalize_biso(biso).to_channel()
-    return 1.0 - h2(_reverse_threshold(lambda p: is_more_capable(flat, make_bsc(p)).holds))
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DegradingMap, as_channel, canonicalize_biso, compose
-from .coefficients import _mutual_information_and_slope, mutual_information, mutual_information_grid
+from .coefficients import _mutual_information_and_slope, mutual_information_grid
 from .errors import DegenerateParameterError, NumericalInstabilityError
 
 VERDICT_TOL = 1e-9
@@ -378,11 +378,6 @@ def less_noisy_criterion_fd(w, v, q):
 # ----------------------------------------------------------------------
 # More-capable order
 # ----------------------------------------------------------------------
-
-
-def mutual_information_difference(p_channel, q_channel, x):
-    """I(X:Y_P) - I(X:Y_Q) at input bias x in [0, 1] (both channels see the same law)."""
-    return mutual_information(p_channel, x) - mutual_information(q_channel, x)
 
 
 def _mc_samples(rows, xs):

@@ -13,7 +13,9 @@ and bound bounded the cells of its full grid from the first round, and the
 mutual-information kernel took every log2 under a mask; the `grid_first`,
 `full_grid` and `masked` copies below keep them.  The less-noisy kernels
 summed each side's rows in a Python loop at every grid size; the `row_loop`
-copy keeps that.
+copy keeps that.  The package no longer exports the mutual-information
+difference or the more-capable bisection for the reverse coefficient gamma,
+since nothing in it calls them; the tests take both from here.
 """
 
 import functools
@@ -22,9 +24,10 @@ import math
 import numpy as np
 
 from bisochan import orders
-from bisochan.channels import as_channel, canonicalize_biso
-from bisochan.coefficients import mutual_information_grid
-from bisochan.orders import VERDICT_TOL, CriterionViolation, OrderVerdict, mutual_information_difference
+from bisochan.channels import as_channel, canonicalize_biso, make_bsc
+from bisochan.coefficients import h2, mutual_information, mutual_information_grid
+from bisochan.orders import VERDICT_TOL, CriterionViolation, OrderVerdict
+from bisochan.search import bisect_threshold
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _REFINE_XTOL = 1e-8
@@ -105,6 +108,17 @@ def verdict_from_minimum(best_x, best_v, f):
             return OrderVerdict("fails", CriterionViolation(best_x, float(check)))
         return OrderVerdict("undetermined", CriterionViolation(best_x, float(check)))
     return OrderVerdict("holds")
+
+
+def mutual_information_difference(p_channel, q_channel, x):
+    """I(X:Y_P) - I(X:Y_Q) at input bias x in [0, 1] (both channels see the same law)."""
+    return mutual_information(p_channel, x) - mutual_information(q_channel, x)
+
+
+def verify_reverse_gamma(biso):
+    """Bisection for 1 - h2(p) at the smallest p with the channel more capable than BSC(p)."""
+    flat = canonicalize_biso(biso).to_channel()
+    return 1.0 - h2(bisect_threshold(lambda p: orders.is_more_capable(flat, make_bsc(p)).holds, 0.0, 0.5, 2e-7))
 
 
 def is_more_capable(p_channel, q_channel, grid_size=999):

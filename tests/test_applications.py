@@ -12,7 +12,6 @@ from bisochan import (
     eta_kl_biso,
     f_divergence,
     BisoChannel,
-    binary_convolution,
     f_divergence_output_bounds,
     fi_curve_bounds,
     fi_upper_bound,
@@ -34,7 +33,8 @@ def _fi_curve_oracle(w, t):
     """The per-budget scalar formula the array path replaced: (lower, upper) at one float t."""
     eta = eta_kl_biso(w)
     p_eta = (1.0 - math.sqrt(eta)) / 2.0
-    lower = 1.0 - h2(binary_convolution(p_eta, h2_inv(max(1.0 - t, 0.0))))
+    a, b = p_eta, h2_inv(max(1.0 - t, 0.0))
+    lower = 1.0 - h2(a * (1.0 - b) + (1.0 - a) * b)
     return float(lower), eta * min(t, 1.0)
 
 

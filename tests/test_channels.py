@@ -19,9 +19,7 @@ from bisochan import (
     canonicalize_biso,
     coefficient_report,
     compose,
-    format_biso,
     format_channel,
-    identity_map,
     is_biso,
     load_channel,
     make_bec,
@@ -29,9 +27,8 @@ from bisochan import (
     make_z,
     match_extremal,
     parse_channel,
-    save_channel,
 )
-from bisochan.channels import LOADED_TOL, STRICT_TOL
+from bisochan.channels import LOADED_TOL, STRICT_TOL, _flat_layout
 from bisochan.cli import main
 
 
@@ -83,7 +80,7 @@ def test_constructed_channels_skip_validation_and_match_validated_ones(monkeypat
         raw.flat[0] += 0.05
         bisos.append(BisoChannel(raw / raw.sum()))
     ps = np.concatenate((np.linspace(0.0, 1.0, 1001), rng.uniform(size=200)))
-    old = [Channel(b.flat_rows(), tol=LOADED_TOL) for b in bisos]
+    old = [Channel(_flat_layout(b.pairs), tol=LOADED_TOL) for b in bisos]
     old += [Channel([[1.0 - p, p], [p, 1.0 - p]]) for p in ps]
     old += [Channel([[1.0 - p, p, 0.0], [0.0, p, 1.0 - p]]) for p in ps]
     old += [Channel([[1.0, 0.0], [p, 1.0 - p]]) for p in ps]
@@ -313,7 +310,7 @@ class TestMemo:
 class TestCompose:
     def test_identity(self):
         ch = make_bec(0.37)
-        assert compose(ch, identity_map(3)).isclose(ch)
+        assert compose(ch, DegradingMap(np.eye(3))).isclose(ch)
 
     def test_bec_collapse_to_bsc(self):
         # erasure symbol resolved uniformly lands on BSC(eps/2)
@@ -332,7 +329,7 @@ class TestCompose:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            compose(make_bsc(0.1), identity_map(3))
+            compose(make_bsc(0.1), DegradingMap(np.eye(3)))
 
 
 class TestDegradingMap:
@@ -503,11 +500,8 @@ class TestValidationMatchesOldValidators:
             raw[rng.uniform(size=raw.shape) < 0.3] = 0.0
             raw.flat[0] += 0.05
             b = BisoChannel(raw / raw.sum())
-            rows = b.flat_rows()
             flat = np.concatenate([b.pairs[::-1, 1], b.pairs[:, 0]])  # the layout of the module docstring
-            assert rows.tobytes() == np.array([flat, flat[::-1]]).tobytes()
-            assert rows.tobytes() == b.to_channel().rows.tobytes()
-            assert format_biso(b) == "biso " + " ".join(repr(float(v)) for v in rows[0]) + "\n"
+            assert b.to_channel().rows.tobytes() == np.array([flat, flat[::-1]]).tobytes()
 
 
 class TestUncheckedConstruction:
@@ -538,9 +532,24 @@ class TestTextFormat:
     def test_general_roundtrip(self, tmp_path):
         ch = make_bec(0.3)
         path = tmp_path / "bec.txt"
-        save_channel(ch, path)
+        path.write_text(format_channel(ch))
         again = load_channel(path)
         assert again.isclose(ch)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # a file saved as "UTF-8 with BOM" reads as the same file without the mark
+        for name, text in (("general", "3\n0.7 0.3 0.0\n0.0 0.3 0.7\n"), ("biso", "biso 0.01 0.48 0.32 0.19\n")):
+            plain, marked = tmp_path / f"{name}.txt", tmp_path / f"{name}_bom.txt"
+            plain.write_text(text, encoding="utf-8")
+            marked.write_text("\ufeff" + text, encoding="utf-8")
+            assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+            a, b = load_channel(plain).rows, load_channel(marked).rows
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            outs = []
+            for path in (plain, marked):
+                assert main(["analyze", str(path)]) == 0
+                outs.append([line for line in capsys.readouterr().out.splitlines() if not line.startswith("channel:")])
+            assert outs[0] == outs[1] and "biso: yes" in outs[0]
 
     def test_comments_and_blank_lines(self):
         text = "# a channel\n2\n\n0.9 0.1  # row for X=0\n0.1 0.9\n"
@@ -548,7 +557,8 @@ class TestTextFormat:
 
     def test_biso_shorthand_roundtrip(self):
         b = BisoChannel([(0.32, 0.48), (0.19, 0.01)])
-        again = canonicalize_biso(parse_channel(format_biso(b)))
+        text = "biso " + " ".join(repr(float(v)) for v in b.to_channel().rows[0])
+        again = canonicalize_biso(parse_channel(text))
         assert again.isclose(b, atol=1e-15)
 
     def test_parse_errors(self):

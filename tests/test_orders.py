@@ -28,7 +28,6 @@ from bisochan import (
     make_bec,
     make_bsc,
     make_z,
-    mutual_information_difference,
 )
 from bisochan import checks, extremal, orders
 from bisochan.channels import as_channel
@@ -44,6 +43,7 @@ from bisochan.checks import (
 from bisochan.coefficients import capacity_binary, doeblin_alpha, eta_kl_biso, h2_inv, mutual_information_grid
 from bisochan.orders import CriterionViolation, InfeasibilityCertificate
 import golden_oracle
+from golden_oracle import mutual_information_difference
 import simplex_oracle
 
 
@@ -710,6 +710,23 @@ class TestIsLessNoisy:
 
         monkeypatch.setattr(orders, "_criterion", forbidden)
         assert is_less_noisy(w, v).holds
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a 5e-324 entry makes _first_cell form inf - inf at q = 0, and _dc_search "
+        "keeps only cells whose bound is below the margin, so the NaN bound passes as certified",
+    )
+    def test_subnormal_entries_do_not_certify_a_violating_pair(self):
+        # the first pair's criterion is -13334 at q = 1e-5; with 0.0 or 1e-300 in place of
+        # 5e-324 it fails at q = 1.5625e-5.  BSC(a) is less noisy than BSC(b) iff a <= b
+        w = BisoChannel([(0.5, 5e-324), (0.5 - 1e-5, 1e-5)])
+        v = BisoChannel([(0.8, 5e-324), (0.1, 0.1)])
+        assert less_noisy_criterion_biso(w, v, 1e-5) < -1e4
+        pairs = [(w, v), (canonicalize_biso(make_bsc(1e-310)), canonicalize_biso(make_bsc(5e-324)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert [is_less_noisy(a, b).holds for a, b in pairs] == [False, False]
 
 
 class TestNetRows:
