@@ -41,7 +41,7 @@ w = bc.canonicalize_biso(bc.load_channel(f"{DATA}/eta_pair_a.txt"))
 v = bc.canonicalize_biso(bc.load_channel(f"{DATA}/eta_pair_b.txt"))
 print(f"eta(W) = {bc.eta_kl_biso(w):.6f}   eta(V) = {bc.eta_kl_biso(v):.6f}")
 for q in (0.001, 0.02, 0.5):
-    print(f"criterion(W, V) at q={q}: {bc.less_noisy_criterion_biso(w, v, q):+.4f}")
+    print(f"criterion(W, V) at q={q}: {bc.less_noisy_criterion(w, v, q):+.4f}")
 print("sign changes, so neither channel is less noisy than the other:")
 print(f"  W >= V: {bc.is_less_noisy(w, v).relation}")
 print(f"  V >= W: {bc.is_less_noisy(v, w).relation}")

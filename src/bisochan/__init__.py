@@ -51,7 +51,6 @@ from .coefficients import (
     h2_inv,
     kl_generator,
     maximal_leakage,
-    maximal_leakage_bits,
     mutual_information,
     mutual_information_grid,
     tv_generator,
@@ -87,17 +86,14 @@ from .extremal import (
     verify_reverse_beta,
 )
 from .orders import (
-    CriterionProfile,
     CriterionViolation,
     InfeasibilityCertificate,
     OrderVerdict,
-    criterion_profile,
     guessing_probability,
     is_degraded,
     is_less_noisy,
     is_more_capable,
-    less_noisy_criterion_biso,
-    less_noisy_criterion_fd,
+    less_noisy_criterion,
 )
 
 __version__ = "0.1.0"

@@ -37,10 +37,10 @@ from .extremal import ChannelClass, _matched, general_binary_dominated, match_ex
 from .orders import (
     CriterionViolation,
     InfeasibilityCertificate,
-    criterion_profile,
     is_degraded,
     is_less_noisy,
     is_more_capable,
+    less_noisy_criterion,
 )
 
 EXIT_OK = 0
@@ -237,16 +237,16 @@ def cmd_sweep(args):
         print(f"{args.quantity} sweep needs exactly {in_words}", file=sys.stderr)
         return EXIT_PRECONDITION
     chans = [_load(f) for f in args.channels]
+    xs = np.arange(1, args.grid + 1) / (args.grid + 1.0)
     if args.quantity == "criterion":
-        fwd = criterion_profile(*chans, args.grid)
+        fwd = less_noisy_criterion(*chans, xs)
         # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned
-        header, columns = "q,forward,reverse", (fwd.parameters, fwd.values, 0.0 - fwd.values)
+        header, columns = "q,forward,reverse", (xs, fwd, 0.0 - fwd)
     elif args.quantity == "fi-bounds":
         ts = np.linspace(0.0, args.tmax, args.grid)
         pts = fi_curve_bounds(chans[0], ts)
         header, columns = "t,lower,upper", (ts, pts.lower, pts.upper)
     else:  # mi-diff
-        xs = np.arange(1, args.grid + 1) / (args.grid + 1.0)
         mi_a, mi_b = (mutual_information_grid(as_channel(ch), xs) for ch in chans)
         header, columns = "x,mi_a,mi_b,difference", (xs, mi_a, mi_b, mi_a - mi_b)
     _emit_csv(header, columns, args.out)

@@ -183,10 +183,6 @@ def maximal_leakage(channel):
     return float(math.log(alpha_max(channel)))
 
 
-def maximal_leakage_bits(channel):
-    return maximal_leakage(channel) / _LN2
-
-
 # ----------------------------------------------------------------------
 # Mutual information and capacity
 # ----------------------------------------------------------------------

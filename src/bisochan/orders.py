@@ -14,9 +14,9 @@ alike, so a self-comparison holds at once; a failing sample of netted rows
 is re-valued by the search's own kernel on all rows.  Less-noisy certifies
 the criterion times a positive product by Bernstein coefficients, one
 factor per pair read from the netted columns with r0 > r1 and built in that
-basis unless its end coefficients already fail, ahead of a half grid up to
-netted degree 20 and behind it above; the search bounds its first cell
-(0, 1e-3] in closed form, and symmetric pairs search up to 1/2 only.
+basis unless its end coefficients already fail, up to netted degree 20 and
+ahead of a half grid; the search bounds its first cell (0, 1e-3] in closed
+form, and symmetric pairs search up to 1/2 only.
 More-capable samples a round in slices, so its arrays stay bounded.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DegradingMap, as_channel, canonicalize_biso, compose
+from .channels import DegradingMap, as_channel, canonicalize_biso, compose, is_biso
 from .coefficients import _mutual_information_and_slope, mutual_information_grid
 from .errors import DegenerateParameterError, NumericalInstabilityError
 
@@ -38,7 +38,7 @@ _MIN_CELL = 1e-12  # a more-capable cell this narrow that is not certified is un
 _MC_CELLS = 2**17  # more-capable cells open at once, at most
 _TERMS = 2**22  # less-noisy cells open at once times rows, at most; a quarter bounds a more-capable slice
 _COARSE = 20  # `_dc_search` first bounds the cells between every 20th point of its grid
-_CERTIFY_FIRST = 20  # netted pairs up to which the O(n^2) certificate costs no more than the half grid
+_CERTIFY_FIRST = 20  # netted pairs up to which the O(n^2) certificate, tried first, costs no more than the half grid
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,6 @@ class OrderVerdict:
         return self.relation == "fails"
 
 
-@dataclass(frozen=True)
-class CriterionProfile:
-    """Samples (parameter, value) of a comparison criterion, ascending in (0, 1)."""
-
-    parameters: np.ndarray
-    values: np.ndarray
-
-
 # ----------------------------------------------------------------------
 # Guessing probability (min-entropy refutation tool)
 # ----------------------------------------------------------------------
@@ -123,20 +115,28 @@ def _guessing(rows, xs):
 # ----------------------------------------------------------------------
 
 
-def less_noisy_criterion_biso(w, v, q):
-    """Signed less-noisy criterion for BISO channels at reference bias q.
+def less_noisy_criterion(w, v, q):
+    """Signed less-noisy criterion of two binary-input channels at reference bias q.
 
-    The value is the difference of the two chi-squared curvature sums; the
-    first channel is less noisy than the second iff the value is >= 0 for
-    every q in (0, 1).  The criterion depends only on the reference bias q
-    (the primal input bias cancels), which is why no second bias argument
-    exists.  Reported on the same scale as half the second derivative of the
-    chi-squared difference; see `less_noisy_criterion_fd`.
+    q is a float or an array in (0, 1); the value is a float or an array of
+    q's shape.  It is the difference of the two chi-squared curvature sums:
+    the first channel is less noisy than the second iff it is >= 0 for every
+    q in (0, 1).  The primal input bias cancels, which is why no second bias
+    argument exists: chi2(W o Ber(p) || W o Ber(q)) - chi2(V o Ber(p) ||
+    V o Ber(q)) is quadratic in p with second derivative twice this value.
+    A BISO channel is summed on its canonical flat rows, any other on its
+    own rows.  One point and many give the same bits (see `_criterion`).
     """
-    q = float(q)
-    if q <= 0.0 or q >= 1.0:
+    qs = np.asarray(q, dtype=float)
+    if not np.all((qs > 0.0) & (qs < 1.0)):
         raise DegenerateParameterError(f"criterion bias must lie strictly inside (0, 1), got {q!r}")
-    return float(_criterion(_flat_rows(canonicalize_biso(w), canonicalize_biso(v)), np.array([q]))[0])
+    vals = _criterion(_flat_rows(_criterion_rows(w), _criterion_rows(v)), qs.ravel())
+    return float(vals[0]) if qs.ndim == 0 else vals.reshape(qs.shape)
+
+
+def _criterion_rows(ch):
+    """The rows the criterion sums: a BISO channel's canonical flat rows, any other's own."""
+    return canonicalize_biso(ch).to_channel().rows if is_biso(ch) else as_channel(ch).rows
 
 
 def _flat_rows(w, v):
@@ -172,14 +172,6 @@ def _criterion(rows, qs):
 def _row_sums(terms):
     """The rows of `terms` (rows x points) summed in order at each point; see `_criterion`."""
     return terms.sum(axis=0) if terms.shape[1] > 1 else sum(terms, np.zeros(1))
-
-
-def criterion_profile(w, v, grid_size=DEFAULT_GRID):
-    """Criterion samples for the pair (w, v) on the interior grid k / (grid_size + 1)."""
-    if grid_size < 2:
-        raise DegenerateParameterError("grid_size must be at least 2")
-    qs = np.arange(1, grid_size + 1) / (grid_size + 1.0)
-    return CriterionProfile(qs, _criterion(_flat_rows(canonicalize_biso(w), canonicalize_biso(v)), qs))
 
 
 def _net_rows(w_rows, v_rows):
@@ -329,50 +321,29 @@ def is_less_noisy(w, v):
     Fails iff the convexity criterion, symmetric under q -> 1 - q, dips below
     -1e-9 in (0, 1/2] (so channels of one contraction coefficient, which touch
     zero at q = 1/2, hold), with a witness q > 0 where the criterion over all
-    flat rows is below -1e-9.  On the canonical flat rows: the Bernstein
-    certificate of `_criterion_bernstein` of the rows `_net_rows` nets, built
-    only if `_bernstein_ends` clear its margin, and the q-grid up to 1/2, its
-    argmin the witness, in this order up to `_CERTIFY_FIRST` netted pairs and
-    the other way above; then `_dc_search` of the netted rows, its first cell
-    (0, 1e-3] bounded by `_first_cell`, its witness `_confirmed` by
-    `_ln_samples` of all flat rows.
+    flat rows is below -1e-9.  On the canonical flat rows, in this order: up
+    to `_CERTIFY_FIRST` netted pairs, the Bernstein certificate of
+    `_criterion_bernstein` of the rows `_net_rows` nets, built only if
+    `_bernstein_ends` clear its margin; the q-grid up to 1/2, its argmin the
+    witness; `_dc_search` of the netted rows, its first cell (0, 1e-3]
+    bounded by `_first_cell`, its witness `_confirmed` by `_ln_samples` of
+    all flat rows.
     """
     w_rows, v_rows = (canonicalize_biso(ch).to_channel().rows for ch in (w, v))
     net = _net_rows(w_rows, v_rows)
-    small = sum(np.count_nonzero(r[0] > r[1]) for r in net) <= _CERTIFY_FIRST  # the certificate's degree
-
-    def certified():
+    if sum(np.count_nonzero(r[0] > r[1]) for r in net) <= _CERTIFY_FIRST:  # the certificate's degree
         k, a = _bernstein_factors(*net)
-        return min(_bernstein_ends(k, a)) > _bernstein_margin(len(k)) and _bernstein_positive(_criterion_bernstein(k, a))
-
-    if small and certified():
-        return OrderVerdict("holds")
+        if min(_bernstein_ends(k, a)) > _bernstein_margin(len(k)) and _bernstein_positive(_criterion_bernstein(k, a)):
+            return OrderVerdict("holds")
     rows = _flat_rows(w_rows, v_rows)
     vals = _criterion(rows, _HALF_GRID)
     if vals.min() < -VERDICT_TOL:
         k = int(np.argmin(vals))
         return OrderVerdict("fails", CriterionViolation(float(_HALF_GRID[k]), float(vals[k])))
-    if not small and certified():
-        return OrderVerdict("holds")
     net_rows = _flat_rows(*net)
     cells = _TERMS // max(net_rows[0].shape[1], 1)
     verdict = _dc_search(functools.partial(_ln_samples, net_rows), _HALF_GRID, 0.0, cells, _first_cell(net_rows))
     return _confirmed(verdict, functools.partial(_ln_samples, rows))
-
-
-def less_noisy_criterion_fd(w, v, q):
-    """Second derivative of the chi-squared difference for general binary channels.
-
-    The derivative is in the primal bias p of
-    chi2(W o Ber(p) || W o Ber(q)) - chi2(V o Ber(p) || V o Ber(q)).
-    Both terms are quadratic in p, so each contributes the constant
-    2 sum (r0 - r1)^2 / (q r0 + (1 - q) r1) over the outputs with r0 != r1,
-    whatever p is.  Equals twice the BISO closed criterion.
-    """
-    q = float(q)
-    if q <= 0.0 or q >= 1.0:
-        raise DegenerateParameterError("reference bias must lie strictly inside (0, 1)")
-    return 2.0 * float(_criterion(_flat_rows(w, v), np.array([q]))[0])
 
 
 # ----------------------------------------------------------------------

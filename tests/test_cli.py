@@ -18,8 +18,8 @@ from bisochan import (
     as_channel,
     canonicalize_biso,
     compose,
-    criterion_profile,
     fi_curve_bounds,
+    less_noisy_criterion,
     load_channel,
     match_extremal,
     mutual_information_grid,
@@ -500,9 +500,14 @@ class TestSweep:
         assert captured.err.startswith("cannot write") and captured.err.count("\n") == 1
 
     def test_degenerate_grid_exit_4(self, eta_file_a, eta_file_b, capsys):
-        argv = ["sweep", "--quantity", "criterion", eta_file_a, eta_file_b, "--grid", "1"]
-        assert main(argv) == 4
-        assert "precondition violated: grid_size" in capsys.readouterr().err
+        # one point is a grid, as for mi-diff: the row at q = 1/2; no point is not
+        argv = ["sweep", "--quantity", "criterion", eta_file_a, eta_file_b, "--grid"]
+        assert main([*argv, "1"]) == 0
+        fwd = less_noisy_criterion(load_channel(eta_file_a), load_channel(eta_file_b), 0.5)
+        assert capsys.readouterr().out == f"q,forward,reverse\n0.5,{_fmt(fwd)},{_fmt(0.0 - fwd)}\n"
+        assert main([*argv, "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "precondition violated: grid_size" in captured.err
 
     def test_negative_leakage_exit_4(self, eta_file_a, capsys):
         assert main(["sweep", "--quantity", "fi-bounds", eta_file_a, "--tmax", "-1"]) == 4
@@ -511,10 +516,21 @@ class TestSweep:
     def test_wrong_file_count_exit_4(self, eta_file_a):
         assert main(["sweep", "--quantity", "criterion", eta_file_a]) == 4
 
-    def test_criterion_requires_biso_exit_4(self, z_file, eta_file_a, capsys):
-        assert main(["sweep", "--quantity", "criterion", z_file, eta_file_a]) == 4
+    def test_non_biso_criterion_sweeps_the_files_own_rows(self, z_file, capsys):
+        # Z against a BISO channel: each row is the criterion at 12 digits, and nothing
+        # symmetrizes it, so the forward column differs at q and 1 - q
+        eta_a = str(DEMO_DATA / "eta_pair_a.txt")
+        assert main(["sweep", "--quantity", "criterion", z_file, eta_a]) == 0
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("precondition violated:")
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert len(rows) == 999 and "nan" not in captured.out and captured.err == ""
+        z, w = load_channel(z_file), load_channel(eta_a)
+        for q_str, fwd_str, rev_str in rows:
+            q = float(q_str)
+            assert _fmt(less_noisy_criterion(z, w, q)) == fwd_str
+            assert _fmt(less_noisy_criterion(w, z, q)) == rev_str
+        fwd = np.array([float(row[1]) for row in rows])
+        assert np.all(np.abs(fwd - fwd[::-1])[:499] > 1e-6)
 
     def test_subnormal_column_sweeps_criterion_without_nan(self, subnormal_files, capsys):
         # its flat row (d^2, d, r1) was 0 / 0 at every q > 1/2: q d rounds to -r1, d^2 to 0
@@ -531,8 +547,6 @@ class TestSweep:
         assert captured.out == "" and captured.err.startswith("precondition violated:")
 
     def test_csv_rows_recompute_to_printed_precision(self, eta_file_a, eta_file_b, capsys):
-        from bisochan import canonicalize_biso, less_noisy_criterion_biso, load_channel
-
         assert main(
             ["sweep", "--quantity", "criterion", eta_file_a, eta_file_b, "--grid", "49"]
         ) == 0
@@ -542,21 +556,20 @@ class TestSweep:
         for line in lines:
             q_str, fwd_str, rev_str = line.split(",")
             q = float(q_str)
-            assert format(less_noisy_criterion_biso(w, v, q), ".12g") == fwd_str
-            assert format(less_noisy_criterion_biso(v, w, q), ".12g") == rev_str
+            assert format(less_noisy_criterion(w, v, q), ".12g") == fwd_str
+            assert format(less_noisy_criterion(v, w, q), ".12g") == rev_str
 
     def test_reverse_column_is_the_negated_forward_one(self, capsys):
-        from bisochan import canonicalize_biso, criterion_profile, load_channel
-
         files = [str(DEMO_DATA / "eta_pair_a.txt"), str(DEMO_DATA / "eta_pair_b.txt")]
         assert main(["sweep", "--quantity", "criterion", *files]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
         assert len(rows) == 999
         for _, fwd_str, rev_str in rows:
             assert rev_str == (fwd_str[1:] if fwd_str.startswith("-") else "-" + fwd_str)
-        # the one profile sweep computes stands for the reverse one bit for bit
+        # the one criterion sweep computes on its grid stands for the reverse one bit for bit
         w, v = (canonicalize_biso(load_channel(f)) for f in files)
-        fwd, rev = criterion_profile(w, v).values, criterion_profile(v, w).values
+        xs = np.arange(1, 1000) / 1000.0
+        fwd, rev = less_noisy_criterion(w, v, xs), less_noisy_criterion(v, w, xs)
         assert fwd.tobytes() == (-rev).tobytes()
 
     @pytest.mark.parametrize(
@@ -612,9 +625,9 @@ class TestCsvRendering:
         out = capsys.readouterr().out
         chans = [load_channel(p) for p in paths]
         if quantity == "criterion":
-            a, b = (canonicalize_biso(c) for c in chans)
-            fwd, rev = criterion_profile(a, b), criterion_profile(b, a)
-            expected = _per_value_csv("q,forward,reverse", (fwd.parameters, fwd.values, rev.values))
+            xs = np.arange(1, 1000) / 1000.0
+            fwd, rev = less_noisy_criterion(*chans, xs), less_noisy_criterion(*chans[::-1], xs)
+            expected = _per_value_csv("q,forward,reverse", (xs, fwd, rev))
         elif quantity == "mi-diff":
             xs = np.arange(1, 1000) / 1000.0
             mi_a, mi_b = (mutual_information_grid(as_channel(c), xs) for c in chans)

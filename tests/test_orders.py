@@ -18,13 +18,11 @@ from bisochan import (
     ParameterOutOfRangeError,
     canonicalize_biso,
     compose,
-    criterion_profile,
     guessing_probability,
     is_degraded,
     is_less_noisy,
     is_more_capable,
-    less_noisy_criterion_biso,
-    less_noisy_criterion_fd,
+    less_noisy_criterion,
     make_bec,
     make_bsc,
     make_z,
@@ -102,12 +100,12 @@ class TestGuessingProbability:
 
 class TestLessNoisyCriterion:
     def test_frozen_counterexample_values(self):
-        assert abs(less_noisy_criterion_biso(ETA_PAIR_A, ETA_PAIR_B, 0.001) - (-14.443939175483525)) < 1e-9
-        assert abs(less_noisy_criterion_biso(ETA_PAIR_A, ETA_PAIR_B, 0.02) - 0.9705362820271217) < 1e-9
+        assert abs(less_noisy_criterion(ETA_PAIR_A, ETA_PAIR_B, 0.001) - (-14.443939175483525)) < 1e-9
+        assert abs(less_noisy_criterion(ETA_PAIR_A, ETA_PAIR_B, 0.02) - 0.9705362820271217) < 1e-9
 
     def test_identical_channels_cancel(self):
         for q in (0.001, 0.25, 0.5, 0.99):
-            assert less_noisy_criterion_biso(ETA_PAIR_A, ETA_PAIR_A, q) == 0.0
+            assert less_noisy_criterion(ETA_PAIR_A, ETA_PAIR_A, q) == 0.0
 
     def test_noiseless_mirror_pair_cancels_near_the_edges(self):
         # the criterion of these two noiseless channels is identically 0; the
@@ -115,34 +113,62 @@ class TestLessNoisyCriterion:
         w, v = BisoChannel([[0, 1]]), BisoChannel([[1, 0]])
         for q in (1e-9, 1e-15):
             assert abs(_curvature_sum(w, [q])[0] - _curvature_sum(v, [q])[0]) > 1.0
-            assert abs(less_noisy_criterion_biso(w, v, q)) <= 1e-12
+            assert abs(less_noisy_criterion(w, v, q)) <= 1e-12
 
     def test_degenerate_bias_rejected(self):
-        for q in (0.0, 1.0):
+        for q in (0.0, 1.0, math.nan, np.array([0.5, 1.0])):
             with pytest.raises(DegenerateParameterError):
-                less_noisy_criterion_biso(ETA_PAIR_A, ETA_PAIR_B, q)
+                less_noisy_criterion(ETA_PAIR_A, ETA_PAIR_B, q)
 
     def test_takes_no_primal_bias_argument(self):
         # the criterion depends on the reference bias only; the primal input
         # bias cancels, so the signature must not accept one
-        params = list(inspect.signature(less_noisy_criterion_biso).parameters)
+        params = list(inspect.signature(less_noisy_criterion).parameters)
         assert params == ["w", "v", "q"]
 
     def test_finite_difference_matches_closed_criterion(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            w = random_biso(rng, max_pairs=3)
-            v = random_biso(rng, max_pairs=3)
-            q = float(rng.uniform(0.05, 0.95))
-            fd = less_noisy_criterion_fd(w.to_channel(), v.to_channel(), q)
-            closed = 2.0 * less_noisy_criterion_biso(w, v, q)
-            assert abs(fd - closed) < 1e-12 * max(1.0, abs(closed))
+        # chi2(W o Ber(p) || W o Ber(q)) - chi2(V o Ber(p) || V o Ber(q)) is quadratic in p, so its
+        # second difference at p = q +- h over h^2 is its second derivative, twice the criterion
+        def chi2(ch, p, q):
+            r0, r1 = as_channel(ch).rows
+            at_p, at_q = p * r0 + (1.0 - p) * r1, q * r0 + (1.0 - q) * r1
+            out = at_q > 0.0
+            return float(((at_p[out] - at_q[out]) ** 2 / at_q[out]).sum())
 
-    def test_profile_parameters_are_interior_and_increasing(self):
-        prof = criterion_profile(ETA_PAIR_A, ETA_PAIR_B, 99)
-        assert prof.parameters[0] > 0.0 and prof.parameters[-1] < 1.0
-        assert np.all(np.diff(prof.parameters) > 0)
-        assert prof.values.shape == prof.parameters.shape
+        rng = np.random.default_rng(4)
+        pairs = [(random_biso(rng), random_biso(rng)) for _ in range(10)]
+        pairs += [(Channel(rng.dirichlet(np.ones(n), size=2)), Channel(rng.dirichlet(np.ones(m), size=2)))
+                  for n, m in rng.integers(2, 9, size=(10, 2))]
+        pairs += [(make_z(z), make_bsc((1.0 - math.sqrt(1.0 - z)) / 2.0)) for z in (0.1, 0.3, 0.6, 0.9)]
+        h = 1e-3
+        for w, v in pairs:
+            q = float(rng.uniform(0.05, 0.95))
+            g = [chi2(w, p, q) - chi2(v, p, q) for p in (q - h, q, q + h)]
+            second = (g[0] - 2.0 * g[1] + g[2]) / (h * h)
+            closed = 2.0 * less_noisy_criterion(w, v, q)
+            assert abs(second - closed) <= 1e-9 * max(1.0, abs(closed)), (w, v, q)
+
+    def test_array_call_matches_scalar_calls_bitwise(self):
+        # 8 or more rows a side, where numpy would sum one point's column pairwise
+        rng = np.random.default_rng(5)
+        qs = np.concatenate(([1e-9, 0.5, 1.0 - 1e-9], rng.uniform(0.0, 1.0, size=61)))
+        for n in (4, 5, 8, 16):
+            biso = [BisoChannel(raw / raw.sum()) for raw in rng.uniform(0.02, 1.0, size=(2, n, 2))]
+            general = [Channel(rng.dirichlet(np.ones(2 * n), size=2)) for _ in range(2)]
+            for w, v in (biso, general, (biso[0], general[0])):
+                array = less_noisy_criterion(w, v, qs)
+                assert array.shape == qs.shape
+                assert [x.hex() for x in array.tolist()] == [less_noisy_criterion(w, v, q).hex() for q in qs]
+                grid = less_noisy_criterion(w, v, qs.reshape(8, 8))
+                assert grid.shape == (8, 8) and grid.tobytes() == array.tobytes()
+
+    def test_non_biso_pair_is_summed_on_its_own_rows(self):
+        # no symmetrization: the criterion of Z against a BISO channel differs at q and 1 - q
+        z = make_z(0.3)
+        qs = np.array([0.1, 0.25, 0.4])
+        own = orders._criterion(orders._flat_rows(z.rows, ETA_PAIR_A.to_channel().rows), qs)
+        assert less_noisy_criterion(z, ETA_PAIR_A, qs).tobytes() == own.tobytes()
+        assert np.all(np.abs(less_noisy_criterion(z, ETA_PAIR_A, 1.0 - qs) - own) > 1e-3)
 
 
 class TestIsLessNoisy:
@@ -157,7 +183,7 @@ class TestIsLessNoisy:
             witness = verdict.witness
             assert isinstance(witness, CriterionViolation)
             # re-evaluating at the witness reproduces a strict violation
-            again = less_noisy_criterion_biso(w, v, witness.parameter)
+            again = less_noisy_criterion(w, v, witness.parameter)
             assert again < -1e-9
             assert abs(again - witness.value) < 1e-12
 
@@ -170,7 +196,7 @@ class TestIsLessNoisy:
         rev = is_less_noisy(ETA_PAIR_B, ETA_PAIR_A)
         q = rev.witness.parameter
         assert 0.0 < q < 1.0
-        mirrored = less_noisy_criterion_biso(ETA_PAIR_B, ETA_PAIR_A, 1.0 - q)
+        mirrored = less_noisy_criterion(ETA_PAIR_B, ETA_PAIR_A, 1.0 - q)
         assert abs(mirrored - rev.witness.value) < 1e-9
 
     def test_sandwich_single_instance(self):
@@ -212,7 +238,7 @@ class TestIsLessNoisy:
         assert verdict.fails
         q = verdict.witness.parameter
         assert 0.0 < q < 1e-3
-        assert less_noisy_criterion_biso(w, v, q) < -1e-9
+        assert less_noisy_criterion(w, v, q) < -1e-9
         assert _grid_oracle(w, v)[1].holds
 
     def test_violation_behind_a_pole_near_q_zero(self):
@@ -220,7 +246,7 @@ class TestIsLessNoisy:
         w, v = NEAR_POLE_W, NEAR_POLE_V
         verdict = is_less_noisy(w, v)
         assert verdict.fails
-        assert less_noisy_criterion_biso(w, v, verdict.witness.parameter) < -1e-9
+        assert less_noisy_criterion(w, v, verdict.witness.parameter) < -1e-9
         assert _dense_reference_min(w, v) < -1e-9
 
     def test_matches_grid_oracle(self):
@@ -238,7 +264,7 @@ class TestIsLessNoisy:
                 # only a violation the grid missed may change the verdict
                 changed += 1
                 assert new.fails
-                assert less_noisy_criterion_biso(w, v, new.witness.parameter) < -1e-9
+                assert less_noisy_criterion(w, v, new.witness.parameter) < -1e-9
         assert changed > 0
 
     def test_agrees_with_dense_reference(self):
@@ -248,7 +274,7 @@ class TestIsLessNoisy:
                 assert verdict.fails, (w, v)
             if verdict.fails:
                 assert 0.0 < verdict.witness.parameter <= 0.5
-                assert less_noisy_criterion_biso(w, v, verdict.witness.parameter) < -1e-9
+                assert less_noisy_criterion(w, v, verdict.witness.parameter) < -1e-9
 
     def test_polynomial_matches_the_convolution_chains(self, monkeypatch):
         cases = list(_polynomial_cases(15))
@@ -311,7 +337,7 @@ class TestIsLessNoisy:
         assert verdict.fails
         q = verdict.witness.parameter
         assert 0.0 < q < 1e-3
-        assert verdict.witness.value == less_noisy_criterion_biso(w, v, q) < -1e-9
+        assert verdict.witness.value == less_noisy_criterion(w, v, q) < -1e-9
         assert orders._criterion(orders._flat_rows(w, v), orders._HALF_GRID).min() >= -1e-9
         # a pair both share, halved in one, nets away: the search sees other rows, and
         # the witness value is still the criterion over all of them
@@ -319,7 +345,7 @@ class TestIsLessNoisy:
         v = BisoChannel(np.vstack((v.pairs / 2.0, [(0.3, 0.2)])))
         verdict = is_less_noisy(w, v)
         assert verdict.fails and 0.0 < verdict.witness.parameter < 1e-3
-        assert verdict.witness.value == less_noisy_criterion_biso(w, v, verdict.witness.parameter) < -1e-9
+        assert verdict.witness.value == less_noisy_criterion(w, v, verdict.witness.parameter) < -1e-9
 
     def test_large_near_self_comparisons_are_bounded(self):
         # 128 pairs against themselves, their mirror, one pair halved (netted to nothing)
@@ -347,7 +373,7 @@ class TestIsLessNoisy:
                     tracemalloc.stop()
                 relations[kind, verdict.relation] += 1
                 if verdict.fails:
-                    assert less_noisy_criterion_biso(x, y, verdict.witness.parameter) < -1e-9
+                    assert less_noisy_criterion(x, y, verdict.witness.parameter) < -1e-9
         assert relations["self", "holds"] == relations["mirror", "holds"] == 20
         assert relations["dyadic", "holds"] == 40
         assert relations["split", "holds"] + relations["split", "undetermined"] == 40
@@ -435,8 +461,8 @@ class TestIsLessNoisy:
         q = verdict.witness.parameter
         j = round(math.log2(1e-3 / q))
         assert j >= 1 and q == 1e-3 * 2.0**-j
-        assert verdict.witness.value == less_noisy_criterion_biso(w, v, q) < -1e-9
-        assert all(less_noisy_criterion_biso(w, v, 1e-3 * 2.0**-i) >= -1e-9 for i in range(1, j))
+        assert verdict.witness.value == less_noisy_criterion(w, v, q) < -1e-9
+        assert all(less_noisy_criterion(w, v, 1e-3 * 2.0**-i) >= -1e-9 for i in range(1, j))
         assert _dense_reference_min(w, v) < -1e-9
 
     def test_net_noiseless_mass_decides_the_first_cell(self, monkeypatch):
@@ -445,7 +471,7 @@ class TestIsLessNoisy:
         assert orders._first_cell(orders._flat_rows(w, v))(1e-3) == -np.inf
         verdict = is_less_noisy(w, v)
         assert verdict.fails and 0.0 < verdict.witness.parameter < 1e-8
-        assert verdict.witness.value == less_noisy_criterion_biso(w, v, verdict.witness.parameter) < -1e-9
+        assert verdict.witness.value == less_noisy_criterion(w, v, verdict.witness.parameter) < -1e-9
         # ... K > 0 bounds the first cell by K / b, certified once b is small enough ...
         bound = orders._first_cell(orders._flat_rows(v, w))
         assert bound(1e-3) < -1e-9 < 990.0 < bound(1e-12) < 1e-9 / 1e-12
@@ -472,7 +498,7 @@ class TestIsLessNoisy:
             for w, v in cases:
                 verdict = is_less_noisy(w, v)
                 assert verdict.fails, (w, v)
-                value = less_noisy_criterion_biso(w, v, verdict.witness.parameter)
+                value = less_noisy_criterion(w, v, verdict.witness.parameter)
                 assert math.isfinite(value) and value < -1e-9 and value == verdict.witness.value
 
     def test_bernstein_coefficients_match_the_power_polynomial(self):
@@ -638,7 +664,7 @@ class TestIsLessNoisy:
             assert new.relation != "undetermined", (w, v)
             if new.fails:
                 q = new.witness.parameter
-                assert 0.0 < q <= 0.5 and new.witness.value == less_noisy_criterion_biso(w, v, q) < -1e-9
+                assert 0.0 < q <= 0.5 and new.witness.value == less_noisy_criterion(w, v, q) < -1e-9
             else:
                 assert dense >= -1e-9, (w, v)
             if old is None or (old.holds and dense < -1e-9):
@@ -711,6 +737,33 @@ class TestIsLessNoisy:
         monkeypatch.setattr(orders, "_criterion", forbidden)
         assert is_less_noisy(w, v).holds
 
+    def test_past_the_degree_limit_matches_the_late_certificate_bitwise(self, monkeypatch):
+        # above the degree limit the certificate no longer runs behind the half grid: the search
+        # decides every pair it would have certified, with the relation and witness bits of the
+        # grid-first path, which still builds it.  Matched BEC/BSC, garbled, merged-pair and
+        # independent pairs of 24 to 256 pairs a side, both ways round
+        certified = []
+        positive = orders._bernstein_positive
+        monkeypatch.setattr(orders, "_bernstein_positive", lambda b: certified.append(positive(b)) or certified[-1])
+        rng = np.random.default_rng(24)
+        seen = Counter()
+        for n in (24, 48, 96, 256):
+            w = BisoChannel((raw := rng.uniform(0.02, 1.0, size=(n, 2))) / raw.sum())
+            eta = eta_kl_biso(w)
+            bec, bsc = (canonicalize_biso(ch) for ch in (make_bec(1.0 - eta), make_bsc((1.0 - math.sqrt(eta)) / 2.0)))
+            merged = BisoChannel(w.pairs[0::2] + w.pairs[1::2])
+            other = BisoChannel((raw := rng.uniform(0.02, 1.0, size=(n, 2))) / raw.sum())
+            for a, b in ((bec, w), (w, bsc), (w, random_degraded_biso(rng, w, max_pairs=n)), (w, merged), (w, other)):
+                for x, y in ((a, b), (b, a)):
+                    assert sum(np.count_nonzero(r[0] > r[1]) for r in orders._net_rows(_flat(x), _flat(y))) > 20
+                    new = is_less_noisy(x, y)
+                    assert not certified
+                    assert _same_bits(new, golden_oracle.grid_first_is_less_noisy(x, y)), (n, x, y)
+                    seen[new.relation] += 1
+                    seen["certified late"] += any(certified)
+                    certified.clear()
+        assert seen["holds"] >= 16 and seen["fails"] >= 16 and seen["certified late"] >= 8, seen
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
@@ -722,7 +775,7 @@ class TestIsLessNoisy:
         # 5e-324 it fails at q = 1.5625e-5.  BSC(a) is less noisy than BSC(b) iff a <= b
         w = BisoChannel([(0.5, 5e-324), (0.5 - 1e-5, 1e-5)])
         v = BisoChannel([(0.8, 5e-324), (0.1, 0.1)])
-        assert less_noisy_criterion_biso(w, v, 1e-5) < -1e4
+        assert less_noisy_criterion(w, v, 1e-5) < -1e4
         pairs = [(w, v), (canonicalize_biso(make_bsc(1e-310)), canonicalize_biso(make_bsc(5e-324)))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -1279,14 +1332,14 @@ class TestIsMoreCapable:
 
     def test_confirmation_kernels_are_the_public_criteria_bitwise(self):
         # `_confirmed` re-values a failing sample by the search's own kernel on all rows:
-        # that is less_noisy_criterion_biso and mutual_information_difference, bit for bit
+        # that is less_noisy_criterion and mutual_information_difference, bit for bit
         failing = 0
         for w, v in _seeded_pairs(31, 200):
             verdict = is_less_noisy(w, v)
             if verdict.fails:
                 q = verdict.witness.parameter
                 at = orders._ln_samples(orders._flat_rows(_flat(w), _flat(v)), np.array([q]))[1, 0]
-                assert at.hex() == less_noisy_criterion_biso(w, v, q).hex() == verdict.witness.value.hex()
+                assert at.hex() == less_noisy_criterion(w, v, q).hex() == verdict.witness.value.hex()
                 failing += 1
         for a, b in list(_mc_pairs(32, 200)) + list(_netting_pairs(33, 200)):
             verdict = is_more_capable(a, b)
