@@ -283,22 +283,24 @@ def reverse_coefficients(biso):
     )
 
 
-def _reverse_threshold(dominated):
-    """The smallest p in [0, 1/2] with `dominated(p)`, by bisection to 2e-7."""
-    return bisect_threshold(dominated, 0.0, 0.5, 2e-7)
+def _reverse_threshold(dominated, guess):
+    """The smallest p in [0, 1/2] with `dominated(p)`, bisected to 2e-7; the bracket at `guess` moves no bit."""
+    return bisect_threshold(dominated, 0.0, 0.5, 2e-7, guess)
 
 
 def verify_reverse_alpha(biso):
-    """Bisection for the smallest 2p with the channel degradable onto BSC(p)."""
+    """Smallest 2p with the channel degradable onto BSC(p), bisected from a bracket at 1 - eta_tv."""
     flat = canonicalize_biso(biso).to_channel()
-    return 2.0 * _reverse_threshold(lambda p: is_degraded(flat, make_bsc(p), witness=False).holds)
+    guess = (1.0 - eta_tv(flat)) / 2.0
+    return 2.0 * _reverse_threshold(lambda p: is_degraded(flat, make_bsc(p), witness=False).holds, guess)
 
 
 def verify_reverse_beta(biso):
-    """Bisection for the smallest 4p(1-p) with the channel less noisy than BSC(p)."""
+    """Smallest 4p(1-p) with the channel less noisy than BSC(p), bisected from a bracket at 1 - eta_kl."""
     biso = canonicalize_biso(biso)
+    guess = (1.0 - math.sqrt(eta_kl_biso(biso))) / 2.0
     # (p, 1 - p) is the canonical BSC(p) for p < 1/2, valid as built
-    p_star = _reverse_threshold(lambda p: p >= 0.5 or is_less_noisy(biso, BisoChannel._valid(np.array([[p, 1.0 - p]]))).holds)
+    p_star = _reverse_threshold(lambda p: p >= 0.5 or is_less_noisy(biso, BisoChannel._valid(np.array([[p, 1.0 - p]]))).holds, guess)
     return 4.0 * p_star * (1.0 - p_star)
 
 

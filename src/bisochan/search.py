@@ -1,5 +1,9 @@
 """Scalar search utilities: safeguarded Newton and bisection."""
 
+import math
+
+from .errors import DegenerateParameterError
+
 
 def newton_max(slope):
     """Maximizer on [0, 1] of a concave function, given its derivative.
@@ -27,21 +31,34 @@ def newton_max(slope):
     return x
 
 
-def bisect_threshold(pred, lo, hi, xtol):
+def bisect_threshold(pred, lo, hi, xtol, guess=None):
     """Locate the boundary of a monotone predicate on [lo, hi].
 
-    `pred` must be False on [lo, x*) and True on (x*, hi].  Returns an
-    estimate of x* within xtol.  If pred(lo) is already True the boundary is
-    at or below lo; if pred(hi) is False there is no boundary in range.
+    `pred` must be False on [lo, x*) and True on (x*, hi].  Returns x*
+    within xtol, or at adjacent floats; lo if pred(lo), hi if not pred(hi).
+    A point at or below the largest x seen False is False, and one at or
+    above the smallest seen True is True, with no call.  A finite `guess`
+    first asks guess -/+ 5*xtol, clamped to [lo, hi]: it changes only which
+    calls are made, never the midpoints or the result.
     """
     lo, hi = float(lo), float(hi)
-    if pred(lo):
+    seen = [-math.inf, math.inf]  # largest x with pred False, smallest with pred True
+    def ask(x):
+        if seen[0] < x < seen[1]:
+            seen[bool(pred(x))] = x
+        return x >= seen[1]
+    if guess is not None:
+        if not math.isfinite(guess):
+            raise DegenerateParameterError(f"bisection guess must be finite, got {guess!r}")
+        for x in (guess - 5.0 * xtol, guess + 5.0 * xtol):
+            ask(min(max(float(x), lo), hi))
+    if ask(lo):
         return lo
-    if not pred(hi):
+    if not ask(hi):
         return hi
-    while hi - lo > xtol:
+    while hi - lo > xtol and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if pred(mid):
+        if ask(mid):
             hi = mid
         else:
             lo = mid

@@ -14,7 +14,7 @@ as specified and marked as expected failures rather than loosened:
 
 import pytest
 
-from bisochan import checks
+from bisochan import OrderVerdict, checks
 
 CRITERIA = checks.check_ids()
 
@@ -75,3 +75,47 @@ def test_criterion_11_capacity_matched_mi_difference_as_stated():
         if r.description == "max MI difference of capacity-matched Z vs BSC"
     ]
     assert rows and all(r.passed for r in rows)
+
+
+def _check12_decisions(degraded=None, more_capable=None):
+    """Check 12's rows, the pairs it decides each order on, and its less-noisy relations;
+    `degraded` or `more_capable` replaces that order's decision."""
+    keys = lambda a, b: (a.rows.tobytes(), b.rows.tobytes())
+    seen = {"ln": [], "deg": [], "mc": []}
+    ln, deg, mc = checks.is_less_noisy, checks.is_degraded, checks.is_more_capable
+
+    def less_noisy(p, q):
+        verdict = ln(p, q)
+        seen["ln"].append((keys(p.to_channel(), q.to_channel()), verdict.relation))
+        return verdict
+
+    def is_degraded(a, b, witness=True):
+        seen["deg"].append(keys(a, b))
+        return degraded or deg(a, b, witness=witness)
+
+    def is_more_capable(a, b):
+        seen["mc"].append(keys(a, b))
+        return more_capable or mc(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "is_less_noisy", less_noisy)
+        mp.setattr(checks, "is_degraded", is_degraded)
+        mp.setattr(checks, "is_more_capable", is_more_capable)
+        rows = [computed for _, _, computed, _ in checks.check_order_hierarchy()]
+    return rows, seen
+
+
+def test_check_12_decides_each_order_where_a_row_counts_it():
+    # row 1 counts degradable pairs that fail less-noisy, row 2 less-noisy pairs that fail
+    # more-capable: each order is decided on exactly those pairs, and on its own
+    rows, seen = _check12_decisions()
+    assert rows == [0.0, 0.0] and len(seen["ln"]) == 500
+    assert seen["deg"] == [key for key, relation in seen["ln"] if relation == "fails"]
+    assert seen["mc"] == [key for key, relation in seen["ln"] if relation == "holds"]
+    assert (len(seen["deg"]), len(seen["mc"])) == (133, 367)
+
+
+def test_check_12_rows_test_every_pair_they_count():
+    # an order that always fails more-capable, or always degrades, shows in every pair its row counts
+    assert _check12_decisions(more_capable=OrderVerdict("fails"))[0] == [0.0, 367.0]
+    assert _check12_decisions(degraded=OrderVerdict("holds"))[0] == [133.0, 0.0]

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bisochan
 from bisochan import (
     BisoChannel,
     Channel,
     ClassMismatchError,
+    DegenerateParameterError,
     DimensionTooLargeError,
     NotBisoError,
     ParameterOutOfRangeError,
@@ -34,7 +40,7 @@ from bisochan import (
     verify_reverse_alpha,
     verify_reverse_beta,
 )
-from bisochan import checks
+from bisochan import checks, extremal
 from bisochan.checks import (
     ALPHA_PAIR_F,
     ETA_PAIR_A,
@@ -44,6 +50,36 @@ from bisochan.checks import (
 )
 from bisochan.search import bisect_threshold
 from golden_oracle import verify_reverse_gamma
+
+
+def _unguessed(pred, lo, hi, xtol, guess=None):
+    """`bisect_threshold` with the guess dropped: the plain bisection, asking every midpoint."""
+    return bisect_threshold(pred, lo, hi, xtol)
+
+
+def _check10_channels():
+    """The 50 channels check 10 of `paper-check` bisects."""
+    channels = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "verify_reverse_alpha", lambda b: channels.append(b) or 0.0)
+        mp.setattr(checks, "verify_reverse_beta", lambda b: 0.0)
+        checks.check_reverse_coefficients()
+    return channels
+
+
+def _thresholds():
+    """Thresholds in [0, 1/2]: the ends, dyadic ones, one ulp either side of midpoints the
+    bisection of [0, 1/2] visits, and seeded uniform ones."""
+    rng = np.random.default_rng(46)
+    ts = [0.0, 0.5, 0.25, 0.125, 0.375, 0.3125, 2.0**-20, 0.5 - 2.0**-24]
+    for t0 in rng.uniform(0.0, 0.5, 8):
+        lo, hi = 0.0, 0.5
+        for depth in range(24):
+            mid = 0.5 * (lo + hi)
+            if depth % 4 == 3:
+                ts += [float(np.nextafter(mid, 0.0)), float(np.nextafter(mid, 1.0))]
+            lo, hi = (lo, mid) if mid >= t0 else (mid, hi)
+    return ts + [float(t) for t in rng.uniform(0.0, 0.5, 400)]
 
 
 class TestMatchExtremal:
@@ -292,21 +328,89 @@ class TestReverseCoefficients:
 
     def test_unchecked_bsc_targets_bisect_as_validated_ones(self, monkeypatch):
         # `verify_reverse_beta` builds each BSC(p) target by `BisoChannel._valid`: on check 10's
-        # 50 channels it bisects to the bits that validated `BisoChannel` targets give
-        channels = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(checks, "verify_reverse_beta", lambda b: channels.append(b) or 0.0)
-            checks.check_reverse_coefficients()
+        # 50 channels it bisects to the bits that validated `BisoChannel` targets give; the
+        # unguessed bisection asks every midpoint, and the guessed one gives the same bits
+        channels = _check10_channels()
+        guessed = [verify_reverse_beta(b).hex() for b in channels]
+        monkeypatch.setattr(extremal, "bisect_threshold", _unguessed)
         unchecked = [verify_reverse_beta(b).hex() for b in channels]
         built = []
         monkeypatch.setattr(BisoChannel, "_valid", staticmethod(lambda arr: built.append(arr) or BisoChannel(arr)))
-        assert [verify_reverse_beta(b).hex() for b in channels] == unchecked
+        assert [verify_reverse_beta(b).hex() for b in channels] == unchecked == guessed
         assert len(channels) == 50 and len(built) > 1000
 
     def test_grid_confirms_gamma(self):
         b = canonicalize_biso(make_bsc(0.2))
         rc = reverse_coefficients(b)
         assert abs(verify_reverse_gamma(b) - rc.gamma_rev) < 1e-6
+
+
+class TestBracketedBisection:
+    XTOL = 2e-7
+
+    def test_any_guess_gives_the_plain_bits(self):
+        def inside(x):
+            assert 0.0 <= x <= 0.5, x  # pred is asked only on [lo, hi]
+            return x
+
+        rng = np.random.default_rng(48)
+        ts, xtol = _thresholds(), self.XTOL
+        assert len(ts) == 504
+        for t in ts:
+            for pred in (lambda x: inside(x) >= t, lambda x: np.float64(inside(x)) >= t):  # a Python and a numpy bool
+                plain = bisect_threshold(pred, 0.0, 0.5, xtol).hex()
+                guesses = (t, t - 0.9 * xtol, t + 0.9 * xtol, t - 5 * xtol, t + 5 * xtol,
+                           0.0, 0.5, -0.3, 0.8, float(rng.uniform(-0.1, 0.6)))
+                for guess in guesses:
+                    assert bisect_threshold(pred, 0.0, 0.5, xtol, guess).hex() == plain, (t, guess)
+
+    def test_a_close_guess_asks_at_most_eight_times(self):
+        xtol, worst = self.XTOL, 0
+        for t in _thresholds():
+            for guess in (t, t - 0.9 * xtol, t + 0.9 * xtol):
+                calls = []
+                bisect_threshold(lambda x: calls.append(x) or x >= t, 0.0, 0.5, xtol, guess)
+                worst = max(worst, len(calls))
+        assert worst <= 8
+
+    def test_ends_at_adjacent_floats_without_a_tolerance(self):
+        # in a child process, so that a bisection that never ends fails on the timeout
+        code = (
+            "import math\n"
+            "from bisochan.search import bisect_threshold\n"
+            "for xtol in (0.0, -1.0):\n"
+            "    for t in (0.3, 0.0, 0.5, 0.25, 1e-300):\n"
+            "        x = bisect_threshold(lambda x: x >= t, 0.0, 0.5, xtol)\n"
+            "        assert abs(x - t) <= math.ulp(t), (xtol, t, x)\n"
+            "        assert bisect_threshold(lambda x: x >= t, 0.0, 0.5, xtol, t).hex() == x.hex()\n"
+            "print('ended')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bisochan.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "ended\n", proc.stderr
+
+    def test_non_finite_guess_rejected(self):
+        for guess in (math.nan, math.inf, -math.inf, np.float64("nan")):
+            with pytest.raises(DegenerateParameterError):
+                bisect_threshold(lambda x: x >= 0.3, 0.0, 0.5, self.XTOL, guess)
+
+    def test_check_10_bisections_match_the_unguessed_path_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        cases = _check10_channels() + [random_biso(rng, max_pairs=6) for _ in range(300)]
+        guessed = [(verify_reverse_alpha(b).hex(), verify_reverse_beta(b).hex()) for b in cases]
+        monkeypatch.setattr(extremal, "bisect_threshold", _unguessed)
+        assert [(verify_reverse_alpha(b).hex(), verify_reverse_beta(b).hex()) for b in cases] == guessed
+
+    def test_check_10_makes_fewer_than_800_order_decisions(self, monkeypatch):
+        calls = []
+
+        def counting(pred, lo, hi, xtol, guess=None):
+            return bisect_threshold(lambda p: calls.append(p) or pred(p), lo, hi, xtol, guess)
+
+        monkeypatch.setattr(extremal, "bisect_threshold", counting)
+        rows = checks.check_reverse_coefficients()
+        assert len(calls) < 800
+        assert all(computed <= tol for _, _, computed, tol in rows)
 
 
 class TestGeneralBinary:

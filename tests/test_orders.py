@@ -40,6 +40,7 @@ from bisochan.checks import (
 )
 from bisochan.coefficients import capacity_binary, doeblin_alpha, eta_kl_biso, h2_inv, mutual_information_grid
 from bisochan.orders import CriterionViolation, InfeasibilityCertificate
+from bisochan.search import bisect_threshold
 import golden_oracle
 from golden_oracle import mutual_information_difference
 import simplex_oracle
@@ -1011,7 +1012,8 @@ def _dense_reference_min(w, v, qs=_DEEP_QS):
 
 @functools.lru_cache(maxsize=1)
 def _check_pairs():
-    """Every pair checks 05, 09, 10 and 12 of `paper-check` hand to `is_less_noisy`."""
+    """Every pair checks 05, 09, 10 and 12 of `paper-check` hand to `is_less_noisy`, with
+    check 10's bisections run unguessed, so that they ask every midpoint as they did."""
     pairs = []
 
     def recording(w, v):
@@ -1021,6 +1023,7 @@ def _check_pairs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checks, "is_less_noisy", recording)
         mp.setattr(extremal, "is_less_noisy", recording)
+        mp.setattr(extremal, "bisect_threshold", lambda pred, lo, hi, xtol, guess=None: bisect_threshold(pred, lo, hi, xtol))
         for check in (
             checks.check_less_noisy_sandwich, checks.check_dim3_comparability,
             checks.check_reverse_coefficients, checks.check_order_hierarchy,
@@ -1031,11 +1034,13 @@ def _check_pairs():
 
 @functools.lru_cache(maxsize=1)
 def _check12_more_capable_pairs():
-    """The 500 pairs check 12 of `paper-check` hands to `is_more_capable`."""
+    """The 500 pairs of check 12 of `paper-check`, drawn in its order, as channels."""
+    rng = np.random.default_rng(20240212)
     pairs = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks, "is_more_capable", lambda a, b: pairs.append((a, b)) or is_more_capable(a, b))
-        checks.check_order_hierarchy()
+    for trial in range(500):
+        p = random_biso(rng, max_pairs=4)
+        q = random_degraded_biso(rng, p) if trial % 2 == 0 else random_biso(rng, max_pairs=4)
+        pairs.append((p.to_channel(), q.to_channel()))
     return tuple(pairs)
 
 
