@@ -5,6 +5,7 @@ coefficients, so each output is a closed-form expression in the channel's
 contraction coefficient, Doeblin coefficient, or capacity.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,6 +127,14 @@ def fi_upper_bound(channel, t):
     return eta_kl(channel) * min(t, 1.0)
 
 
+@functools.lru_cache(maxsize=4)
+def _residual(key, shape):
+    """h2_inv(max(1 - t, 0)), read-only, of the float64 budgets t whose bytes are `key`."""
+    residual = _h2_inv_grid(np.maximum(1.0 - np.frombuffer(key).reshape(shape), 0.0))
+    residual.flags.writeable = False
+    return residual
+
+
 def fi_curve_bounds(w, t):
     """Lower and upper bounds on the budgeted-information curve of a BISO channel.
 
@@ -135,9 +144,11 @@ def fi_curve_bounds(w, t):
 
     t may be a float or an array of budgets; eta and p_eta are computed once
     and h2 is inverted over the whole array with the same 60 halvings as
-    `h2_inv`.  The lower bounds may differ from the per-budget scalar
-    formula by an ulp, since numpy's log2 and math.log2 round differently on
-    a few inputs; the upper bounds are equal.
+    `h2_inv`, once per budget array: the last few are kept by value and
+    shape.  lower and upper are new arrays at every call.  The lower bounds
+    may differ from the per-budget scalar formula by an ulp, since numpy's
+    log2 and math.log2 round differently on a few inputs; the upper bounds
+    are equal.
     """
     ts = np.asarray(t, dtype=float)
     bad = ts[~(ts >= 0.0)]  # negative or NaN
@@ -146,7 +157,7 @@ def fi_curve_bounds(w, t):
     b = canonicalize_biso(w)
     eta = eta_kl_biso(b)
     p_eta = (1.0 - math.sqrt(eta)) / 2.0
-    residual = _h2_inv_grid(np.maximum(1.0 - ts, 0.0))
+    residual = _residual(ts.tobytes(), ts.shape)
     lower = 1.0 - _h2_grid(p_eta * (1.0 - residual) + (1.0 - p_eta) * residual)
     upper = eta * np.minimum(ts, 1.0)
     if ts.ndim == 0:

@@ -7,6 +7,7 @@ print with 12 significant digits.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -208,10 +209,19 @@ def cmd_paper_check(args):
 # ----------------------------------------------------------------------
 
 
-def _emit_csv(header, columns, out):
-    """Write the header and one row per index of the array columns, values as `_fmt` prints them."""
-    row = ",".join(["%.12g"] * len(columns))
-    values = zip(*(c.tolist() for c in columns))
+@functools.lru_cache(maxsize=4)
+def _grid_column(grid, tmax_hex=None):
+    """A sweep's first column, read-only, and its `_fmt` text: k / (grid + 1), or the budgets 0
+    to tmax, keyed by `float.hex(tmax)` so that -0 and 0 keep their own columns."""
+    column = np.linspace(0.0, float.fromhex(tmax_hex), grid) if tmax_hex else np.arange(1, grid + 1) / (grid + 1.0)
+    column.flags.writeable = False
+    return column, tuple(_fmt(v) for v in column.tolist())
+
+
+def _emit_csv(header, first, columns, out):
+    """Write the header and one row per index: `first`'s text, then the columns' values as `_fmt` prints them."""
+    row = ",".join(["%s"] + ["%.12g"] * len(columns))
+    values = zip(first, *(c.tolist() for c in columns))
     text = "".join([header + "\n"] + [row % v + "\n" for v in values])
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -237,19 +247,18 @@ def cmd_sweep(args):
         print(f"{args.quantity} sweep needs exactly {in_words}", file=sys.stderr)
         return EXIT_PRECONDITION
     chans = [_load(f) for f in args.channels]
-    xs = np.arange(1, args.grid + 1) / (args.grid + 1.0)
+    xs, text = _grid_column(args.grid, args.tmax.hex() if args.quantity == "fi-bounds" else None)
     if args.quantity == "criterion":
         fwd = less_noisy_criterion(*chans, xs)
         # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned
-        header, columns = "q,forward,reverse", (xs, fwd, 0.0 - fwd)
+        header, columns = "q,forward,reverse", (fwd, 0.0 - fwd)
     elif args.quantity == "fi-bounds":
-        ts = np.linspace(0.0, args.tmax, args.grid)
-        pts = fi_curve_bounds(chans[0], ts)
-        header, columns = "t,lower,upper", (ts, pts.lower, pts.upper)
+        pts = fi_curve_bounds(chans[0], xs)
+        header, columns = "t,lower,upper", (pts.lower, pts.upper)
     else:  # mi-diff
         mi_a, mi_b = (mutual_information_grid(as_channel(ch), xs) for ch in chans)
-        header, columns = "x,mi_a,mi_b,difference", (xs, mi_a, mi_b, mi_a - mi_b)
-    _emit_csv(header, columns, args.out)
+        header, columns = "x,mi_a,mi_b,difference", (mi_a, mi_b, mi_a - mi_b)
+    _emit_csv(header, text, columns, args.out)
     return EXIT_OK
 
 

@@ -65,16 +65,19 @@ def _h2_grid(p):
 
 
 def _h2_inv_grid(h):
-    """Vectorized h2_inv over an array in [0, 1]: the same 60 halvings, no range check."""
+    """Vectorized h2_inv over an array in [0, 1]: the same 60 halvings, no range check, of the
+    entries other than 0 and 1 alone.  Every midpoint lies in (0, 1/2], where h2 needs no mask."""
     h = np.asarray(h, dtype=float)
-    lo = np.zeros_like(h)
-    hi = np.full_like(h, 0.5)
+    out, inner = np.where(h == 1.0, 0.5, 0.0), (h != 0.0) & (h != 1.0)
+    target = h[inner]
+    lo, hi = np.zeros_like(target), np.full_like(target, 0.5)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        below = _h2_grid(mid) < h
+        below = -(mid * np.log2(mid) + (1.0 - mid) * np.log2(1.0 - mid)) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return np.where(h == 0.0, 0.0, np.where(h == 1.0, 0.5, 0.5 * (lo + hi)))
+    out[inner] = 0.5 * (lo + hi)
+    return out
 
 
 def _entropy_bits(vec):

@@ -401,8 +401,8 @@ def _dc_search(sample, xs, min_cell, max_cells, first=None):
     """Whether f >= -1e-9 on [xs[0], xs[-1]], by DC branch and bound (Horst & Thoai, JOTA 1999).
 
     `sample(xs)` gives rows x, f, B and B' at each x, f = A - B for concave
-    A and B.  A first round of every `_COARSE`-th point of xs and the last
-    holds if it certifies every cell; if not, the search starts over on xs.
+    A and B, each x's column the same bits in any round.  A first round of every
+    `_COARSE`-th point and the last holds if it certifies every cell; if not, the rest joins it.
     A sample below -1e-9 fails: the argmin of xs, or the lowest midpoint of a
     round.  Cells whose `_dc_bounds` are below -1e-9 are halved, all of one
     width at a time, until every cell is certified (holds).  It is
@@ -417,10 +417,16 @@ def _dc_search(sample, xs, min_cell, max_cells, first=None):
             bounds[0] = first(hi[0, 0])
         return bounds
 
-    for grid in (np.append(xs[:-1:_COARSE], xs[-1]), xs):  # a coarse round may certify every cell at once
-        pts = sample(grid)
+    pts = sample(np.append(xs[:-1:_COARSE], xs[-1]))
+    for coarse in (True, False):  # a coarse round may certify every cell at once; if not, the rest of xs joins it
+        if not coarse:  # row by row, where numpy's masks are fast: the coarse samples and the rest of xs in grid order
+            rest = np.ones(xs.size, dtype=bool)
+            rest[:-1:_COARSE] = rest[-1] = False
+            pts, taken = np.empty((len(pts), xs.size)), pts
+            for row, t, other in zip(pts, taken, sample(xs[rest])):
+                row[:-1:_COARSE], row[-1], row[rest] = t[:-1], t[-1], other
         lo, hi = (pts[:, :-1], pts[:, 1:]) if first is None else (np.insert(pts[:, :-1], 0, 0.0, axis=1), pts)
-        if grid is not xs and pts[1].min() >= -VERDICT_TOL and not np.any(bounded(lo, hi) < -VERDICT_TOL):
+        if coarse and pts[1].min() >= -VERDICT_TOL and not np.any(bounded(lo, hi) < -VERDICT_TOL):
             return OrderVerdict("holds")
     k = int(np.argmin(pts[1]))
     while pts[1, k] >= -VERDICT_TOL:

@@ -25,7 +25,7 @@ import numpy as np
 
 from bisochan import orders
 from bisochan.channels import as_channel, canonicalize_biso, make_bsc
-from bisochan.coefficients import h2, mutual_information, mutual_information_grid
+from bisochan.coefficients import _h2_grid, h2, mutual_information, mutual_information_grid
 from bisochan.orders import VERDICT_TOL, CriterionViolation, OrderVerdict
 from bisochan.search import bisect_threshold
 
@@ -286,3 +286,17 @@ def row_loop_ln_samples(rows, qs):
     terms = a / den
     fw, fv = (sum(part, np.zeros(len(qs))) for part in (terms[:n_w], terms[n_w:]))
     return np.array((qs, fw - fv, -fw, (terms[:n_w] * b[:n_w] / den[:n_w]).sum(axis=0)))
+
+
+def masked_h2_inv_grid(h):
+    """`coefficients._h2_inv_grid` as it was: every entry, 0 and 1 too, halved 60 times
+    through the masked `_h2_grid`."""
+    h = np.asarray(h, dtype=float)
+    lo = np.zeros_like(h)
+    hi = np.full_like(h, 0.5)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = _h2_grid(mid) < h
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(h == 0.0, 0.0, np.where(h == 1.0, 0.5, 0.5 * (lo + hi)))

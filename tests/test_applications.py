@@ -26,6 +26,7 @@ from bisochan import (
     secrecy_capacity_vs_bsc,
     tv_generator,
 )
+from bisochan import applications
 from bisochan.checks import random_biso
 
 
@@ -232,6 +233,41 @@ class TestFICurveBounds:
         pts = fi_curve_bounds(w, np.linspace(0.0, 1.2, 12).reshape(3, 4))
         assert pts.lower.shape == pts.upper.shape == (3, 4)
         assert fi_curve_bounds(w, np.array([])).lower.shape == (0,)
+
+    def test_residual_memo_keys_on_the_budgets_values(self):
+        # a caller that changes its budgets in place gets the new values' bounds
+        w = canonicalize_biso(make_bsc(0.11))
+        ts = np.linspace(0.0, 1.2, 50)
+        first = fi_curve_bounds(w, ts)
+        lower = first.lower.copy()
+        ts *= 0.5
+        again = fi_curve_bounds(w, ts)
+        assert again.t is ts and not np.array_equal(again.lower, lower)
+        applications._residual.cache_clear()
+        fresh = fi_curve_bounds(w, ts.copy())
+        assert again.lower.tobytes() == fresh.lower.tobytes()
+        assert again.upper.tobytes() == fresh.upper.tobytes()
+
+    def test_memoized_residual_is_read_only_and_the_bounds_are_not(self):
+        w = canonicalize_biso(make_bsc(0.11))
+        ts = np.linspace(0.0, 1.2, 9)
+        residual = applications._residual(ts.tobytes(), ts.shape)
+        with pytest.raises(ValueError):
+            residual[0] = 0.25
+        pts = fi_curve_bounds(w, ts)
+        pts.lower[:] = pts.upper[:] = -1.0  # fresh arrays: the next call does not see this
+        assert fi_curve_bounds(w, ts).lower.min() >= 0.0
+
+    def test_repeat_calls_are_the_cleared_memo_bits(self):
+        applications._residual.cache_clear()
+        chans = _budget_curve_channels()[:20]
+        cold = [fi_curve_bounds(w, _BUDGETS) for w in chans]
+        assert applications._residual.cache_info().hits == len(chans) - 1
+        for w, pts in zip(chans, cold):
+            applications._residual.cache_clear()
+            fresh = fi_curve_bounds(w, _BUDGETS.copy())
+            assert pts.lower.view(np.int64).tolist() == fresh.lower.view(np.int64).tolist()
+            assert pts.upper.tobytes() == fresh.upper.tobytes()
 
     def test_long_curve_is_fast(self):
         w = random_biso(np.random.default_rng(57))

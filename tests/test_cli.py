@@ -24,6 +24,7 @@ from bisochan import (
     match_extremal,
     mutual_information_grid,
 )
+from bisochan import applications, cli
 from bisochan.channels import format_channel, make_bsc, make_z
 from bisochan.cli import _emit_csv, _fmt, main
 
@@ -594,10 +595,36 @@ def _per_value_csv(header, columns):
 
 
 def _render(header, columns):
+    """`_emit_csv` of the columns, the first as text as `cli._grid_column` gives it."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        _emit_csv(header, columns, None)
+        _emit_csv(header, tuple(_fmt(v) for v in columns[0].tolist()), columns[1:], None)
     return buf.getvalue()
+
+
+def _fresh_sweep(quantity, paths, grid, tmax):
+    """A criterion or fi-bounds sweep's CSV from columns computed with the memos cleared."""
+    cli._grid_column.cache_clear()
+    applications._residual.cache_clear()
+    chans = [load_channel(p) for p in paths]
+    if quantity == "criterion":
+        xs = np.arange(1, grid + 1) / (grid + 1.0)
+        fwd = less_noisy_criterion(*chans, xs)
+        return _per_value_csv("q,forward,reverse", (xs, fwd, 0.0 - fwd))
+    ts = np.linspace(0.0, tmax, grid)
+    pts = fi_curve_bounds(canonicalize_biso(chans[0]), ts)
+    return _per_value_csv("t,lower,upper", (ts, pts.lower, pts.upper))
+
+
+_PAIR = tuple(str(DEMO_DATA / f"eta_pair_{side}.txt") for side in "ab")
+# one process's sweeps: a grid, two budget grids 0 and -0 apart, another grid, the first again
+_MEMO_SEQUENCE = (
+    ("criterion", _PAIR, 999, 1.2),
+    ("fi-bounds", _PAIR[:1], 2, 0.0),
+    ("fi-bounds", _PAIR[:1], 2, -0.0),
+    ("criterion", _PAIR, 49, 1.2),
+    ("criterion", _PAIR, 999, 1.2),
+)
 
 
 class TestCsvRendering:
@@ -633,8 +660,24 @@ class TestCsvRendering:
             mi_a, mi_b = (mutual_information_grid(as_channel(c), xs) for c in chans)
             expected = _per_value_csv("x,mi_a,mi_b,difference", (xs, mi_a, mi_b, mi_a - mi_b))
         else:
-            ts = np.linspace(0.0, 1.2, 999)
-            pts = fi_curve_bounds(canonicalize_biso(chans[0]), ts)
-            expected = _per_value_csv("t,lower,upper", (ts, pts.lower, pts.upper))
+            expected = _fresh_sweep(quantity, paths, 999, 1.2)  # not the memo against itself
         assert out == expected
         assert len(out.splitlines()) == 1000
+
+    def test_sweeps_in_one_process_match_fresh_columns(self, capsys):
+        cli._grid_column.cache_clear()
+        outs = []
+        for quantity, paths, grid, tmax in _MEMO_SEQUENCE:
+            argv = ["sweep", "--quantity", quantity, *paths, "--grid", str(grid), "--tmax", repr(tmax)]
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert cli._grid_column.cache_info().hits == 1  # the last sweep reads the first one's grid
+        assert outs[1].endswith("\n0,0,0\n") and outs[2].endswith("\n-0,0,-0\n")
+        for out, (quantity, paths, grid, tmax) in zip(outs, _MEMO_SEQUENCE):
+            assert out == _fresh_sweep(quantity, paths, grid, tmax)
+
+    def test_memoized_grid_is_read_only(self):
+        column, text = cli._grid_column(9)
+        with pytest.raises(ValueError):
+            column[0] = 0.5
+        assert text == tuple(_fmt(v) for v in np.arange(1, 10) / 10.0)

@@ -77,6 +77,17 @@ class TestEntropy:
     def test_h2_inv_roundtrip(self, h):
         assert abs(h2(h2_inv(h)) - h) <= 1e-12
 
+    def test_h2_inv_grid_is_the_masked_one_bitwise(self):
+        # only 0 < h < 1 is halved, with h2 of each midpoint in (0, 1/2] formed unmasked
+        rng = np.random.default_rng(25)
+        edges = [0.0, 1.0, 1.0 - 2.0**-53, 5e-324, -0.0, 0.5, np.nextafter(1.0, 0.0) / 2, 1e-300]
+        seeded = np.concatenate((edges, rng.uniform(size=2000), rng.uniform(size=200) ** 40))
+        budgets = [np.linspace(0.0, 2.0, 81), np.linspace(0.0, 1.2, 999), np.linspace(0.0, 1.2, 10_000)]
+        for h in [seeded, seeded.reshape(3, -1), np.array(0.3), *(np.maximum(1.0 - t, 0.0) for t in budgets)]:
+            new, old = coefficients._h2_inv_grid(h), golden_oracle.masked_h2_inv_grid(h)
+            assert new.shape == old.shape
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
 
 class TestContraction:
     def test_bsc_closed_form(self):

@@ -1234,6 +1234,28 @@ class TestIsMoreCapable:
             assert _same_bits(new, golden_oracle.full_grid_is_more_capable(a, b)), (a, b)
         assert coarse_only > 300
 
+    def test_full_round_samples_each_grid_point_once(self):
+        # past the coarse round the search samples only the points of xs that round did not
+        # take: xs.size points in all, then the halving midpoints, as the full-grid search did
+        searched = 0
+        for a, b in list(_mc_pairs(7, 300)) + list(_netting_pairs(8, 300)):
+            xs = orders._MC_HALF if orders._symmetric(a) and orders._symmetric(b) else orders._MC_GRID
+            rows = orders._net_rows(a.rows, b.rows)
+            sizes = {"new": [], "old": []}
+
+            def counted(key):
+                return lambda pts: sizes[key].append(pts.size) or orders._mc_samples(rows, pts)
+
+            new = orders._dc_search(counted("new"), xs, orders._MIN_CELL, orders._MC_CELLS)
+            old = golden_oracle.full_grid_dc_search(counted("old"), xs, orders._MIN_CELL, orders._MC_CELLS)
+            assert _same_bits(new, old), (a, b)
+            if len(sizes["new"]) == 1:  # the coarse round decided
+                continue
+            searched += 1
+            mids = sizes["new"][2:]
+            assert mids == sizes["old"][1:] and sum(sizes["new"]) == xs.size + sum(mids), (a, b)
+        assert searched > 300
+
     def test_symmetric_channels(self):
         shuffled = Channel(ETA_PAIR_A.to_channel().rows[:, [1, 0, 2, 3]])  # not the flat layout
         for ch in (make_bsc(0.2), make_bec(0.3), ETA_PAIR_A.to_channel(), shuffled, make_bsc(0.0)):
@@ -1409,10 +1431,11 @@ class TestIsMoreCapable:
                     assert tracemalloc.get_traced_memory()[1] < 64e6
                 finally:
                     tracemalloc.stop()
-                # the coarse pass comes first; where it certifies nothing, the first full-grid round follows
+                # the coarse pass comes first; where it certifies nothing, the rest of the grid follows
                 assert sizes[0] == orders._MC_GRID[:: orders._COARSE].size
                 if sizes[1:]:
-                    assert sizes[1] == min(orders._MC_GRID.size, orders._TERMS // 4 // max(columns, 1))
+                    rest = orders._MC_GRID.size - sizes[0]
+                    assert sizes[1] == min(rest, orders._TERMS // 4 // max(columns, 1))
                     full_rounds += 1
                 assert max(sizes) * columns <= orders._TERMS // 4
         assert full_rounds >= 12
