@@ -127,6 +127,9 @@ def fi_upper_bound(channel, t):
     return eta_kl(channel) * min(t, 1.0)
 
 
+_MEMO_POINTS = 4096  # sweeps keep their grid-only work for grids of up to this many points
+
+
 @functools.lru_cache(maxsize=4)
 def _residual(key, shape):
     """h2_inv(max(1 - t, 0)), read-only, of the float64 budgets t whose bytes are `key`."""
@@ -144,11 +147,11 @@ def fi_curve_bounds(w, t):
 
     t may be a float or an array of budgets; eta and p_eta are computed once
     and h2 is inverted over the whole array with the same 60 halvings as
-    `h2_inv`, once per budget array: the last few are kept by value and
-    shape.  lower and upper are new arrays at every call.  The lower bounds
-    may differ from the per-budget scalar formula by an ulp, since numpy's
-    log2 and math.log2 round differently on a few inputs; the upper bounds
-    are equal.
+    `h2_inv`, once per budget array: the last few of up to `_MEMO_POINTS`
+    budgets are kept by value and shape.  lower and upper are new arrays at
+    every call.  The lower bounds may differ from the per-budget scalar
+    formula by an ulp, since numpy's log2 and math.log2 round differently on
+    a few inputs; the upper bounds are equal.
     """
     ts = np.asarray(t, dtype=float)
     bad = ts[~(ts >= 0.0)]  # negative or NaN
@@ -157,7 +160,7 @@ def fi_curve_bounds(w, t):
     b = canonicalize_biso(w)
     eta = eta_kl_biso(b)
     p_eta = (1.0 - math.sqrt(eta)) / 2.0
-    residual = _residual(ts.tobytes(), ts.shape)
+    residual = (_residual if ts.size <= _MEMO_POINTS else _residual.__wrapped__)(ts.tobytes(), ts.shape)
     lower = 1.0 - _h2_grid(p_eta * (1.0 - residual) + (1.0 - p_eta) * residual)
     upper = eta * np.minimum(ts, 1.0)
     if ts.ndim == 0:

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .applications import fi_curve_bounds
+from .applications import _MEMO_POINTS, fi_curve_bounds
 from .channels import (
     as_channel,
     format_channel,
@@ -211,8 +211,8 @@ def cmd_paper_check(args):
 
 @functools.lru_cache(maxsize=4)
 def _grid_column(grid, tmax_hex=None):
-    """A sweep's first column, read-only, and its `_fmt` text: k / (grid + 1), or the budgets 0
-    to tmax, keyed by `float.hex(tmax)` so that -0 and 0 keep their own columns."""
+    """A sweep's first column, read-only, and its `_fmt` text: k / (grid + 1), or the budgets 0 to tmax,
+    keyed by `float.hex(tmax)` so that -0 and 0 keep their own columns; kept up to `_MEMO_POINTS` points."""
     column = np.linspace(0.0, float.fromhex(tmax_hex), grid) if tmax_hex else np.arange(1, grid + 1) / (grid + 1.0)
     column.flags.writeable = False
     return column, tuple(_fmt(v) for v in column.tolist())
@@ -247,7 +247,8 @@ def cmd_sweep(args):
         print(f"{args.quantity} sweep needs exactly {in_words}", file=sys.stderr)
         return EXIT_PRECONDITION
     chans = [_load(f) for f in args.channels]
-    xs, text = _grid_column(args.grid, args.tmax.hex() if args.quantity == "fi-bounds" else None)
+    column = _grid_column if args.grid <= _MEMO_POINTS else _grid_column.__wrapped__
+    xs, text = column(args.grid, args.tmax.hex() if args.quantity == "fi-bounds" else None)
     if args.quantity == "criterion":
         fwd = less_noisy_criterion(*chans, xs)
         # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned

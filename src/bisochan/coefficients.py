@@ -109,38 +109,40 @@ def eta_kl_biso(biso):
     return min(float(terms.sum()), 1.0)
 
 
-def _eta_objective_grid(rows, qs):
-    """Vectorized chi^2-ratio objective over reference parameters qs in (0, 1)."""
-    p0 = rows[0][None, :]
-    p1 = rows[1][None, :]
+def _rho_and_slope(rows, qs):
+    """rho(q) = q(1 - q) sum_y d^2 / D and rho'(q) at each q in [0, 1], d = r0 - r1, D = q r0 + (1 - q) r1.
+
+    rho is the chi-squared ratio whose maximum is eta_KL; `rows` are 2 x n
+    columns (r0, r1), netted ones too.  Each term is concave and lies in
+    [0, r0 + r1].  Where D = 0 (q = 0 and r1 = 0, or q = 1 and r0 = 0) the
+    term is r0 (1 - q) or r1 q: rho is those columns' mass, summed alone, and
+    the slope -d.  Elsewhere a slope term, d^2 (r1 (1 - q)^2 - r0 q^2) / D^2,
+    is (c d / D) d, c = (b / D)(1 - q) - (a / D) q with a = q r0, b = (1 - q) r1
+    and |c| <= 1: neither d / D nor a q, which overflow and underflow near
+    q = 3e-309, is formed, and a slope is +inf only where it overflows.
+    """
+    r0, r1 = rows
     q = np.asarray(qs, dtype=float)[:, None]
-    den = q * p0 + (1.0 - q) * p1
-    num = (p0 - p1) ** 2 * q * (1.0 - q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    return terms.sum(axis=1)
-
-
-def _eta_objective(rows, q):
-    """Scalar objective with the q -> 0, 1 endpoint limits taken by continuity."""
-    q = float(q)
-    if q == 0.0:
-        return float(rows[0][rows[1] == 0.0].sum())
-    if q == 1.0:
-        return float(rows[1][rows[0] == 0.0].sum())
-    return float(_eta_objective_grid(rows, np.array([q]))[0])
+    d = r0 - r1
+    a, b = q * r0, (1.0 - q) * r1
+    den = a + b
+    inner = den > 0.0
+    safe = np.where(inner, den, 1.0)
+    rho = np.where(inner, d**2 * q * (1.0 - q) / safe, 0.0).sum(axis=1)
+    rho[q[:, 0] == 0.0], rho[q[:, 0] == 1.0] = r0[r1 == 0.0].sum(), r1[r0 == 0.0].sum()
+    with np.errstate(over="ignore"):
+        return rho, np.where(inner, ((b / safe) * (1.0 - q) - (a / safe) * q) * d / safe * d, -d).sum(axis=1)
 
 
 def eta_kl_binary_argmax(channel):
     """KL contraction coefficient of a binary-input channel, with its maximizer.
 
-    Maximizes the chi^2 ratio f(q) = sum_y d^2 q(1-q) / D over the reference
-    input probability q, with d = r0 - r1 and D = r1 + q d, by `newton_max` on
-    f' = sum_y d^2 (r1 (1-q)^2 - r0 q^2) / D^2 and f'' = -2 sum_y d^2 r0 r1 / D^3
-    <= 0, both summed from the ratios d / D, r0 / D and r1 / D (D floored at the
-    least normal double) lest a power of D underflow.  At q = 0 a term of f' tends
+    Maximizes rho of `_rho_and_slope` over the reference input probability q
+    by `newton_max` on rho' and rho'' = -2 sum_y d^2 r0 r1 / D^3 <= 0, both
+    summed from the ratios d / D, r0 / D and r1 / D (D floored at the least
+    normal double) lest a power of D underflow.  At q = 0 a term of rho' tends
     to d^2 / r1, or to -r0 where r1 = 0; q = 1 swaps the rows.  Returns (eta,
-    q_star), eta clamped to [0, 1].
+    q_star), eta = rho(q_star) clamped to [0, 1].
     """
     rows = as_channel(channel).rows
     r0, r1 = rows[:, rows[0] != rows[1]]
@@ -155,7 +157,7 @@ def eta_kl_binary_argmax(channel):
         return (w * (s1 * (1.0 - q) - q)).sum(), -2.0 * (w * s0 * s1).sum()
 
     qstar = newton_max(slope)
-    return min(max(_eta_objective(rows, qstar), 0.0), 1.0), qstar
+    return min(max(float(_rho_and_slope(rows, [qstar])[0][0]), 0.0), 1.0), qstar
 
 
 def eta_kl_binary(channel):

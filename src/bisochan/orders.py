@@ -6,18 +6,14 @@ give the refuting prior of a failure and, through the shadows of the
 posterior masses, the degrading map of a success.  The less-noisy and
 more-capable orders share one DC branch and bound on the cells of a grid,
 tried first on every 20th point: a violation is a sampled point, and a
-holding verdict rests on a lower bound of every cell.  Both orders run on
-flat rows, less-noisy on the canonical flat layout of its BISO pair, and
-first net the output columns of one likelihood ratio, whose terms scale
-with their mass in the chi-squared criterion and in the mutual information
-alike, so a self-comparison holds at once; a failing sample of netted rows
-is re-valued by the search's own kernel on all rows.  Less-noisy certifies
-the criterion times a positive product by Bernstein coefficients, one
-factor per pair read from the netted columns with r0 > r1 and built in that
-basis unless its end coefficients already fail, up to netted degree 20 and
-ahead of a half grid; the search bounds its first cell (0, 1e-3] in closed
-form, and symmetric pairs search up to 1/2 only.
-More-capable samples a round in slices, so its arrays stay bounded.
+holding verdict rests on a lower bound of every cell.  Both first net the
+columns of one likelihood ratio, whose terms scale with their mass, so a
+self-comparison holds at once; a failing sample of netted columns is
+re-valued on all.  More-capable searches I_P - I_Q, in slices that keep its
+arrays bounded, on [0, 1/2] only for symmetric pairs.  Less-noisy searches
+the chi-squared contraction curves rho_W - rho_V of its BISO pair's flat
+rows on [0, 1/2], finite at q = 0, behind a Bernstein certificate of the
+criterion up to netted degree 20 and a half grid.
 """
 
 import functools
@@ -26,17 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DegradingMap, as_channel, canonicalize_biso, compose, is_biso
-from .coefficients import _mutual_information_and_slope, mutual_information_grid
+from .coefficients import _mutual_information_and_slope, _rho_and_slope, mutual_information_grid
 from .errors import DegenerateParameterError, NumericalInstabilityError
 
 VERDICT_TOL = 1e-9
 DEFAULT_GRID = 999
 _HALF_GRID = np.arange(1, DEFAULT_GRID // 2 + 2) / (DEFAULT_GRID + 1.0)  # the default grid up to 1/2
 _MC_GRID = np.arange(DEFAULT_GRID + 2) / (DEFAULT_GRID + 1.0)  # the default grid with 0 and 1
-_MC_HALF = _MC_GRID[: DEFAULT_GRID // 2 + 2]  # its points up to 1/2
+_MC_HALF = _MC_GRID[: DEFAULT_GRID // 2 + 2]  # its points up to 1/2, which the less-noisy search takes too
 _MIN_CELL = 1e-12  # a more-capable cell this narrow that is not certified is undetermined
 _MC_CELLS = 2**17  # more-capable cells open at once, at most
-_TERMS = 2**22  # less-noisy cells open at once times rows, at most; a quarter bounds a more-capable slice
+_TERMS = 2**22  # less-noisy cells open at once times columns, at most; a quarter bounds a more-capable slice
 _COARSE = 20  # `_dc_search` first bounds the cells between every 20th point of its grid
 _CERTIFY_FIRST = 20  # netted pairs up to which the O(n^2) certificate, tried first, costs no more than the half grid
 
@@ -69,9 +65,9 @@ class OrderVerdict:
     """Outcome of a partial-order query: holds, fails, or undetermined.
 
     An undetermined witness holds the left end and the lower bound of the
-    lowest cell `_dc_search` could not certify; a sample of either order whose
-    value on the un-netted rows is not below -1e-9 (see `_confirmed`) is the
-    cell [x, x], its bound.
+    lowest cell `_dc_search` could not certify, for less-noisy a bound of
+    rho_W - rho_V + 1e-9 q (1 - q); a sample whose value on the un-netted rows
+    is not below -1e-9 (see `_confirmed`) is the cell [x, x], its bound.
     """
 
     relation: str
@@ -163,10 +159,11 @@ def _criterion(rows, qs):
     cancels as q -> 0 for lopsided pairs.
     """
     (a, b, c), n_w = rows
-    terms = a / (qs * b + c)
-    # row after row: identical channels cancel exactly.  numpy sums the rows in order at 2 or more
-    # points, but one point's column pairwise, a last bit apart: there `_row_sums` loops instead
-    return _row_sums(terms[:n_w]) - _row_sums(terms[n_w:])
+    with np.errstate(over="ignore", invalid="ignore"):  # a term overflows only where it is that large; inf - inf is NaN
+        terms = a / (qs * b + c)
+        # row after row: identical channels cancel exactly.  numpy sums the rows in order at 2 or more
+        # points, but one point's column pairwise, a last bit apart: there `_row_sums` loops instead
+        return _row_sums(terms[:n_w]) - _row_sums(terms[n_w:])
 
 
 def _row_sums(terms):
@@ -202,7 +199,9 @@ def _net_rows(w_rows, v_rows):
     keep = np.abs(net) > size * 2.0**-52 * np.bincount(group, s)
     by_first = np.argsort(first[keep])
     first, net = first[keep][by_first], net[keep][by_first]
-    rows = np.stack((r0[first], r1[first])) * (np.abs(net) / s[first])
+    cols, s, mass = np.stack((r0[first], r1[first])), s[first], np.abs(net)
+    # a subnormal s may overflow the scale mass / s (|net| <= 4): then the shares take the mass
+    rows = cols * (mass / s) if np.all(mass < s * 2.0**1000) else cols / s * mass
     return rows[:, net > 0.0], rows[:, net < 0.0]
 
 
@@ -288,31 +287,24 @@ def _bernstein_positive(b):
     return bool(b.min() > _bernstein_margin(b.size - 1))
 
 
-def _ln_samples(rows, qs):
-    """Rows q, f = F_W - F_V, -F_W and -F_W' at each q for `_flat_rows`, with F = sum d^2 / (q d + r1)
-    convex on (0, 1): f, which is `_criterion` bit for bit, is concave minus concave."""
-    (a, b, c), n_w = rows
-    den = qs * b + c
-    terms = a / den
-    fw, fv = _row_sums(terms[:n_w]), _row_sums(terms[n_w:])
-    return np.array((qs, fw - fv, -fw, (terms[:n_w] * b[:n_w] / den[:n_w]).sum(axis=0)))
+def _rho_samples(rows, qs):
+    """Rows q, f = rho_W - rho_V + 1e-9 q (1 - q), rho_V and rho_V' at each q, for the columns
+    (W's, V's) of `_net_rows`, with rho of `_rho_and_slope`: f is concave minus concave."""
+    rho_v, slope_v = _rho_and_slope(rows[1], qs)
+    f = _rho_and_slope(rows[0], qs)[0] - rho_v + VERDICT_TOL * qs * (1.0 - qs)
+    f[(qs == 0.0) & (f < 0.0)] = -np.inf  # the net noiseless mass K < 0: its sign is exact, so no band may take it
+    return np.array((qs, f, rho_v, slope_v))
 
 
-def _first_cell(rows):
-    """A lower bound of f on (0, b], as a function of b, for netted `_flat_rows`.
-
-    Only a row with r1 = 0 (one at most, once netted) grows without bound as
-    q -> 0: it adds K / q, K the net noiseless mass, read from the row's first
-    term d.  The other rows are finite at 0, so `_dc_bounds` bounds their f on
-    [0, b], plus K / b if K > 0; if K < 0 the bound is -inf, and halving
-    toward 0 meets a violating midpoint.
-    """
-    (d, _, r1), n_w = rows
-    noiseless = r1[:, 0] == 0.0
-    k = float(np.where(np.arange(d.shape[0]) < n_w, d[:, 0], -d[:, 0])[noiseless].sum())
-    rest = (rows[0][:, ~noiseless], n_w - int(np.count_nonzero(noiseless[:n_w])))
-    at0 = _ln_samples(rest, np.zeros(1))
-    return lambda b: -np.inf if k < 0.0 else _dc_bounds(at0, _ln_samples(rest, np.array([b])))[0] + k / b
+def _toward_zero(rows):
+    """The verdict of `_flat_rows` whose net noiseless mass K < 0: the criterion tends to K / q ->
+    -inf as q -> 0, so it fails at the first q = 1e-3 2^-j where it is below -1e-9, or, where
+    inf - inf at subnormal q leaves none, the cell (0, 5e-324] is undetermined."""
+    for q in np.ldexp(_HALF_GRID[0], -np.arange(1, 1066)).tolist():  # down to 1e-3 2^-1065 = 5e-324
+        at = float(_criterion(rows, np.array([q]))[0])
+        if at < -VERDICT_TOL:
+            return OrderVerdict("fails", CriterionViolation(q, at))
+    return OrderVerdict("undetermined", CriterionViolation(0.0, -np.inf))
 
 
 def is_less_noisy(w, v):
@@ -322,12 +314,16 @@ def is_less_noisy(w, v):
     -1e-9 in (0, 1/2] (so channels of one contraction coefficient, which touch
     zero at q = 1/2, hold), with a witness q > 0 where the criterion over all
     flat rows is below -1e-9.  On the canonical flat rows, in this order: up
-    to `_CERTIFY_FIRST` netted pairs, the Bernstein certificate of
-    `_criterion_bernstein` of the rows `_net_rows` nets, built only if
-    `_bernstein_ends` clear its margin; the q-grid up to 1/2, its argmin the
-    witness; `_dc_search` of the netted rows, its first cell (0, 1e-3]
-    bounded by `_first_cell`, its witness `_confirmed` by `_ln_samples` of
-    all flat rows.
+    to `_CERTIFY_FIRST` netted pairs, the Bernstein certificate of the rows
+    `_net_rows` nets, built only if `_bernstein_ends` clear its margin; the
+    q-grid up to 1/2, its argmin the witness; `_dc_search` on [0, 1/2] of
+    f = rho_W - rho_V + 1e-9 q (1 - q) = q (1 - q)(criterion + 1e-9) of the
+    netted rows (`_rho_samples`), its witness `_confirmed` by `_criterion`.  f
+    rounds by under eps = (n + 8) 2^-51 for n netted columns (each term a few
+    roundings from a value in [0, its mass], the masses at most 4), so samples
+    fail below -eps and cells hold from -eps: near q = 0 "holds" means
+    criterion >= -1e-9 - eps / (q (1 - q)).  f(0) is the net noiseless mass K,
+    of one column at most: its sign is exact, and K < 0 fails (`_toward_zero`).
     """
     w_rows, v_rows = (canonicalize_biso(ch).to_channel().rows for ch in (w, v))
     net = _net_rows(w_rows, v_rows)
@@ -340,10 +336,11 @@ def is_less_noisy(w, v):
     if vals.min() < -VERDICT_TOL:
         k = int(np.argmin(vals))
         return OrderVerdict("fails", CriterionViolation(float(_HALF_GRID[k]), float(vals[k])))
-    net_rows = _flat_rows(*net)
-    cells = _TERMS // max(net_rows[0].shape[1], 1)
-    verdict = _dc_search(functools.partial(_ln_samples, net_rows), _HALF_GRID, 0.0, cells, _first_cell(net_rows))
-    return _confirmed(verdict, functools.partial(_ln_samples, rows))
+    n = net[0].shape[1] + net[1].shape[1]
+    verdict = _dc_search(functools.partial(_rho_samples, net), _MC_HALF, 0.0, _TERMS // max(n, 1), (n + 8) * 2.0**-51)
+    if verdict.fails and verdict.witness.parameter == 0.0:  # K < 0
+        return _toward_zero(rows)
+    return _confirmed(verdict, functools.partial(_criterion, rows))
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +383,8 @@ def _dc_bounds(lo, hi):
     where the tangents cross.  With u and v how far the tangents at b and a
     lie above B at the other end, t = u / (u + v) and the last term is
     f(a) + t (f(b) - f(a)) - uv / (u + v).  An infinite end slope, or a u or v
-    so small that its reciprocal overflows, puts c at that end.
+    so small that its reciprocal overflows, puts c at that end.  B' falls, so an
+    overflowed +inf at b leaves B rising: f >= min(f(a) - (B(b) - B(a)), f(b)).
     """
     (a, fa, qa, sa), (b, fb, qb, sb) = lo, hi
     w, dq = b - a, qb - qa
@@ -394,29 +392,23 @@ def _dc_bounds(lo, hi):
     v = np.maximum(sa * w - dq, 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cross = fa + (fb - fa) / (1.0 + v / u) - 1.0 / (1.0 / u + 1.0 / v)
-    return np.fmin(np.minimum(fa, fb), cross)  # NaN where B is linear: no crossing
+    # cross is NaN where B is linear: no crossing
+    return np.where(sb < np.inf, np.fmin(np.minimum(fa, fb), cross), np.minimum(fa - dq, fb))
 
 
-def _dc_search(sample, xs, min_cell, max_cells, first=None):
-    """Whether f >= -1e-9 on [xs[0], xs[-1]], by DC branch and bound (Horst & Thoai, JOTA 1999).
+def _dc_search(sample, xs, min_cell, max_cells, tol=VERDICT_TOL):
+    """Whether f >= -tol on [xs[0], xs[-1]], by DC branch and bound (Horst & Thoai, JOTA 1999).
 
     `sample(xs)` gives rows x, f, B and B' at each x, f = A - B for concave
     A and B, each x's column the same bits in any round.  A first round of every
     `_COARSE`-th point and the last holds if it certifies every cell; if not, the rest joins it.
-    A sample below -1e-9 fails: the argmin of xs, or the lowest midpoint of a
-    round.  Cells whose `_dc_bounds` are below -1e-9 are halved, all of one
-    width at a time, until every cell is certified (holds).  It is
+    A sample below -tol fails: the argmin of xs, or the lowest midpoint of a
+    round.  Cells whose `_dc_bounds` are not at least -tol, NaN too, are halved,
+    all of one width at a time, until every cell is certified (holds).  It is
     undetermined, the lowest cell bound the witness, if a cell to halve is
     narrower than `min_cell` or has no midpoint strictly inside, or if over
-    `max_cells` cells would be open.  With `first`, the search runs on
-    (0, xs[-1]], and the cell (0, b] is bounded by first(b).
+    `max_cells` cells would be open.
     """
-    def bounded(lo, hi):
-        bounds = _dc_bounds(lo, hi)
-        if first is not None and lo[0, 0] == 0.0:
-            bounds[0] = first(hi[0, 0])
-        return bounds
-
     pts = sample(np.append(xs[:-1:_COARSE], xs[-1]))
     for coarse in (True, False):  # a coarse round may certify every cell at once; if not, the rest of xs joins it
         if not coarse:  # row by row, where numpy's masks are fast: the coarse samples and the rest of xs in grid order
@@ -425,13 +417,13 @@ def _dc_search(sample, xs, min_cell, max_cells, first=None):
             pts, taken = np.empty((len(pts), xs.size)), pts
             for row, t, other in zip(pts, taken, sample(xs[rest])):
                 row[:-1:_COARSE], row[-1], row[rest] = t[:-1], t[-1], other
-        lo, hi = (pts[:, :-1], pts[:, 1:]) if first is None else (np.insert(pts[:, :-1], 0, 0.0, axis=1), pts)
-        if coarse and pts[1].min() >= -VERDICT_TOL and not np.any(bounded(lo, hi) < -VERDICT_TOL):
+        lo, hi = pts[:, :-1], pts[:, 1:]
+        if coarse and pts[1].min() >= -tol and np.all(_dc_bounds(lo, hi) >= -tol):
             return OrderVerdict("holds")
     k = int(np.argmin(pts[1]))
-    while pts[1, k] >= -VERDICT_TOL:
-        bounds = bounded(lo, hi)
-        keep = bounds < -VERDICT_TOL
+    while pts[1, k] >= -tol:
+        bounds = _dc_bounds(lo, hi)
+        keep = ~(bounds >= -tol)
         if not keep.any():
             return OrderVerdict("holds")
         lo, hi, bounds = lo[:, keep], hi[:, keep], bounds[keep]
@@ -446,14 +438,14 @@ def _dc_search(sample, xs, min_cell, max_cells, first=None):
     return OrderVerdict("fails", CriterionViolation(float(pts[0, k]), float(pts[1, k])))
 
 
-def _confirmed(verdict, sample):
-    """A `_dc_search` verdict on the rows `_net_rows` left, a failing sample x re-valued as f of
-    `sample([x])`, the search's own kernel on all of the pair's rows: below -1e-9 it fails with
+def _confirmed(verdict, f):
+    """A `_dc_search` verdict on the rows `_net_rows` left, a failing sample x re-valued as
+    f([x]), the order's own function on all of the pair's rows: below -1e-9 it fails with
     that value, else, NaN too, it is the uncertified cell [x, x]."""
     if not verdict.fails:
         return verdict
     x = verdict.witness.parameter
-    at = float(sample(np.array([x]))[1, 0])
+    at = float(f(np.array([x]))[0])
     if at < -VERDICT_TOL:
         return OrderVerdict("fails", CriterionViolation(x, at))
     return OrderVerdict("undetermined", verdict.witness)
@@ -478,7 +470,7 @@ def is_more_capable(p_channel, q_channel):
     verdict = _dc_search(functools.partial(_mc_samples, rows), xs, _MIN_CELL, _MC_CELLS)
     if rows[0] is p_ch.rows:  # nothing netted: a failing sample is f of the channels' own rows already
         return verdict
-    return _confirmed(verdict, functools.partial(_mc_samples, (p_ch.rows, q_ch.rows)))
+    return _confirmed(verdict, lambda xs: _mc_samples((p_ch.rows, q_ch.rows), xs)[1])
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,9 @@ and bound bounded the cells of its full grid from the first round, and the
 mutual-information kernel took every log2 under a mask; the `grid_first`,
 `full_grid` and `masked` copies below keep them.  The less-noisy kernels
 summed each side's rows in a Python loop at every grid size; the `row_loop`
-copy keeps that.  The package no longer exports the mutual-information
+copy keeps that.  The less-noisy branch and bound once ran on the criterion
+itself, whose pole at q = 0 took a closed-form bound of its first cell;
+`grid_first_is_less_noisy` keeps that search, with `first_cell`.  The package no longer exports the mutual-information
 difference or the more-capable bisection for the reverse coefficient gamma,
 since nothing in it calls them; the tests take both from here.
 """
@@ -253,12 +255,13 @@ def full_grid_is_more_capable(p_channel, q_channel):
     xs = orders._MC_HALF if orders._symmetric(p_ch) and orders._symmetric(q_ch) else orders._MC_GRID
     rows = orders._net_rows(p_ch.rows, q_ch.rows)
     verdict = full_grid_dc_search(functools.partial(masked_mc_samples, rows), xs, orders._MIN_CELL, orders._MC_CELLS)
-    return orders._confirmed(verdict, functools.partial(masked_mc_samples, (p_ch.rows, q_ch.rows)))
+    return orders._confirmed(verdict, lambda xs: masked_mc_samples((p_ch.rows, q_ch.rows), xs)[1])
 
 
 def grid_first_is_less_noisy(w, v):
     """`orders.is_less_noisy` as it was: the half grid at every degree before the certificate,
-    then the full-grid search."""
+    then the full-grid search of the criterion on (0, 1/2], its first cell bounded by `first_cell`
+    and the other cells by today's `orders._dc_bounds`."""
     w_rows, v_rows = (canonicalize_biso(ch).to_channel().rows for ch in (w, v))
     rows = orders._flat_rows(w_rows, v_rows)
     vals = orders._criterion(rows, orders._HALF_GRID)
@@ -273,19 +276,59 @@ def grid_first_is_less_noisy(w, v):
         return OrderVerdict("holds")
     net_rows = orders._flat_rows(*net)
     cells = orders._TERMS // max(net_rows[0].shape[1], 1)
-    sample = functools.partial(orders._ln_samples, net_rows)
-    verdict = full_grid_dc_search(sample, orders._HALF_GRID, 0.0, cells, orders._first_cell(net_rows))
-    return orders._confirmed(verdict, functools.partial(orders._ln_samples, rows))
+    sample = functools.partial(row_loop_ln_samples, net_rows)
+    verdict = full_grid_dc_search(sample, orders._HALF_GRID, 0.0, cells, first_cell(net_rows))
+    return orders._confirmed(verdict, functools.partial(orders._criterion, rows))
+
+
+def first_cell(rows):
+    """A lower bound of the criterion f on (0, b], as a function of b, for netted `_flat_rows`,
+    as the search of the criterion took it.
+
+    Only a row with r1 = 0 (one at most, once netted) grows without bound as
+    q -> 0: it adds K / q, K the net noiseless mass, read from the row's first
+    term d.  The other rows are finite at 0, so `_dc_bounds` bounds their f on
+    [0, b], plus K / b if K > 0; if K < 0 the bound is -inf.
+    """
+    (d, _, r1), n_w = rows
+    noiseless = r1[:, 0] == 0.0
+    k = float(np.where(np.arange(d.shape[0]) < n_w, d[:, 0], -d[:, 0])[noiseless].sum())
+    rest = (rows[0][:, ~noiseless], n_w - int(np.count_nonzero(noiseless[:n_w])))
+    at0 = row_loop_ln_samples(rest, np.zeros(1))
+    return lambda b: -np.inf if k < 0.0 else orders._dc_bounds(at0, row_loop_ln_samples(rest, np.array([b])))[0] + k / b
 
 
 def row_loop_ln_samples(rows, qs):
-    """`orders._ln_samples` as it was, each side's terms summed row after row by a Python loop;
-    its row f is `orders._criterion` as it was."""
+    """Rows q, f = F_W - F_V, -F_W and -F_W' at each q for `_flat_rows`, with F = sum d^2 / (q d + r1)
+    convex on (0, 1), each side's terms summed row after row by a Python loop: the samples of the
+    search of the criterion, whose row f is `orders._criterion`."""
     (a, b, c), n_w = rows
     den = qs * b + c
     terms = a / den
     fw, fv = (sum(part, np.zeros(len(qs))) for part in (terms[:n_w], terms[n_w:]))
     return np.array((qs, fw - fv, -fw, (terms[:n_w] * b[:n_w] / den[:n_w]).sum(axis=0)))
+
+
+def eta_objective_grid(rows, qs):
+    """The chi-squared ratio q (1 - q) sum_y d^2 / D over qs in (0, 1), as `eta_kl_binary_argmax`
+    once read its value, with 0 where D = 0."""
+    p0, p1 = rows[0][None, :], rows[1][None, :]
+    q = np.asarray(qs, dtype=float)[:, None]
+    den = q * p0 + (1.0 - q) * p1
+    num = (p0 - p1) ** 2 * q * (1.0 - q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+    return terms.sum(axis=1)
+
+
+def eta_objective(rows, q):
+    """`eta_objective_grid` at one q, with the q -> 0, 1 limits taken by continuity."""
+    q = float(q)
+    if q == 0.0:
+        return float(rows[0][rows[1] == 0.0].sum())
+    if q == 1.0:
+        return float(rows[1][rows[0] == 0.0].sum())
+    return float(eta_objective_grid(rows, np.array([q]))[0])
 
 
 def masked_h2_inv_grid(h):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from bisochan import (
     match_extremal,
     mutual_information_grid,
 )
-from bisochan import applications, cli
+from bisochan import applications, checks, cli
 from bisochan.channels import format_channel, make_bsc, make_z
 from bisochan.cli import _emit_csv, _fmt, main
 
@@ -306,7 +307,8 @@ class TestCompare:
 
     def test_undetermined_prints_the_uncertified_cell(self, tmp_path, capsys):
         # a 128-pair channel against itself with one pair split at t and renormalized:
-        # the search stops at its cell budget, and the witness is a cell, not a violation
+        # the search stops at its cell budget, and the witness is a cell, not a violation,
+        # with a lower bound of rho_W - rho_V + 1e-9 q (1 - q) there
         rng = np.random.default_rng(7001)
         a = rng.uniform(size=(128, 2)) ** 5
         w = BisoChannel(a / a.sum())
@@ -316,7 +318,7 @@ class TestCompare:
         for path, ch in zip(paths, (w, BisoChannel(split / split.sum()))):
             path.write_text("biso " + " ".join(repr(float(v)) for v in ch.to_channel().rows[0]) + "\n")
         assert main(["compare", *map(str, paths), "--order", "ln"]) == 0
-        cell = "  uncertified cell at parameter 0 with lower bound -682566.279664"
+        cell = "  uncertified cell at parameter 0 with lower bound -0.00689059718401"
         assert capsys.readouterr().out.splitlines() == [
             "less-noisy A>=B: undetermined", cell, "less-noisy B>=A: undetermined", cell,
         ]
@@ -675,6 +677,30 @@ class TestCsvRendering:
         assert outs[1].endswith("\n0,0,0\n") and outs[2].endswith("\n-0,0,-0\n")
         for out, (quantity, paths, grid, tmax) in zip(outs, _MEMO_SEQUENCE):
             assert out == _fresh_sweep(quantity, paths, grid, tmax)
+
+    def test_grids_past_the_memo_size_are_not_kept(self, tmp_path):
+        # a process keeps the grid-only work of grids up to _MEMO_POINTS points, 999-point sweeps
+        # and check 13's 81 budgets among them, and computes larger grids at each sweep: a
+        # 200,000-point mi-diff sweep and a fi-bounds sweep of that size leave under 1 MB allocated
+        assert 999 <= applications._MEMO_POINTS < 200_000
+        cli._grid_column.cache_clear()
+        applications._residual.cache_clear()
+        out = str(tmp_path / "sweep.csv")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for quantity, paths in (("mi-diff", _PAIR), ("fi-bounds", _PAIR[:1])):
+                assert main(["sweep", "--quantity", quantity, *paths, "--grid", "200000", "--out", out]) == 0
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 1e6
+        assert cli._grid_column.cache_info().currsize == applications._residual.cache_info().currsize == 0
+        for grid in (applications._MEMO_POINTS, 999, applications._MEMO_POINTS):
+            assert main(["sweep", "--quantity", "fi-bounds", _PAIR[0], "--grid", str(grid), "--out", out]) == 0
+        assert cli._grid_column.cache_info().hits == applications._residual.cache_info().hits == 1
+        checks.check_applications()  # its 81 budgets, once per channel
+        assert applications._residual.cache_info().hits > 1
 
     def test_memoized_grid_is_read_only(self):
         column, text = cli._grid_column(9)

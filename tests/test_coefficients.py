@@ -41,8 +41,7 @@ from bisochan import coefficients
 from bisochan.channels import parse_channel
 from bisochan.checks import random_binary_channel, random_biso
 from bisochan.coefficients import (
-    _eta_objective,
-    _eta_objective_grid,
+    _rho_and_slope,
     capacity,
     mutual_information_grid,
 )
@@ -120,13 +119,11 @@ class TestContraction:
             assert abs(eta_kl_binary(b.to_channel()) - eta_kl_biso(b)) < 1e-9
 
     def test_unoptimized_objective_never_exceeds_closed_form(self):
-        from bisochan.coefficients import _eta_objective_grid
-
         rng = np.random.default_rng(4)
         qs = np.linspace(0.0001, 0.9999, 10_000)
         for _ in range(5):
             b = random_biso(rng)
-            vals = _eta_objective_grid(b.to_channel().rows, qs)
+            vals = _rho_and_slope(b.to_channel().rows, qs)[0]
             eta = eta_kl_biso(b)
             assert vals.max() <= eta + 1e-12
             assert abs(vals[np.abs(qs - 0.5).argmin()] - eta) < 1e-6
@@ -387,12 +384,7 @@ def scan_then_golden_max(f, f_grid, scan_points=1001, xtol=1e-10):
 def scan_eta_kl(ch):
     rows = ch.rows
 
-    def grid(qs):
-        vals = _eta_objective_grid(rows, qs)
-        vals[0], vals[-1] = _eta_objective(rows, 0.0), _eta_objective(rows, 1.0)
-        return vals
-
-    return scan_then_golden_max(lambda q: _eta_objective(rows, q), grid)[1]
+    return scan_then_golden_max(lambda q: float(_rho_and_slope(rows, [q])[0][0]), lambda qs: _rho_and_slope(rows, qs)[0])[1]
 
 
 def scan_capacity(ch):
@@ -479,6 +471,20 @@ class TestNewtonOptimizers:
             out = pstar * ch.rows[0] + (1.0 - pstar) * ch.rows[1]
             gap = max(_kl_bits(ch.rows[0], out), _kl_bits(ch.rows[1], out)) - cap
             assert gap <= 1e-12, ch
+
+    def test_rho_kernel_is_the_eta_objective(self):
+        # rho of the shared kernel is the objective eta_KL was read from, bit for bit, at the
+        # maximizer, at both ends, next to them and on a grid; its slope is the term-by-term one
+        grid = np.linspace(0.0, 1.0, 101)
+        for ch in CORPUS:
+            eta, qstar = eta_kl_binary_argmax(ch)
+            for q in (qstar, 0.0, 1.0, 1e-300, 1.0 - 2.0**-53):
+                assert float(_rho_and_slope(ch.rows, [q])[0][0]).hex() == golden_oracle.eta_objective(ch.rows, q).hex(), ch
+            assert eta == min(max(golden_oracle.eta_objective(ch.rows, qstar), 0.0), 1.0)
+            rho, slope = _rho_and_slope(ch.rows, grid)
+            assert rho[1:-1].tobytes() == golden_oracle.eta_objective_grid(ch.rows, grid[1:-1]).tobytes(), ch
+            ref = np.array([_eta_slope(ch.rows, q) for q in grid.tolist()])
+            assert np.all(np.abs(slope - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), ch
 
     def test_eta_tangent_bound(self):
         # concavity: f(q) <= f(q*) + f'(q*)(q - q*) on [0, 1]
