@@ -247,20 +247,6 @@ def _criterion_bernstein(k, a):
     return np.array(acc)
 
 
-def _bernstein_ends(k, a):
-    """b_0 and b_n of `_criterion_bernstein(k, a)` in O(n), rounded as its build rounds them.
-
-    At m = 0 a step's weights are 1 and 0, so b_0 <- b_0 a_j + k_j prod_0 and
-    prod_0 <- prod_0 a_j; at m = j they are 0 and 1, and the product's last
-    coefficient stays 1, so b_n = VERDICT_TOL + k_1 + ... + k_n.  Each adds
-    the build's zero term, + 0.0, which turns a -0.0 into 0.0.
-    """
-    first, last, prod = VERDICT_TOL, VERDICT_TOL, 1.0
-    for kj, aj in zip(k, a):
-        first, prod, last = first * aj + kj * prod + 0.0, prod * aj, last + kj + 0.0
-    return first, last
-
-
 def _bernstein_margin(n):
     """What each coefficient of a degree-n `_criterion_bernstein` must exceed; see `_bernstein_positive`."""
     return (4.0 * (n + 4) * 2.0**-52) * 9.0
@@ -292,7 +278,6 @@ def _rho_samples(rows, qs):
     (W's, V's) of `_net_rows`, with rho of `_rho_and_slope`: f is concave minus concave."""
     rho_v, slope_v = _rho_and_slope(rows[1], qs)
     f = _rho_and_slope(rows[0], qs)[0] - rho_v + VERDICT_TOL * qs * (1.0 - qs)
-    f[(qs == 0.0) & (f < 0.0)] = -np.inf  # the net noiseless mass K < 0: its sign is exact, so no band may take it
     return np.array((qs, f, rho_v, slope_v))
 
 
@@ -315,31 +300,33 @@ def is_less_noisy(w, v):
     zero at q = 1/2, hold), with a witness q > 0 where the criterion over all
     flat rows is below -1e-9.  On the canonical flat rows, in this order: up
     to `_CERTIFY_FIRST` netted pairs, the Bernstein certificate of the rows
-    `_net_rows` nets, built only if `_bernstein_ends` clear its margin; the
-    q-grid up to 1/2, its argmin the witness; `_dc_search` on [0, 1/2] of
+    `_net_rows` nets, built only if its last coefficient, 1e-9 + sum k =
+    1e-9 + 4 (eta_KL(W) - eta_KL(V)), clears its margin; the q-grid up to
+    1/2, its argmin the witness; `_dc_search` on [0, 1/2] of
     f = rho_W - rho_V + 1e-9 q (1 - q) = q (1 - q)(criterion + 1e-9) of the
     netted rows (`_rho_samples`), its witness `_confirmed` by `_criterion`.  f
     rounds by under eps = (n + 8) 2^-51 for n netted columns (each term a few
     roundings from a value in [0, its mass], the masses at most 4), so samples
     fail below -eps and cells hold from -eps: near q = 0 "holds" means
     criterion >= -1e-9 - eps / (q (1 - q)).  f(0) is the net noiseless mass K,
-    of one column at most: its sign is exact, and K < 0 fails (`_toward_zero`).
+    of one column at most: its sign is exact, and K < 0 fails before the
+    search (`_toward_zero`).
     """
     w_rows, v_rows = (canonicalize_biso(ch).to_channel().rows for ch in (w, v))
     net = _net_rows(w_rows, v_rows)
     if sum(np.count_nonzero(r[0] > r[1]) for r in net) <= _CERTIFY_FIRST:  # the certificate's degree
         k, a = _bernstein_factors(*net)
-        if min(_bernstein_ends(k, a)) > _bernstein_margin(len(k)) and _bernstein_positive(_criterion_bernstein(k, a)):
+        if sum(k, VERDICT_TOL) > _bernstein_margin(len(k)) and _bernstein_positive(_criterion_bernstein(k, a)):
             return OrderVerdict("holds")
     rows = _flat_rows(w_rows, v_rows)
     vals = _criterion(rows, _HALF_GRID)
     if vals.min() < -VERDICT_TOL:
         k = int(np.argmin(vals))
         return OrderVerdict("fails", CriterionViolation(float(_HALF_GRID[k]), float(vals[k])))
+    if _rho_samples(net, np.zeros(1))[1, 0] < 0.0:  # f(0) = K < 0
+        return _toward_zero(rows)
     n = net[0].shape[1] + net[1].shape[1]
     verdict = _dc_search(functools.partial(_rho_samples, net), _MC_HALF, 0.0, _TERMS // max(n, 1), (n + 8) * 2.0**-51)
-    if verdict.fails and verdict.witness.parameter == 0.0:  # K < 0
-        return _toward_zero(rows)
     return _confirmed(verdict, functools.partial(_criterion, rows))
 
 
@@ -400,8 +387,9 @@ def _dc_search(sample, xs, min_cell, max_cells, tol=VERDICT_TOL):
     """Whether f >= -tol on [xs[0], xs[-1]], by DC branch and bound (Horst & Thoai, JOTA 1999).
 
     `sample(xs)` gives rows x, f, B and B' at each x, f = A - B for concave
-    A and B, each x's column the same bits in any round.  A first round of every
-    `_COARSE`-th point and the last holds if it certifies every cell; if not, the rest joins it.
+    A and B, each x's column the same bits in any round.  A pre-check on every
+    `_COARSE`-th point and the last holds if it certifies every cell; if not,
+    the search starts on all of xs.
     A sample below -tol fails: the argmin of xs, or the lowest midpoint of a
     round.  Cells whose `_dc_bounds` are not at least -tol, NaN too, are halved,
     all of one width at a time, until every cell is certified (holds).  It is
@@ -409,17 +397,11 @@ def _dc_search(sample, xs, min_cell, max_cells, tol=VERDICT_TOL):
     narrower than `min_cell` or has no midpoint strictly inside, or if over
     `max_cells` cells would be open.
     """
-    pts = sample(np.append(xs[:-1:_COARSE], xs[-1]))
-    for coarse in (True, False):  # a coarse round may certify every cell at once; if not, the rest of xs joins it
-        if not coarse:  # row by row, where numpy's masks are fast: the coarse samples and the rest of xs in grid order
-            rest = np.ones(xs.size, dtype=bool)
-            rest[:-1:_COARSE] = rest[-1] = False
-            pts, taken = np.empty((len(pts), xs.size)), pts
-            for row, t, other in zip(pts, taken, sample(xs[rest])):
-                row[:-1:_COARSE], row[-1], row[rest] = t[:-1], t[-1], other
-        lo, hi = pts[:, :-1], pts[:, 1:]
-        if coarse and pts[1].min() >= -tol and np.all(_dc_bounds(lo, hi) >= -tol):
-            return OrderVerdict("holds")
+    coarse = sample(np.append(xs[:-1:_COARSE], xs[-1]))
+    if coarse[1].min() >= -tol and np.all(_dc_bounds(coarse[:, :-1], coarse[:, 1:]) >= -tol):
+        return OrderVerdict("holds")
+    pts = sample(xs)
+    lo, hi = pts[:, :-1], pts[:, 1:]
     k = int(np.argmin(pts[1]))
     while pts[1, k] >= -tol:
         bounds = _dc_bounds(lo, hi)

@@ -1,4 +1,4 @@
-"""An exact less-noisy referee for BISO channels, in rational arithmetic (standard library only).
+"""Exact less-noisy and degradability referees, in rational arithmetic (standard library only).
 
 Each double is an exact rational, so whether the criterion of two BISO
 channels, given by their pairs, stays at or above -VERDICT_TOL on (0, 1) is
@@ -15,6 +15,10 @@ With a band, `is_less_noisy` decides the relaxed relation that a holding
 verdict of `orders.is_less_noisy` states near q = 0,
 criterion >= -VERDICT_TOL - band / (q (1 - q)): the sign of
 x P + 4 band prod_j (a_j + c_j x).
+
+Degradability of binary-input channels is Blackwell's test for dichotomies:
+`is_degraded` compares the guessing probabilities G_Q and G_P exactly at
+the finitely many priors where their difference may peak.
 """
 
 import math
@@ -86,6 +90,36 @@ def is_less_noisy(w_pairs, v_pairs, band=0):
     ends = _isolating_ends(_sturm(_primitive(free))) if len(free) > 1 else []
     signs = [_first_sign(poly), _first_sign(_at_one_minus(poly))] + [_sign_at(poly, b) for b in ends[:-1]]
     return min(signs) >= 0
+
+
+def guessing_gap(p_rows, q_rows, x):
+    """G_Q(x) - G_P(x) at the prior x of input 0, exactly, with G(x) = sum_y max(x r0_y, (1 - x) r1_y)
+    over a channel's columns (r0, r1).  Rows are 2 x n doubles or Fractions, x a double or a Fraction.
+    Degradation never raises G, so a gap above 0 refutes it."""
+    x = Fraction(x)
+    return _guessing(_columns(q_rows), x) - _guessing(_columns(p_rows), x)
+
+
+def guessing_peak(p_rows, q_rows):
+    """The maximum of G_Q - G_P over [0, 1], exactly.  G_P is linear between its kinks
+    r1 / (r0 + r1) and G_Q is convex, so the difference peaks at one of those kinks, at 0 or at 1."""
+    p, q = _columns(p_rows), _columns(q_rows)
+    xs = [Fraction(0), Fraction(1)] + [r1 / (r0 + r1) for r0, r1 in p if r0 + r1]
+    return max(_guessing(q, x) - _guessing(p, x) for x in xs)
+
+
+def is_degraded(p_rows, q_rows, tol):
+    """Whether the channel of `q_rows` is a degraded version of that of `p_rows` within `tol`,
+    exactly: whether `guessing_peak` is at most tol (Blackwell's theorem for dichotomies)."""
+    return guessing_peak(p_rows, q_rows) <= Fraction(tol)
+
+
+def _columns(rows):
+    return [(Fraction(r0), Fraction(r1)) for r0, r1 in zip(*rows)]
+
+
+def _guessing(columns, x):
+    return sum(max(x * r0, (1 - x) * r1) for r0, r1 in columns)
 
 
 def _isolating_ends(chain):

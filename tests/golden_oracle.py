@@ -260,8 +260,9 @@ def full_grid_is_more_capable(p_channel, q_channel):
 
 def grid_first_is_less_noisy(w, v):
     """`orders.is_less_noisy` as it was: the half grid at every degree before the certificate,
-    then the full-grid search of the criterion on (0, 1/2], its first cell bounded by `first_cell`
-    and the other cells by today's `orders._dc_bounds`."""
+    built where its last coefficient 1e-9 + sum k clears the margin, then the full-grid search
+    of the criterion on (0, 1/2], its first cell bounded by `first_cell` and the other cells by
+    today's `orders._dc_bounds`."""
     w_rows, v_rows = (canonicalize_biso(ch).to_channel().rows for ch in (w, v))
     rows = orders._flat_rows(w_rows, v_rows)
     vals = orders._criterion(rows, orders._HALF_GRID)
@@ -270,7 +271,7 @@ def grid_first_is_less_noisy(w, v):
         return OrderVerdict("fails", CriterionViolation(float(orders._HALF_GRID[i]), float(vals[i])))
     net = orders._net_rows(w_rows, v_rows)
     k, a = orders._bernstein_factors(*net)
-    if min(orders._bernstein_ends(k, a)) > orders._bernstein_margin(len(k)) and orders._bernstein_positive(
+    if sum(k, VERDICT_TOL) > orders._bernstein_margin(len(k)) and orders._bernstein_positive(
         orders._criterion_bernstein(k, a)
     ):
         return OrderVerdict("holds")

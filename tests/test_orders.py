@@ -67,6 +67,15 @@ NEAR_POLE_V = BisoChannel([
     (0.005241514739235247, 0.14914061593046374),
     (0.12817844761791722, 0.06573979378904359),
 ])
+# the canonical pairs of compare-corpus seed 3, op 184, whose less-noisy A >= B is the one decision of
+# the corpus seeds 0-9 that reaches the search: K >= 0, and the halved first cell fails at q = 0.00025
+SEARCHED_W = BisoChannel([(0.5305825982962071, 0.11281659125020235), (0.10959210537037047, 0.2470087050832201)])
+SEARCHED_V = BisoChannel([
+    (0.11107288429120467, 0.04532210586447801),
+    (0.011438451382146648, 0.1563268592328835),
+    (0.18864571598538543, 0.18343058682444083),
+    (0.12954687206888724, 0.1742165243505737),
+])
 
 
 class TestGuessingProbability:
@@ -413,8 +422,9 @@ class TestIsLessNoisy:
         calls = []
         search = orders._dc_search
         monkeypatch.setattr(orders, "_dc_search", lambda *a: calls.append(len(a) == 5) or search(*a))
-        w, v = BisoChannel([(0.9, 0.1)]), BisoChannel([(0.8, 0.2 - 1e-9), (1e-9, 0.0)])
-        assert is_less_noisy(w, v).fails and is_more_capable(make_bsc(0.4), make_bsc(0.1)).fails
+        verdict = is_less_noisy(SEARCHED_W, SEARCHED_V)
+        assert verdict == orders.OrderVerdict("fails", CriterionViolation(0.00025, -0.0019318511940920047))
+        assert is_more_capable(make_bsc(0.4), make_bsc(0.1)).fails
         assert calls == [True, False]
 
     def test_shared_pairs_cancel_as_multisets(self):
@@ -506,18 +516,36 @@ class TestIsLessNoisy:
                 value = less_noisy_criterion(w, v, verdict.witness.parameter)
                 assert math.isfinite(value) and value < -1e-9 and value == verdict.witness.value
 
-    def test_net_noiseless_mass_below_the_band_fails(self):
+    def test_net_noiseless_mass_below_the_band_fails(self, monkeypatch):
         # f(0) = K = -7.7e-301 lies within the band eps of 0, and a sample shifted by 1e-9 loses it
-        # to rounding; its sign is exact, so the pair fails where the criterion, tending to K / q,
-        # is below -1e-9, and the referee agrees
+        # to rounding; its sign is exact, so the pair fails, before any search, where the criterion,
+        # tending to K / q, is below -1e-9, and the referee agrees
         m = 7.7e-301
         w, v = BisoChannel([(0.9, 0.1)]), BisoChannel([(0.9, 0.1 - m), (m, 0.0)])
         net = orders._net_rows(_flat(w), _flat(v))
-        assert orders._rho_samples(net, np.zeros(1))[1, 0] == -np.inf
+        assert orders._rho_samples(net, np.zeros(1))[1, 0] == -m
+        monkeypatch.setattr(orders, "_dc_search", _forbidden_search)
         verdict = is_less_noisy(w, v)
+        monkeypatch.undo()  # the reverse pair, K > 0, is decided by the search
         assert verdict.fails and verdict.witness.value == less_noisy_criterion(w, v, verdict.witness.parameter)
         assert exact_oracle.criterion(w.pairs, v.pairs, verdict.witness.parameter) < -exact_oracle.TOL
         assert not exact_oracle.is_less_noisy(w.pairs, v.pairs) and is_less_noisy(v, w).holds
+
+    @pytest.mark.parametrize("w, v, witness", [
+        (BisoChannel([(0.9, 0.1)]), BisoChannel([(0.9, 0.1 - 7.7e-301), (7.7e-301, 0.0)]),
+         CriterionViolation(4.104536801298376e-292, -1.875973154596977e-09)),
+        (Channel([[1.0], [1.0]]), Channel([[1.943808437406911e-300, 1.0, 0.0], [1.0046502987042566e-299, 1.0, 0.0]]),
+         CriterionViolation(1.6418147205193505e-291, -1.1839389750336942e-09)),
+    ])
+    def test_negative_net_noiseless_mass_fails_without_a_search(self, w, v, witness, monkeypatch):
+        # K < 0 past a half grid that finds no violation: f(0) = K of the netted columns decides it
+        # before any search, at the first q = 1e-3 2^-j where the criterion is below -1e-9, whose
+        # bits are pinned here
+        rows = [canonicalize_biso(ch).to_channel().rows for ch in (w, v)]
+        assert orders._criterion(orders._flat_rows(*rows), orders._HALF_GRID).min() >= -1e-9
+        assert orders._rho_samples(orders._net_rows(*rows), np.zeros(1))[1, 0] < 0.0
+        monkeypatch.setattr(orders, "_dc_search", _forbidden_search)
+        assert _same_bits(is_less_noisy(w, v), orders.OrderVerdict("fails", witness))
 
     def test_slopes_near_the_least_normal_q_bound_no_cell_from_a_false_tangent(self):
         # a noiseless column's slope is -d; as term * (d / D), d / D = 1 / q overflowed near
@@ -576,17 +604,18 @@ class TestIsLessNoisy:
         checks.run_checks()
         assert True not in calls and len(calls) > 0
 
-    def test_bernstein_ends_match_the_full_build_bitwise(self):
-        # b_0 and b_n from their O(n) recursions are the full build's own bits; where either
-        # misses the margin the full build fails the certificate too, so skipping it changes nothing
+    def test_bernstein_gate_is_the_builds_last_coefficient(self):
+        # the gate 1e-9 + sum k = 1e-9 + 4 (eta_KL(W) - eta_KL(V)) is the full build's b_n, bit for
+        # bit up to the sign of a zero; where it misses the margin the full build fails the
+        # certificate too, so skipping it changes nothing
         cases = list(_polynomial_cases(24)) + list(_seeded_pairs(25, 400))
         cases += [(ETA_PAIR_A, ETA_PAIR_B), (ETA_PAIR_A, ETA_PAIR_A)]
         skipped = 0
         for w, v in cases:
             k, a = orders._bernstein_factors(_flat(w), _flat(v))
-            full, ends = orders._criterion_bernstein(k, a), np.array(orders._bernstein_ends(k, a))
-            assert ends.tobytes() == full[[0, -1]].tobytes(), (w, v)
-            if not np.all(ends > orders._bernstein_margin(len(k))):
+            full, last = orders._criterion_bernstein(k, a), sum(k, orders.VERDICT_TOL)
+            assert np.float64(last).tobytes() == full[-1].tobytes() or last == full[-1] == 0.0, (w, v)
+            if not last > orders._bernstein_margin(len(k)):
                 skipped += 1
                 assert not orders._bernstein_positive(full), (w, v)
         assert skipped > 20
@@ -638,13 +667,14 @@ class TestIsLessNoisy:
         assert pairwise > 200  # a plain numpy sum at one point would fail here
 
     def test_high_degree_decision_skips_the_full_build(self, monkeypatch):
-        # 2,048 pairs against an 8-pair garbling: b_0 underflows far below the margin, so the
-        # O(n^2) build (0.5 s on a 2-CPU Xeon host) never runs and the branch and bound decides
+        # 2,048 pairs against an 8-pair garbling: b_n = 1e-9 + sum k clears the margin, but past
+        # the degree limit the O(n^2) build (0.5 s on a 2-CPU Xeon host) never runs, and the
+        # branch and bound decides
         raw = np.random.default_rng(5).uniform(0.02, 1.0, size=(2048, 2))
         w = BisoChannel(raw / raw.sum())
         v = random_degraded_biso(np.random.default_rng(7), w, max_pairs=8)
         k, a = orders._bernstein_factors(_flat(w), _flat(v))
-        assert len(k) == 2056 and orders._bernstein_ends(k, a)[0] < orders._bernstein_margin(len(k))
+        assert len(k) == 2056 > orders._CERTIFY_FIRST and sum(k, orders.VERDICT_TOL) > orders._bernstein_margin(len(k))
 
         def forbidden(*args):
             raise AssertionError("full Bernstein build at degree 2,056")
@@ -707,7 +737,7 @@ class TestIsLessNoisy:
                 seen["cancelled"] += 1
                 assert new.holds and not any(side.size for side in orders._net_rows(_flat(w), _flat(v)))
             else:
-                seen["certified" if results else old.relation] += 1
+                seen["certified" if any(results) else old.relation] += 1
         assert seen["certified"] > 1300 and seen["fails"] > 1000 and seen["searched"] > 20
         assert seen["oracle wrong"] > 0 and seen["cancelled"] == 1
         print(seen)
@@ -733,14 +763,14 @@ class TestIsLessNoisy:
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_interior_violation_past_the_degree_limit_fails_on_the_grid(self, n, monkeypatch):
-        # a 2- against a 3-pair channel whose criterion dips to -20 near q = 0.005 while both
-        # Bernstein ends clear the margin, padded with near-useless pairs of distinct ratios:
+        # a 2- against a 3-pair channel whose criterion dips to -20 near q = 0.005 while its b_n,
+        # 1e-9 + sum k, clears the margin, padded with near-useless pairs of distinct ratios:
         # past the degree limit the half grid refutes it before any O(n^2) build, as fast as before
         rng = np.random.default_rng(n)
         w = _padded([(0.0, 0.166), (0.013, 0.82)], n, rng)
         v = _padded([(0.005, 0.017), (0.014, 0.007), (0.952, 0.005)], n, rng)
         k, a = orders._bernstein_factors(*orders._net_rows(_flat(w), _flat(v)))
-        assert len(k) > orders._CERTIFY_FIRST and min(orders._bernstein_ends(k, a)) > orders._bernstein_margin(len(k))
+        assert len(k) > orders._CERTIFY_FIRST and sum(k, orders.VERDICT_TOL) > orders._bernstein_margin(len(k))
 
         def forbidden(*args):
             raise AssertionError("full Bernstein build of a pair the half grid refutes")
@@ -988,6 +1018,10 @@ def _padded(pairs, n, rng):
 def _pairs_of(rows):
     """The pairs (p, p_-), p > p_-, of flat rows: their columns with r0 > r1."""
     return rows[:, rows[0] > rows[1]].T
+
+
+def _forbidden_search(*args):
+    raise AssertionError("the branch and bound ran on a pair decided before it")
 
 
 def _confirm_with(monkeypatch, value):
@@ -1274,8 +1308,8 @@ class TestIsMoreCapable:
         assert coarse_only > 300
 
     def test_full_round_samples_each_grid_point_once(self):
-        # past the coarse round the search samples only the points of xs that round did not
-        # take: xs.size points in all, then the halving midpoints, as the full-grid search did
+        # past the coarse round the search samples all of xs once, then the halving midpoints,
+        # as the full-grid search did: the coarse round is a pre-check, and nothing else
         searched = 0
         for a, b in list(_mc_pairs(7, 300)) + list(_netting_pairs(8, 300)):
             xs = orders._MC_HALF if orders._symmetric(a) and orders._symmetric(b) else orders._MC_GRID
@@ -1291,8 +1325,8 @@ class TestIsMoreCapable:
             if len(sizes["new"]) == 1:  # the coarse round decided
                 continue
             searched += 1
-            mids = sizes["new"][2:]
-            assert mids == sizes["old"][1:] and sum(sizes["new"]) == xs.size + sum(mids), (a, b)
+            assert sizes["new"][0] == xs[:: orders._COARSE].size, (a, b)
+            assert sizes["new"][1:] == sizes["old"] and sizes["old"][0] == xs.size, (a, b)
         assert searched > 300
 
     def test_symmetric_channels(self):
@@ -1470,11 +1504,10 @@ class TestIsMoreCapable:
                     assert tracemalloc.get_traced_memory()[1] < 64e6
                 finally:
                     tracemalloc.stop()
-                # the coarse pass comes first; where it certifies nothing, the rest of the grid follows
+                # the coarse pass comes first; where it certifies nothing, the whole grid follows
                 assert sizes[0] == orders._MC_GRID[:: orders._COARSE].size
                 if sizes[1:]:
-                    rest = orders._MC_GRID.size - sizes[0]
-                    assert sizes[1] == min(rest, orders._TERMS // 4 // max(columns, 1))
+                    assert sizes[1] == min(orders._MC_GRID.size, orders._TERMS // 4 // max(columns, 1))
                     full_rounds += 1
                 assert max(sizes) * columns <= orders._TERMS // 4
         assert full_rounds >= 12
