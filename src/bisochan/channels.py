@@ -34,7 +34,7 @@ def _as_prob_matrix(rows, tol):
     sums = arr.sum(axis=1)
     if np.abs(sums - 1.0).max(initial=0.0) > tol:
         bad = np.nonzero(np.abs(sums - 1.0) > tol)[0][0]
-        raise InvalidChannelError(f"channel row {bad} sums to {sums[bad]!r}, not 1 within {tol:g}")
+        raise InvalidChannelError(f"channel row {bad} sums to {float(sums[bad])!r}, not 1 within {tol:g}")
     return np.clip(arr, 0.0, 1.0) if clip else arr
 
 
@@ -62,8 +62,6 @@ class Channel:
         arr = _as_prob_matrix(rows, tol)
         if arr.shape[0] != 2:
             raise InvalidChannelError(f"binary-input channel needs 2 rows, got {arr.shape[0]}")
-        if arr.shape[1] < 1:
-            raise InvalidChannelError("channel needs at least one output")
         arr.setflags(write=False)
         self.rows = arr
         self._canonical = None  # memo of canonicalize_biso: BisoChannel or not-BISO reason
@@ -102,7 +100,7 @@ class BisoChannel:
         clip = _needs_clip(arr, tol, f"pair entries must lie in [0, 1] within {tol:g}")
         total = arr.sum()
         if abs(total - 1.0) > tol:
-            raise InvalidChannelError(f"pair probabilities sum to {total!r}, not 1 within {tol:g}")
+            raise InvalidChannelError(f"pair probabilities sum to {float(total)!r}, not 1 within {tol:g}")
         arr = np.clip(arr, 0.0, 1.0) if clip else arr
         arr.setflags(write=False)
         self.pairs = arr
@@ -162,8 +160,6 @@ def _pair_columns(rows):
         flat = r0
         if n % 2 == 1:
             mid = n // 2
-            if abs(r0[mid] - r1[mid]) > tol:
-                return "odd output alphabet without an equal-rows middle column"
             half = 0.5 * (r0[mid] + r1[mid]) / 2.0
             flat = np.concatenate([r0[:mid], [half, half], r0[mid + 1:]])
         l = len(flat) // 2
@@ -195,10 +191,7 @@ def _pair_columns(rows):
                 pairs.append((r0[j], r0[i]))
         pairs.sort(key=lambda pr: (pr[0] + pr[1], pr[0]))
 
-    kept = [pr for pr in pairs if pr[0] + pr[1] > 0.0]
-    if not kept:
-        return "all output pairs carry zero probability"
-    return BisoChannel(kept, tol=PAIRING_TOL)
+    return BisoChannel([pr for pr in pairs if pr[0] + pr[1] > 0.0], tol=PAIRING_TOL)
 
 
 def canonicalize_biso(channel):
@@ -281,7 +274,7 @@ class DegradingMap:
 
 
 def compose(base, post):
-    """Cascade a channel with a post-processing map: rows(result) = rows(base) @ post."""
+    """Cascade a channel with a post-processing map: rows(result) = rows(base) @ post, within LOADED_TOL."""
     base = as_channel(base)
     mat = post.entries if isinstance(post, DegradingMap) else np.asarray(post, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != base.n_outputs:
@@ -289,7 +282,7 @@ def compose(base, post):
             f"map has {mat.shape[0] if mat.ndim == 2 else '?'} rows, channel has "
             f"{base.n_outputs} outputs"
         )
-    return Channel(base.rows @ mat, tol=STRICT_TOL)
+    return Channel(base.rows @ mat, tol=LOADED_TOL)
 
 
 def _check_unit(x, name):

@@ -27,9 +27,7 @@ from .checks import check_ids, run_checks
 from .coefficients import coefficient_report, mutual_information_grid
 from .errors import (
     ChannelFormatError,
-    ClassMismatchError,
     DegenerateParameterError,
-    DimensionTooLargeError,
     InvalidChannelError,
     LeakageOutOfRangeError,
     NotBisoError,
@@ -327,8 +325,7 @@ def main(argv=None):
     except InvalidChannelError as exc:
         print(f"invalid channel: {exc}", file=sys.stderr)
         return EXIT_INVALID_CHANNEL
-    except (NotBisoError, ClassMismatchError, DimensionTooLargeError,
-            DegenerateParameterError, LeakageOutOfRangeError) as exc:
+    except (NotBisoError, DegenerateParameterError, LeakageOutOfRangeError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DegradingMap, as_channel, canonicalize_biso, compose, is_biso
+from .channels import DegradingMap, as_channel, canonicalize_biso, is_biso
 from .coefficients import _mutual_information_and_slope, _rho_and_slope, mutual_information_grid
 from .errors import DegenerateParameterError, NumericalInstabilityError
 
@@ -35,6 +35,7 @@ _MC_CELLS = 2**17  # more-capable cells open at once, at most
 _TERMS = 2**22  # less-noisy cells open at once times columns, at most; a quarter bounds a more-capable slice
 _COARSE = 20  # `_dc_search` first bounds the cells between every 20th point of its grid
 _CERTIFY_FIRST = 20  # netted pairs up to which the O(n^2) certificate, tried first, costs no more than the half grid
+_TOWARD_ZERO = np.ldexp(_HALF_GRID[0], -np.arange(1, 1066))  # q = 1e-3 2^-j down to 1e-3 2^-1065 = 5e-324
 
 
 @dataclass(frozen=True)
@@ -283,12 +284,13 @@ def _rho_samples(rows, qs):
 
 def _toward_zero(rows):
     """The verdict of `_flat_rows` whose net noiseless mass K < 0: the criterion tends to K / q ->
-    -inf as q -> 0, so it fails at the first q = 1e-3 2^-j where it is below -1e-9, or, where
-    inf - inf at subnormal q leaves none, the cell (0, 5e-324] is undetermined."""
-    for q in np.ldexp(_HALF_GRID[0], -np.arange(1, 1066)).tolist():  # down to 1e-3 2^-1065 = 5e-324
-        at = float(_criterion(rows, np.array([q]))[0])
-        if at < -VERDICT_TOL:
-            return OrderVerdict("fails", CriterionViolation(q, at))
+    -inf as q -> 0, so it fails at the first q of `_TOWARD_ZERO` where it is below -1e-9, or, where
+    inf - inf at subnormal q leaves none, the cell (0, 5e-324] is undetermined.  The ladder is
+    valued in one call, each q to the bits of a call at q alone (see `_criterion`)."""
+    vals = _criterion(rows, _TOWARD_ZERO)
+    below = np.flatnonzero(vals < -VERDICT_TOL)
+    if below.size:
+        return OrderVerdict("fails", CriterionViolation(float(_TOWARD_ZERO[below[0]]), float(vals[below[0]])))
     return OrderVerdict("undetermined", CriterionViolation(0.0, -np.inf))
 
 
@@ -314,9 +316,9 @@ def is_less_noisy(w, v):
     """
     w_rows, v_rows = (canonicalize_biso(ch).to_channel().rows for ch in (w, v))
     net = _net_rows(w_rows, v_rows)
-    if sum(np.count_nonzero(r[0] > r[1]) for r in net) <= _CERTIFY_FIRST:  # the certificate's degree
-        k, a = _bernstein_factors(*net)
-        if sum(k, VERDICT_TOL) > _bernstein_margin(len(k)) and _bernstein_positive(_criterion_bernstein(k, a)):
+    k, a = _bernstein_factors(*net)  # the certificate's degree is len(k)
+    if len(k) <= _CERTIFY_FIRST and sum(k, VERDICT_TOL) > _bernstein_margin(len(k)):
+        if _bernstein_positive(_criterion_bernstein(k, a)):
             return OrderVerdict("holds")
     rows = _flat_rows(w_rows, v_rows)
     vals = _criterion(rows, _HALF_GRID)
@@ -540,7 +542,7 @@ def is_degraded(p_channel, q_channel, witness=True):
     if not witness:
         return OrderVerdict("holds")
     dmap = DegradingMap(_degrading_map(p_ch, q_ch))
-    drift = float(np.abs(compose(p_ch, dmap).rows - q_ch.rows).max())
+    drift = float(np.abs(p_ch.rows @ dmap.entries - q_ch.rows).max())
     if drift > 1e-8:
         raise NumericalInstabilityError(f"witness re-composition drifts by {drift:g}")
     return OrderVerdict("holds", dmap)

@@ -15,7 +15,9 @@ mutual-information kernel took every log2 under a mask; the `grid_first`,
 summed each side's rows in a Python loop at every grid size; the `row_loop`
 copy keeps that.  The less-noisy branch and bound once ran on the criterion
 itself, whose pole at q = 0 took a closed-form bound of its first cell;
-`grid_first_is_less_noisy` keeps that search, with `first_cell`.  The package no longer exports the mutual-information
+`grid_first_is_less_noisy` keeps that search, with `first_cell`.  A net noiseless
+mass K < 0 once valued the criterion one q = 1e-3 2^-j at a time until it
+fell below -1e-9; `point_loop_toward_zero` keeps that.  The package no longer exports the mutual-information
 difference or the more-capable bisection for the reverse coefficient gamma,
 since nothing in it calls them; the tests take both from here.
 """
@@ -297,6 +299,16 @@ def first_cell(rows):
     rest = (rows[0][:, ~noiseless], n_w - int(np.count_nonzero(noiseless[:n_w])))
     at0 = row_loop_ln_samples(rest, np.zeros(1))
     return lambda b: -np.inf if k < 0.0 else orders._dc_bounds(at0, row_loop_ln_samples(rest, np.array([b])))[0] + k / b
+
+
+def point_loop_toward_zero(rows):
+    """`orders._toward_zero` as it was: the criterion of `_flat_rows` at one q = 1e-3 2^-j per
+    call, down to 5e-324, failing at the first below -1e-9, else undetermined on (0, 5e-324]."""
+    for q in np.ldexp(orders._HALF_GRID[0], -np.arange(1, 1066)).tolist():
+        at = float(orders._criterion(rows, np.array([q]))[0])
+        if at < -VERDICT_TOL:
+            return OrderVerdict("fails", CriterionViolation(q, at))
+    return OrderVerdict("undetermined", CriterionViolation(0.0, -np.inf))
 
 
 def row_loop_ln_samples(rows, qs):

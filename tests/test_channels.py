@@ -41,6 +41,12 @@ def test_channel_rejects_bad_row_sums():
         Channel([[0.5, 0.4], [0.5, 0.5]])
 
 
+def test_channel_rejects_three_rows():
+    # a channel file always parses to two rows; a matrix of three reaches the check only in code
+    with pytest.raises(InvalidChannelError, match="needs 2 rows, got 3"):
+        Channel(np.full((3, 2), 0.5))
+
+
 def test_channel_rejects_negative_entries():
     with pytest.raises(InvalidChannelError):
         Channel([[1.1, -0.1], [0.5, 0.5]])
@@ -383,7 +389,7 @@ def _old_prob_matrix(rows, tol, what="channel"):
     bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
     if bad.size:
         raise InvalidChannelError(
-            f"{what} row {bad[0]} sums to {sums[bad[0]]!r}, not 1 within {tol:g}"
+            f"{what} row {bad[0]} sums to {float(sums[bad[0]])!r}, not 1 within {tol:g}"
         )
     return np.clip(arr, 0.0, 1.0)
 
@@ -399,7 +405,7 @@ def _old_biso_pairs(pairs, tol):
         raise InvalidChannelError(f"pair entries must lie in [0, 1] within {tol:g}")
     total = arr.sum()
     if abs(total - 1.0) > tol:
-        raise InvalidChannelError(f"pair probabilities sum to {total!r}, not 1 within {tol:g}")
+        raise InvalidChannelError(f"pair probabilities sum to {float(total)!r}, not 1 within {tol:g}")
     return np.clip(arr, 0.0, 1.0)
 
 

@@ -55,6 +55,14 @@ def alpha_file_f(tmp_path):
 
 
 @pytest.fixture
+def loose_file(tmp_path):
+    # rows that sum to 1 - 5e-10, within the 1e-9 a file loads at
+    path = tmp_path / "loose.txt"
+    path.write_text("2\n0.6 0.3999999995\n0.3999999995 0.6\n")
+    return str(path)
+
+
+@pytest.fixture
 def alpha_file_g(tmp_path):
     path = tmp_path / "alpha_g.txt"
     path.write_text("biso 0.245 0.515 0.221 0.019\n")
@@ -165,6 +173,31 @@ class TestAnalyze:
         path.write_text("2\n0.6 0.6\n0.5 0.5\n")
         assert main(["analyze", str(path)]) == 3
         assert "row 0" in capsys.readouterr().err
+
+    def test_row_sum_message_prints_a_plain_float(self, tmp_path, capsys):
+        # the sum prints as a Python float, as under numpy 1.x, not as np.float64(1.2)
+        path = tmp_path / "bad.txt"
+        path.write_text("2\n0.6 0.6\n0.5 0.5\n")
+        assert main(["analyze", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid channel: channel row 0 sums to 1.2, not 1 within 1e-09\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("biso 0.5 0.5\nbiso 0.5 0.5\n", "BISO shorthand must be a single line"),
+        ("biso 0.5 half\n", "bad probability token: could not convert string to float: 'half'"),
+        ("0\n1\n1\n", "output count must be positive, got 0"),
+        ("2\n0.5 half\n0.5 0.5\n", "line 2: bad probability token: could not convert string to float: 'half'"),
+        # three probability rows are four content lines: the parser stops them before `Channel`
+        ("2\n0.5 0.5\n0.5 0.5\n0.5 0.5\n", "expected 3 content lines (n, row 0, row 1), got 4"),
+    ], ids=["two-line-shorthand", "shorthand-token", "zero-outputs", "row-token", "three-rows"])
+    def test_each_format_error_exits_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
 
     def test_non_utf8_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"
@@ -340,8 +373,26 @@ class TestCompare:
         assert "less-noisy A>=B" in out
         assert "more-capable A>=B" in out
 
+    def test_rows_within_the_load_tolerance_compare_exit_0(self, loose_file, capsys):
+        # the degrading map's check keeps to the slack the file was loaded at
+        assert main(["compare", loose_file, loose_file, "--order", "all"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [line for line in captured.out.splitlines() if line.endswith(":")] == ["  degrading map:"] * 2
+        assert all(line.endswith(": holds") for line in captured.out.splitlines() if ">" in line)
+
 
 class TestExtremal:
+    def test_rows_within_the_load_tolerance_exit_0(self, loose_file, capsys):
+        # the dominated channel is composed within the slack its file was loaded at
+        assert main(["extremal", loose_file, "--kind", "alpha"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[4:] == [
+            "dominated two-output channel:", "  0.6 0.3999999995", "  0.3999999995 0.6",
+            "collapsing map (rows follow the file's output columns):", "  1 0", "  0 1",
+        ]
+
     def test_alpha_kind_prints_match_and_map(self, alpha_file_f, capsys):
         assert main(["extremal", alpha_file_f, "--kind", "alpha"]) == 0
         assert capsys.readouterr().out.splitlines() == [

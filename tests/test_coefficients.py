@@ -338,6 +338,10 @@ class TestFDivergence:
         with pytest.raises(InfiniteDivergenceError):
             f_divergence(chi2_generator(), [0.5, 0.5], [0.0, 1.0])
 
+    def test_vectors_of_different_lengths_are_rejected(self):
+        with pytest.raises(ParameterOutOfRangeError, match="same length"):
+            f_divergence(tv_generator(), [0.5, 0.5], [1.0])
+
     def test_tv_handles_zero_atoms(self):
         assert abs(f_divergence(tv_generator(), [0.5, 0.5], [0.0, 1.0]) - 0.5) < 1e-14
 

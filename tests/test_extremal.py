@@ -348,6 +348,11 @@ class TestReverseCoefficients:
 class TestBracketedBisection:
     XTOL = 2e-7
 
+    def test_false_at_hi_returns_hi(self):
+        calls = []
+        assert bisect_threshold(lambda x: calls.append(x) or False, 0.0, 0.5, self.XTOL) == 0.5
+        assert calls == [0.0, 0.5]
+
     def test_any_guess_gives_the_plain_bits(self):
         def inside(x):
             assert 0.0 <= x <= 0.5, x  # pred is asked only on [lo, hi]

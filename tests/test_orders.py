@@ -86,6 +86,11 @@ class TestGuessingProbability:
         assert abs(guessing_probability(ALPHA_PAIR_F, 0.29) - 0.77455) < 1e-12
         assert abs(guessing_probability(ALPHA_PAIR_G, 0.29) - 0.76756) < 1e-12
 
+    @pytest.mark.parametrize("x", [-0.1, 1.5, math.nan])
+    def test_bias_outside_the_unit_interval_is_rejected(self, x):
+        with pytest.raises(DegenerateParameterError, match="input bias must lie in"):
+            guessing_probability(ALPHA_PAIR_F, x)
+
     def test_boundary_bias_guesses_perfectly(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -546,6 +551,39 @@ class TestIsLessNoisy:
         assert orders._rho_samples(orders._net_rows(*rows), np.zeros(1))[1, 0] < 0.0
         monkeypatch.setattr(orders, "_dc_search", _forbidden_search)
         assert _same_bits(is_less_noisy(w, v), orders.OrderVerdict("fails", witness))
+
+    def test_toward_zero_in_one_call_matches_the_point_loop_bitwise(self):
+        # the ladder q = 1e-3 2^-j valued in one call gives each q the bits of a call at q alone:
+        # K < 0 pairs, V a copy of W or an independent draw, plus a noiseless pair of mass m
+        rng = np.random.default_rng(2901)
+        relations = Counter()
+        for l in (1, 2, 5, 16, 64):
+            for m in (1e-300, 1e-200, 1e-9):
+                for copy in (True, False):
+                    w_pairs = rng.uniform(0.02, 1.0, size=(l, 2))
+                    w_pairs /= w_pairs.sum()
+                    v_pairs = w_pairs.copy() if copy else rng.uniform(0.02, 1.0, size=(l, 2)) / (2 * l)
+                    v_pairs[0, 1] += 1.0 - m - v_pairs.sum()
+                    w, v = BisoChannel(w_pairs), BisoChannel(np.vstack((v_pairs, [(m, 0.0)])))
+                    assert orders._rho_samples(orders._net_rows(_flat(w), _flat(v)), np.zeros(1))[1, 0] < 0.0
+                    rows = orders._flat_rows(_flat(w), _flat(v))
+                    new = orders._toward_zero(rows)
+                    assert _same_bits(new, golden_oracle.point_loop_toward_zero(rows)), (w, v)
+                    relations[new.relation] += 1
+        assert relations["fails"] == 30
+
+    def test_toward_zero_is_one_call_at_1024_pairs(self):
+        # the point loop, one criterion call per q down to the fail near 1e-292, took 2-3.5 s on a
+        # 2-CPU Xeon host, and the one call under 0.1 s
+        rng = np.random.default_rng(2902)
+        w_pairs = rng.uniform(0.02, 1.0, size=(1024, 2))
+        w_pairs /= w_pairs.sum()
+        w, v = BisoChannel(w_pairs), BisoChannel(np.vstack((w_pairs, [(1e-300, 0.0)])))
+        rows = orders._flat_rows(_flat(w), _flat(v))
+        start = time.perf_counter()
+        verdict = orders._toward_zero(rows)
+        assert time.perf_counter() - start < 0.5
+        assert verdict.fails and verdict.witness.parameter < 1e-290
 
     def test_slopes_near_the_least_normal_q_bound_no_cell_from_a_false_tangent(self):
         # a noiseless column's slope is -d; as term * (d / D), d / D = 1 / q overflowed near
