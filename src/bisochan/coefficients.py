@@ -151,7 +151,8 @@ def eta_kl_binary_argmax(channel):
     def slope(q):
         if q == 0.0 or q == 1.0:
             a, b, sign = (r0, r1, 1.0) if q == 0.0 else (r1, r0, -1.0)
-            return sign * ((d[b > 0.0] * (d[b > 0.0] / b[b > 0.0])).sum() - a[b == 0.0].sum()), 0.0
+            with np.errstate(over="ignore"):  # d / b overflows only where the end slope is that steep
+                return sign * ((d[b > 0.0] * (d[b > 0.0] / b[b > 0.0])).sum() - a[b == 0.0].sum()), 0.0
         den = np.maximum(r1 + q * d, np.finfo(float).tiny)
         w, s0, s1 = d * (d / den), r0 / den, r1 / den
         return (w * (s1 * (1.0 - q) - q)).sum(), -2.0 * (w * s0 * s1).sum()
@@ -255,7 +256,7 @@ def capacity_binary_argmax(channel):
 
     def slope(p):
         out = r1 + p * d
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return gap - (d * np.log2(out)).sum(), -(d * (d / out)).sum() / _LN2
 
     pstar = newton_max(slope)

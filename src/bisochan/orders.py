@@ -316,10 +316,14 @@ def is_less_noisy(w, v):
     """
     w_rows, v_rows = (canonicalize_biso(ch).to_channel().rows for ch in (w, v))
     net = _net_rows(w_rows, v_rows)
-    k, a = _bernstein_factors(*net)  # the certificate's degree is len(k)
-    if len(k) <= _CERTIFY_FIRST and sum(k, VERDICT_TOL) > _bernstein_margin(len(k)):
-        if _bernstein_positive(_criterion_bernstein(k, a)):
-            return OrderVerdict("holds")
+    n = net[0].shape[1] + net[1].shape[1]
+    # at most half the flat columns have r0 > r1, one per pair: past 2 _CERTIFY_FIRST columns numpy
+    # counts them, the certificate's degree, before `_bernstein_factors` loops over them
+    if n <= 2 * _CERTIFY_FIRST or sum(np.count_nonzero(r0 > r1) for r0, r1 in net) <= _CERTIFY_FIRST:
+        k, a = _bernstein_factors(*net)  # the certificate's degree is len(k)
+        if len(k) <= _CERTIFY_FIRST and sum(k, VERDICT_TOL) > _bernstein_margin(len(k)):
+            if _bernstein_positive(_criterion_bernstein(k, a)):
+                return OrderVerdict("holds")
     rows = _flat_rows(w_rows, v_rows)
     vals = _criterion(rows, _HALF_GRID)
     if vals.min() < -VERDICT_TOL:
@@ -327,7 +331,6 @@ def is_less_noisy(w, v):
         return OrderVerdict("fails", CriterionViolation(float(_HALF_GRID[k]), float(vals[k])))
     if _rho_samples(net, np.zeros(1))[1, 0] < 0.0:  # f(0) = K < 0
         return _toward_zero(rows)
-    n = net[0].shape[1] + net[1].shape[1]
     verdict = _dc_search(functools.partial(_rho_samples, net), _MC_HALF, 0.0, _TERMS // max(n, 1), (n + 8) * 2.0**-51)
     return _confirmed(verdict, functools.partial(_criterion, rows))
 
@@ -511,6 +514,9 @@ def _degrading_map(p_ch, q_ch):
         a = np.sort(np.clip(np.concatenate((cum, cum - need)), 0.0, cum[-1] - need))
         g = np.interp(a + need, cum, first) - np.interp(a, cum, first)
         lo = np.interp(s0[z], g, a)
+        if not np.isfinite(lo):  # breakpoints a subnormal step apart overflow interp's slope
+            i = int(np.searchsorted(g, s0[z], side="right"))  # g[i - 1] <= s0[z] < g[i]
+            lo = a[i - 1] + (s0[z] - g[i - 1]) / (g[i] - g[i - 1]) * (a[i] - a[i - 1])
         taken[:, z] = np.clip(np.minimum(cum[1:], lo + need) - np.maximum(cum[:-1], lo), 0.0, left)
         left = left - taken[:, z]
     taken[:, zs[-1]] = left

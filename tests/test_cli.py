@@ -128,6 +128,31 @@ class TestAnalyze:
         assert "match[alpha]: value=1 bsc_p=0.5 bec_eps=1" in out
         assert "match[capacity]: value=0 bsc_p=0.5 bec_eps=1" in out
 
+    def test_subnormal_entry_analyzes_without_warnings(self, tmp_path, capsys):
+        # the end slope of eta_KL and the slope of I overflow at the 1e-310 entry: +-inf is
+        # what they read there, with no RuntimeWarning
+        path = tmp_path / "tiny.txt"
+        path.write_text("3\n0.5 0.5 0.0\n1e-310 0.3 0.7\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [
+            "outputs: 3",
+            "biso: no",
+            "eta_kl: 0.7",
+            "eta_tv: 0.7",
+            "doeblin_alpha: 0.3",
+            "alpha_max: 1.7",
+            "maximal_leakage_nats: 0.530628251062",
+            "maximal_leakage_bits: 0.765534746363",
+            "capacity_bits: 0.619236480207",
+            "match[eta_kl]: value=0.7 bsc_p=0.081669986733 bec_eps=0.3",
+            "match[alpha]: value=0.3 bsc_p=0.15 bec_eps=0.3",
+            "match[capacity]: value=0.619236480207 bsc_p=0.0740238417489 bec_eps=0.380763519793",
+        ]
+        assert captured.err == ""
+
     def test_z_channel_capacity(self, tmp_path, capsys):
         path = tmp_path / "z.txt"
         path.write_text("2\n1 0\n0.5 0.5\n")
@@ -274,6 +299,22 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "degradable A->B: holds" in out
         assert "degrading map:" in out
+
+    def test_subnormal_breakpoints_build_a_map_that_recomposes(self, tmp_path, capsys):
+        # the first moments of P's layout step by about 4e-311 there, which overflowed the
+        # slope of the map's interpolation: "holds" (the exact peak is 1.7e-16) ended in a
+        # NumericalInstabilityError on a map drifting by 0.62
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_text("3\n1.0 0.0 1.0743883192962e-310\n7.7870647514084e-311 0.2752094739349695 0.7247905260650305\n")
+        q.write_text("3\n0.747485957266623 7.83381777639e-311 0.25251404273337696\n"
+                     "6.4835758974083e-311 0.618648796094175 0.3813512039058251\n")
+        assert main(["compare", str(p), str(q), "--order", "deg"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("degradable A->B: holds\n  degrading map:\n") and captured.err == ""
+        a, b = load_channel(str(p)), load_channel(str(q))
+        dmap = bisochan.is_degraded(a, b).witness.entries
+        assert np.all(dmap >= 0.0) and np.abs(dmap.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(a.rows @ dmap - b.rows).max() <= 1e-8
 
     def test_ln_requires_biso_exit_4(self, z_file, eta_file_a, capsys):
         # the library's NotBisoError is the gate: nothing reaches stdout
