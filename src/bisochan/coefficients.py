@@ -221,22 +221,35 @@ def _mutual_information_and_slope(channel, ps, slope=True):
     input 0 reaches has out = 0 at p = 0, where I' is +inf; one that only
     input 1 reaches makes I' = -inf at p = 1.  With `slope=False` I' is not
     computed, and None takes its place.
+
+    `channel` may also be a tuple of such arrays, valued in one pass: out and
+    its log are formed once over their columns side by side, and each array's
+    sums run over its own contiguous copy, so each I has the bits of a call on
+    that array alone.  I is then a list of one array per entry, and I' is the
+    last entry's.
     """
-    rows = channel if isinstance(channel, np.ndarray) else as_channel(channel).rows
+    single = not isinstance(channel, tuple)
+    blocks = (channel if isinstance(channel, np.ndarray) else as_channel(channel).rows,) if single else channel
+    rows = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
     p = np.asarray(ps, dtype=float)[:, None]
-    out = p * rows[0] + (1.0 - p) * rows[1]
+    out = p * rows[0]
+    out += (1.0 - p) * rows[1]
     log = np.log2(out) if out.all() else np.log2(out, out=np.zeros_like(out), where=out > 0.0)
-    hy = -(out * log).sum(axis=1)
-    h0, h1 = _entropy_bits(rows)
-    mi = np.maximum(hy - (p[:, 0] * h0 + (1.0 - p[:, 0]) * h1), 0.0)
+    plogp, mi, start = np.multiply(out, log, out=out), [], 0  # out is not read again
+    for block in blocks:
+        cols = slice(start, start + block.shape[1])
+        start = cols.stop
+        h0, h1 = _entropy_bits(block)
+        hy = -np.ascontiguousarray(plogp[:, cols]).sum(axis=1)
+        mi.append(np.maximum(hy - (p[:, 0] * h0 + (1.0 - p[:, 0]) * h1), 0.0))
     if not slope:
-        return mi, None
-    d = rows[0] - rows[1]
-    grad = h1 - h0 - log @ d - d.sum() / _LN2
-    if not rows.all():
-        grad[(p[:, 0] == 0.0) & np.any((rows[1] == 0.0) & (d != 0.0))] = np.inf
-        grad[(p[:, 0] == 1.0) & np.any((rows[0] == 0.0) & (d != 0.0))] = -np.inf
-    return mi, grad
+        return mi[0] if single else mi, None
+    d = block[0] - block[1]  # block, cols, h0 and h1 are the last array's
+    grad = h1 - h0 - np.ascontiguousarray(log[:, cols]) @ d - d.sum() / _LN2
+    if not block.all():
+        grad[(p[:, 0] == 0.0) & np.any((block[1] == 0.0) & (d != 0.0))] = np.inf
+        grad[(p[:, 0] == 1.0) & np.any((block[0] == 0.0) & (d != 0.0))] = -np.inf
+    return mi[0] if single else mi, grad
 
 
 def capacity_binary_argmax(channel):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DegradingMap, as_channel, canonicalize_biso, is_biso
-from .coefficients import _mutual_information_and_slope, _rho_and_slope, mutual_information_grid
+from .coefficients import _mutual_information_and_slope, _rho_and_slope
 from .errors import DegenerateParameterError, NumericalInstabilityError
 
 VERDICT_TOL = 1e-9
@@ -346,14 +346,15 @@ def _mc_samples(rows, xs):
     A round of more than _TERMS / 4 biases times columns is sampled in
     slices of at most that many, so it holds a few float arrays of 8 MB at
     any channel size; each bias's sums run over its own row of outputs, so
-    the slices give the bits of the whole round.
+    the slices give the bits of the whole round.  One kernel call values
+    both channels' columns in a slice, each to the bits of a call on it alone.
     """
     p_rows, q_rows = rows
     step = max(_TERMS // 4 // max(p_rows.shape[1] + q_rows.shape[1], 1), 1)
     if xs.size > step:
         return np.concatenate([_mc_samples(rows, xs[i : i + step]) for i in range(0, xs.size, step)], axis=1)
-    iq, sq = _mutual_information_and_slope(q_rows, xs)
-    return np.array((xs, mutual_information_grid(p_rows, xs) - iq, iq, sq))
+    (ip, iq), sq = _mutual_information_and_slope(rows, xs)
+    return np.array((xs, ip - iq, iq, sq))
 
 
 def _symmetric(ch):
@@ -393,8 +394,11 @@ def _dc_search(sample, xs, min_cell, max_cells, tol=VERDICT_TOL):
 
     `sample(xs)` gives rows x, f, B and B' at each x, f = A - B for concave
     A and B, each x's column the same bits in any round.  A pre-check on every
-    `_COARSE`-th point and the last holds if it certifies every cell; if not,
-    the search starts on all of xs.
+    `_COARSE`-th point and the last holds if it certifies every cell.  If one
+    of its samples is below -tol, the search fails at the argmin of xs (the
+    first of equal values): a point of a coarse cell whose bound is above the
+    coarse minimum + 2 tol cannot be that low, so only the other cells' points,
+    NaN bounds too, are sampled.  Otherwise the search starts on all of xs.
     A sample below -tol fails: the argmin of xs, or the lowest midpoint of a
     round.  Cells whose `_dc_bounds` are not at least -tol, NaN too, are halved,
     all of one width at a time, until every cell is certified (holds).  It is
@@ -402,9 +406,20 @@ def _dc_search(sample, xs, min_cell, max_cells, tol=VERDICT_TOL):
     narrower than `min_cell` or has no midpoint strictly inside, or if over
     `max_cells` cells would be open.
     """
-    coarse = sample(np.append(xs[:-1:_COARSE], xs[-1]))
-    if coarse[1].min() >= -tol and np.all(_dc_bounds(coarse[:, :-1], coarse[:, 1:]) >= -tol):
+    at = np.append(np.arange(0, xs.size - 1, _COARSE), xs.size - 1)
+    coarse = sample(xs[at])
+    low, bounds = coarse[1].min(), _dc_bounds(coarse[:, :-1], coarse[:, 1:])
+    if low >= -tol and np.all(bounds >= -tol):
         return OrderVerdict("holds")
+    if low < -tol:
+        f = np.full(xs.size, np.inf)
+        f[at] = coarse[1]
+        inside = np.repeat(~(bounds > low + 2.0 * tol), np.diff(at))  # each point's cell, xs[-1] aside
+        inside[at[:-1]] = False
+        ks = np.flatnonzero(inside)
+        f[ks] = sample(xs[ks])[1]
+        k = int(np.argmin(f))
+        return OrderVerdict("fails", CriterionViolation(float(xs[k]), float(f[k])))
     pts = sample(xs)
     lo, hi = pts[:, :-1], pts[:, 1:]
     k = int(np.argmin(pts[1]))

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bisochan
@@ -25,7 +26,7 @@ from bisochan import (
     match_extremal,
     mutual_information_grid,
 )
-from bisochan import applications, checks, cli
+from bisochan import applications, checks, cli, orders
 from bisochan.channels import format_channel, make_bsc, make_z
 from bisochan.cli import _emit_csv, _fmt, main
 
@@ -421,6 +422,101 @@ class TestCompare:
         assert captured.err == ""
         assert [line for line in captured.out.splitlines() if line.endswith(":")] == ["  degrading map:"] * 2
         assert all(line.endswith(": holds") for line in captured.out.splitlines() if ">" in line)
+
+    def test_drifting_degrading_map_exits_5(self, tmp_path, monkeypatch, capsys):
+        # a map that does not re-compose A onto B raises NumericalInstabilityError: one line on
+        # stderr and exit 5, not a traceback and the exit 1 of a failed check
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text(format_channel(make_bsc(0.1)))
+        b.write_text(format_channel(make_bsc(0.2)))
+        monkeypatch.setattr(orders, "_degrading_map", lambda p_ch, q_ch: np.eye(2))
+        assert main(["compare", str(a), str(b), "--order", "deg"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical instability: ") and captured.err.count("\n") == 1
+
+    def test_holding_less_noisy_settles_more_capable_under_order_all(self, tmp_path, monkeypatch, capsys):
+        # BSC(0.1) is less noisy than BSC(0.3), and so more capable: --order all searches only
+        # B>=A, which fails, and prints what --order mc prints.  A file whose r1 is r0 reversed
+        # within PAIRING_TOL but not exactly is decided less noisy on its canonical flat rows,
+        # which are not its own: both of its more-capable orders are searched
+        calls = []
+        search = orders.is_more_capable
+        monkeypatch.setattr(cli, "is_more_capable", lambda p, q: calls.append(1) or search(p, q))
+        r0 = [0.1, 0.2, 0.3, 0.4]
+        near = tmp_path / "near.txt"
+        near.write_text(f"4\n{' '.join(map(repr, r0))}\n{0.4 + 3e-10!r} {0.3 - 3e-10!r} 0.2 0.1\n")
+        exact, bsc, noisy = (tmp_path / f"{name}.txt" for name in ("exact", "bsc", "noisy"))
+        exact.write_text(f"4\n{' '.join(map(repr, r0))}\n{' '.join(map(repr, r0[::-1]))}\n")
+        bsc.write_text(format_channel(make_bsc(0.1)))
+        noisy.write_text(format_channel(make_bsc(0.3)))
+        assert cli._flat_columns_are_own(load_channel(str(exact)))
+        assert bisochan.is_biso(load_channel(str(near))) and not cli._flat_columns_are_own(load_channel(str(near)))
+        for a, searched in ((bsc, 1), (exact, 1), (near, 2)):
+            calls.clear()
+            assert main(["compare", str(a), str(noisy), "--order", "all"]) == 0
+            out = capsys.readouterr().out
+            assert "less-noisy A>=B: holds\nless-noisy B>=A: fails\n" in out and len(calls) == searched, a
+            assert main(["compare", str(a), str(noisy), "--order", "mc"]) == 0
+            mc = capsys.readouterr().out
+            assert mc.startswith("more-capable A>=B: holds\nmore-capable B>=A: fails\n")
+            assert out.endswith(mc) and len(calls) == searched + 2
+
+
+_HOSTILE_VALUES = (0.0, 5e-324, 1e-310, 1e-300, 1e-17)
+
+
+def _hostile_file(seed):
+    """A channel file of 1-16 outputs, general, BISO or BISO with shuffled columns, 40% of whose
+    entries are 0, 5e-324, 1e-310, 1e-300 or 1e-17 before its rows are renormalized."""
+    rng = np.random.default_rng(seed)
+    n, kind = int(rng.integers(1, 17)), int(rng.integers(3))
+    rows = rng.uniform(0.01, 1.0, size=(2 if kind == 0 else 1, n))
+    hostile = rng.random(rows.shape) < 0.4
+    rows[hostile] = rng.choice(_HOSTILE_VALUES, size=int(hostile.sum()))
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    if kind:
+        rows = np.vstack((rows, rows[:, ::-1]))[:, rng.permutation(n) if kind == 2 else slice(None)]
+    return f"{n}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist())
+
+
+def _more_capable_verdicts(out):
+    """compare's more-capable verdicts, A>=B then B>=A, each a list of its lines."""
+    verdicts = []
+    for line in out.splitlines():
+        if line.startswith("more-capable"):
+            verdicts.append([line])
+        elif verdicts:
+            verdicts[-1].append(line)
+    return verdicts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@example(7, 7)
+def test_hostile_files_compare_cleanly_and_imply_what_the_search_decides(seed_a, seed_b):
+    # --order all prints more-capable "holds" for a holding less-noisy verdict without a search;
+    # wherever the search decides, it prints what --order mc prints, and it may settle an
+    # undetermined search as holds.  No warning, nothing on stderr, exit 0
+    verdicts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{name}.txt") for name in "ab"]
+        for path, seed in zip(paths, (seed_a, seed_b)):
+            Path(path).write_text(_hostile_file(seed))
+        for order in ("all", "mc"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["compare", *paths, "--order", order]) == 0
+            assert err.getvalue() == ""
+            verdicts[order] = _more_capable_verdicts(out.getvalue())
+    assert len(verdicts["all"]) == len(verdicts["mc"]) == 2
+    for implied, searched in zip(verdicts["all"], verdicts["mc"]):
+        if searched[0].endswith(": undetermined"):
+            assert implied in (searched, [searched[0].replace("undetermined", "holds")])
+        else:
+            assert implied == searched
 
 
 class TestExtremal:

@@ -278,6 +278,27 @@ class TestMutualInformation:
                     assert all(n.tobytes() == o.tobytes() for n, o in zip(new, old)), rows
         assert underflows == 100
 
+    def test_tuple_of_arrays_gives_each_arrays_bits(self):
+        # one call on (P's, Q's) columns forms out and its log once over both; each I, and the
+        # last array's I', has the bits of a call on that array alone, with zeros, underflowing
+        # entries or no columns on either side
+        rng = np.random.default_rng(47)
+        xs = np.concatenate(([0.0, 1.0], np.arange(1, 1000) / 1000.0))
+        for i in range(200):
+            arrays = []
+            for n in rng.integers(0, 12, size=2):
+                rows = rng.uniform(size=(2, int(n))) ** 3
+                if i % 3 == 1:
+                    rows[rng.uniform(size=rows.shape) < 0.3] = 0.0
+                elif i % 3 == 2:
+                    rows[rng.uniform(size=rows.shape) < 0.5] = 1e-310
+                arrays.append(rows)
+            for ps in (xs, xs[rng.integers(xs.size, size=1)]):
+                (mi_p, mi_q), slope = coefficients._mutual_information_and_slope(tuple(arrays), ps)
+                (p_mi, _), (q_mi, q_slope) = (coefficients._mutual_information_and_slope(a, ps) for a in arrays)
+                assert mi_p.tobytes() == p_mi.tobytes() and mi_q.tobytes() == q_mi.tobytes(), arrays
+                assert slope.tobytes() == q_slope.tobytes(), arrays
+
     def test_slope_is_infinite_where_an_output_has_zero_mass(self):
         ends = np.array([0.0, 1.0])
         assert coefficients._mutual_information_and_slope(make_bec(0.4), ends)[1].tolist() == [np.inf, -np.inf]
