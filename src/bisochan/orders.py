@@ -370,14 +370,13 @@ def _symmetric(ch):
 def _dc_bounds(lo, hi):
     """Lower bound of f = A - B on each cell [a, b] from its two sample columns (x, f, B, B').
 
-    A and B are concave (I_P and I_Q for more-capable, -F_V and -F_W for
-    less-noisy): A lies above its chord and B below both end tangents, so f
-    is at least min(f(a), f(b), chord_A(c) - tangent_B(c)), c = a + t (b - a)
-    where the tangents cross.  With u and v how far the tangents at b and a
-    lie above B at the other end, t = u / (u + v) and the last term is
-    f(a) + t (f(b) - f(a)) - uv / (u + v).  An infinite end slope, or a u or v
-    so small that its reciprocal overflows, puts c at that end.  B' falls, so an
-    overflowed +inf at b leaves B rising: f >= min(f(a) - (B(b) - B(a)), f(b)).
+    A and B are concave (I_P and I_Q for more-capable, rho_W + 1e-9 q (1 - q) and rho_V
+    for less-noisy): A lies above its chord and B below both end tangents, so f is at
+    least min(f(a), f(b), chord_A(c) - tangent_B(c)), c = a + t (b - a) where the tangents
+    cross.  With u and v how far the tangents at b and a lie above B at the other end,
+    t = u / (u + v) and the last term is f(a) + t (f(b) - f(a)) - uv / (u + v).  An
+    infinite end slope, or a u or v so small that its reciprocal overflows, puts c at that
+    end.  B' falls, so an overflowed +inf at b leaves B rising: f >= min(f(a) - (B(b) - B(a)), f(b)).
     """
     (a, fa, qa, sa), (b, fb, qb, sb) = lo, hi
     w, dq = b - a, qb - qa
@@ -392,37 +391,37 @@ def _dc_bounds(lo, hi):
 def _dc_search(sample, xs, min_cell, max_cells, tol=VERDICT_TOL):
     """Whether f >= -tol on [xs[0], xs[-1]], by DC branch and bound (Horst & Thoai, JOTA 1999).
 
-    `sample(xs)` gives rows x, f, B and B' at each x, f = A - B for concave
-    A and B, each x's column the same bits in any round.  A pre-check on every
-    `_COARSE`-th point and the last holds if it certifies every cell.  If one
-    of its samples is below -tol, the search fails at the argmin of xs (the
-    first of equal values): a point of a coarse cell whose bound is above the
-    coarse minimum + 2 tol cannot be that low, so only the other cells' points,
-    NaN bounds too, are sampled.  Otherwise the search starts on all of xs.
-    A sample below -tol fails: the argmin of xs, or the lowest midpoint of a
-    round.  Cells whose `_dc_bounds` are not at least -tol, NaN too, are halved,
-    all of one width at a time, until every cell is certified (holds).  It is
-    undetermined, the lowest cell bound the witness, if a cell to halve is
-    narrower than `min_cell` or has no midpoint strictly inside, or if over
-    `max_cells` cells would be open.
+    `sample(xs)` gives rows x, f, B and B' at each x, f = A - B for concave A and B,
+    each x's column the same bits in any round.  The cells between every `_COARSE`-th
+    point and the last are bounded first.  Open are those whose bound, NaN too, is not
+    above the coarse minimum + 2 tol if that is below -tol (the argmin of xs lies in
+    them), else not at least -tol; with none open it holds.  One call samples the grid
+    points inside the open cells, and the lowest point sampled, the first of equal
+    values, fails if below -tol.  No point or sub-cell of another cell can: a sub-cell's
+    bound is at least its cell's (A lies nearer its chord, B's tangents at the nearer
+    ends lower).  Else the open cells' grid cells whose bounds are not at least -tol,
+    NaN too, are halved, all of one width at a time, until a midpoint is below -tol
+    (the lowest of its round fails) or every cell is certified (holds).  It is
+    undetermined, the lowest cell bound the witness, if a cell to halve is narrower than
+    `min_cell` or has no midpoint strictly inside, or if over `max_cells` cells would be open.
     """
     at = np.append(np.arange(0, xs.size - 1, _COARSE), xs.size - 1)
     coarse = sample(xs[at])
     low, bounds = coarse[1].min(), _dc_bounds(coarse[:, :-1], coarse[:, 1:])
-    if low >= -tol and np.all(bounds >= -tol):
+    cells = ~(bounds > low + 2.0 * tol) if low < -tol else ~(bounds >= -tol)
+    if not cells.any():
         return OrderVerdict("holds")
-    if low < -tol:
-        f = np.full(xs.size, np.inf)
-        f[at] = coarse[1]
-        inside = np.repeat(~(bounds > low + 2.0 * tol), np.diff(at))  # each point's cell, xs[-1] aside
-        inside[at[:-1]] = False
-        ks = np.flatnonzero(inside)
-        f[ks] = sample(xs[ks])[1]
-        k = int(np.argmin(f))
+    js = np.flatnonzero(np.repeat(cells, _COARSE)[: xs.size - 1])  # the open cells' grid cells, by left end
+    ks = js[js % _COARSE > 0]  # the grid points inside the open cells
+    inner = sample(xs[ks])
+    f = np.full(xs.size, np.inf)
+    f[at], f[ks] = coarse[1], inner[1]
+    k = int(np.argmin(f))
+    if f[k] < -tol:
         return OrderVerdict("fails", CriterionViolation(float(xs[k]), float(f[k])))
-    pts = sample(xs)
-    lo, hi = pts[:, :-1], pts[:, 1:]
-    k = int(np.argmin(pts[1]))
+    pts = np.empty((4, xs.size))  # the grid's samples where the open cells need them
+    pts[:, at], pts[:, ks] = coarse, inner
+    lo, hi = pts[:, js], pts[:, js + 1]
     while pts[1, k] >= -tol:
         bounds = _dc_bounds(lo, hi)
         keep = ~(bounds >= -tol)
@@ -481,7 +480,7 @@ def is_more_capable(p_channel, q_channel):
 
 
 def _guessing_peak(p_ch, q_ch):
-    """The prior x at which G_Q - G_P peaks over [0, 1], and the peak.
+    """The prior x at which G_Q - G_P peaks over [0, 1], the peak, and its largest |value| at 0 and 1.
 
     G(x) = sum_y max(x r0_y, (1 - x) r1_y) is convex and piecewise linear
     with kinks at r1_y / (r0_y + r1_y).  Between the kinks of G_P,
@@ -493,7 +492,7 @@ def _guessing_peak(p_ch, q_ch):
     xs = np.concatenate(([0.0, 1.0], r1[s > 0.0] / s[s > 0.0]))
     gap = _guessing(q_ch.rows, xs) - _guessing(p_ch.rows, xs)
     k = int(np.argmax(gap))
-    return float(xs[k]), float(gap[k])
+    return float(xs[k]), float(gap[k]), float(np.abs(gap[:2]).max())
 
 
 def _degrading_map(p_ch, q_ch):
@@ -546,19 +545,19 @@ def is_degraded(p_channel, q_channel, witness=True):
 
     The relation comes from Blackwell's guessing-probability test, exact for
     every pair of binary-input channels: it holds while the peak of G_Q - G_P
-    is at most VERDICT_TOL / 2.  With the full 1e-9, BSC(alpha / 2 - 1e-9)
-    targets, whose gap is 1e-9 - 3e-17, would hold although no stochastic
-    map within 1e-9 reaches them.  With `witness=False` that is all
-    that runs, and the verdict carries no witness.  With `witness=True` a
-    failing verdict carries the prior at which the second channel guesses
-    best relative to the first, and a holding verdict carries the degrading
-    map `_degrading_map` builds from the two channels' posteriors, validated
-    by re-composition to 1e-8 per entry (NumericalInstabilityError beyond).
+    is at most VERDICT_TOL / 2 plus the channels' largest row-sum difference.
+    With the full 1e-9, BSC(alpha / 2 - 1e-9) targets, whose gap is 1e-9 - 3e-17,
+    would hold although no stochastic map within 1e-9 reaches them.  With
+    `witness=False` that is all that runs, and the verdict carries no witness.
+    With `witness=True` a failing verdict carries the prior at which the second
+    channel guesses best relative to the first, and a holding verdict carries
+    the degrading map `_degrading_map` builds from the two channels' posteriors,
+    validated by re-composition to 1e-8 per entry (NumericalInstabilityError beyond).
     """
     p_ch = as_channel(p_channel)
     q_ch = as_channel(q_channel)
-    x, gap = _guessing_peak(p_ch, q_ch)
-    if gap > VERDICT_TOL / 2.0:
+    x, gap, slack = _guessing_peak(p_ch, q_ch)
+    if gap > VERDICT_TOL / 2.0 + slack:
         return OrderVerdict("fails", InfeasibilityCertificate(x, gap) if witness else None)
     if not witness:
         return OrderVerdict("holds")

@@ -26,8 +26,8 @@ def newton_max(slope):
         a, b = (x, b) if g > 0.0 else (a, x)
         if abs(g) <= 1e-14 or b - a <= 1e-15:
             return x
-        nxt = x - g / dg if dg < 0.0 else a
-        x = float(nxt) if a < nxt < b else 0.5 * (a + b)
+        nxt = x - float(g) / float(dg) if dg < 0.0 else a  # inf / inf is a quiet NaN, which bisects
+        x = nxt if a < nxt < b else 0.5 * (a + b)
     return x
 
 

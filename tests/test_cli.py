@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -117,6 +118,20 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 0
         out = capsys.readouterr().out
         assert "eta_kl: 1\n" in out and "capacity_bits: 1\n" in out
+
+    def test_infinite_newton_step_bisects_without_a_warning(self, tmp_path, capsys):
+        # g and g' both infinite made Newton's step inf / inf, a RuntimeWarning on stderr
+        path = tmp_path / "newton.txt"
+        path.write_text(
+            "6\n0.22836264239382495 6.0881055877582084e-18 0.26200542905814606 0.5096319285480291 5e-324 0.0\n"
+            "0.2754557502490234 0.4080798770074163 0.010772055371451612 0.12283446683149404 0.0 0.1828578505406146\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "capacity_bits: 0.49580429685\n" in captured.out
 
     @pytest.mark.parametrize(
         "text", ["biso 0.5000000001 0.5\n", "2\n0.5 0.5000000001\n0.5 0.5000000001\n"]
@@ -423,6 +438,16 @@ class TestCompare:
         assert [line for line in captured.out.splitlines() if line.endswith(":")] == ["  degrading map:"] * 2
         assert all(line.endswith(": holds") for line in captured.out.splitlines() if ">" in line)
 
+    def test_rows_short_of_one_degrade_within_their_slack(self, loose_file, tmp_path, capsys):
+        # the rows of A sum to 1 - 5e-10, and B's to 1: G_B - G_A peaks at 5.0000004137e-10 at
+        # x = 0 from the sums alone, which refuted a degradation onto BSC(1/2)
+        useless = tmp_path / "useless.txt"
+        useless.write_text("2\n0.5 0.5\n0.5 0.5\n")
+        assert main(["compare", loose_file, str(useless), "--order", "deg"]) == 0
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "degradable A->B: holds", "  degrading map:", *["  0.50000000025 0.49999999975"] * 2,
+        ]
+
     def test_drifting_degrading_map_exits_5(self, tmp_path, monkeypatch, capsys):
         # a map that does not re-compose A onto B raises NumericalInstabilityError: one line on
         # stderr and exit 5, not a traceback and the exit 1 of a failed check
@@ -466,14 +491,15 @@ class TestCompare:
 _HOSTILE_VALUES = (0.0, 5e-324, 1e-310, 1e-300, 1e-17)
 
 
-def _hostile_file(seed):
-    """A channel file of 1-16 outputs, general, BISO or BISO with shuffled columns, 40% of whose
-    entries are 0, 5e-324, 1e-310, 1e-300 or 1e-17 before its rows are renormalized."""
+def _hostile_file(seed, outputs=16, values=_HOSTILE_VALUES):
+    """A channel file of 1 to `outputs` outputs, general, BISO or BISO with shuffled columns, 40%
+    of whose entries are `values` (0, 5e-324, 1e-310, 1e-300 or 1e-17) before its rows are
+    renormalized."""
     rng = np.random.default_rng(seed)
-    n, kind = int(rng.integers(1, 17)), int(rng.integers(3))
+    n, kind = int(rng.integers(1, outputs + 1)), int(rng.integers(3))
     rows = rng.uniform(0.01, 1.0, size=(2 if kind == 0 else 1, n))
     hostile = rng.random(rows.shape) < 0.4
-    rows[hostile] = rng.choice(_HOSTILE_VALUES, size=int(hostile.sum()))
+    rows[hostile] = rng.choice(values, size=int(hostile.sum()))
     rows[rows.sum(axis=1) == 0.0, 0] = 1.0
     rows = rows / rows.sum(axis=1, keepdims=True)
     if kind:
@@ -517,6 +543,39 @@ def test_hostile_files_compare_cleanly_and_imply_what_the_search_decides(seed_a,
             assert implied in (searched, [searched[0].replace("undetermined", "holds")])
         else:
             assert implied == searched
+
+
+_EXIT_CODES = (0, 1, 2, 3, 4, 5, 141)  # the README's list
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@example(1008, 1100)
+def test_hostile_files_analyze_match_and_sweep_cleanly(seed_a, seed_b):
+    # analyze, extremal and sweep on files of 1-32 outputs with 40% hostile entries: a listed exit
+    # code, no exception out of main, no nan on stdout and each call under a second; on exit 0
+    # nothing on stderr and no warning.  Files 1008 and 1100 made Newton's step inf / inf
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = (os.path.join(tmp, f"{name}.txt") for name in "ab")
+        for path, seed in ((a, seed_a), (b, seed_b)):
+            Path(path).write_text(_hostile_file(seed, 32, _HOSTILE_VALUES + (1e-200,)))
+        runs = [["analyze", a]]
+        runs += [["extremal", a, "--kind", k, "--out", os.path.join(tmp, k)] for k in ("alpha", "eta", "capacity")]
+        runs += [["sweep", "--quantity", q, a, b, "--grid", "50"] for q in ("criterion", "mi-diff")]
+        runs += [["sweep", "--quantity", "fi-bounds", a, "--grid", "50"]]
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    start = time.perf_counter()
+                    code = main(argv)
+                    took = time.perf_counter() - start
+            assert code in _EXIT_CODES, argv
+            assert "nan" not in out.getvalue().replace(tmp, "").lower(), argv
+            assert took < 1.0, (argv, took)
+            if code == 0:
+                assert err.getvalue() == "" and not caught, (argv, err.getvalue(), [str(w.message) for w in caught])
 
 
 class TestExtremal:

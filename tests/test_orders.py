@@ -1252,6 +1252,20 @@ def _netting_pairs(seed, n):
         yield draw(), draw()
 
 
+def _open_coarse_interior(sample, xs):
+    """Whether a sample of `_dc_search`'s coarse round is below -1e-9, and the indices of the
+    grid points inside the coarse cells it leaves open: those whose `_dc_bounds`, NaN too,
+    are not above the coarse minimum + 2e-9 if so, else not at least -1e-9."""
+    at = np.arange(0, xs.size, orders._COARSE)
+    assert at[-1] == xs.size - 1
+    coarse = sample(xs[at])
+    low, bounds = coarse[1].min(), orders._dc_bounds(coarse[:, :-1], coarse[:, 1:])
+    fails = low < -orders.VERDICT_TOL
+    shut = bounds > low + 2.0 * orders.VERDICT_TOL if fails else bounds >= -orders.VERDICT_TOL
+    inside = [np.arange(at[j] + 1, at[j + 1]) for j in np.flatnonzero(~shut)]
+    return fails, np.concatenate(inside or [np.zeros(0, dtype=int)])
+
+
 def _general_outputs(n, seed):
     """The rows of a general channel of n outputs with entries in U[0.02, 1), an
     output index and the generator that drew them."""
@@ -1347,37 +1361,40 @@ class TestIsMoreCapable:
             assert _same_bits(new, golden_oracle.full_grid_is_more_capable(a, b)), (a, b)
         assert coarse_only > 300
 
-    def test_full_round_samples_each_grid_point_once(self):
-        # past the coarse round the search samples all of xs once, then the halving midpoints,
-        # as the full-grid search did: the coarse round is a pre-check, and nothing else.  A coarse
-        # round with a sample below -1e-9 is followed by one round of the other points of the cells
-        # where the argmin of xs can lie, which fails at that argmin's bits: in all, fewer points
-        searched, narrowed, points = 0, 0, []
+    def test_one_round_samples_inside_the_open_coarse_cells(self):
+        # past the coarse round one call samples exactly the grid points inside the coarse cells
+        # left open, so never a point of a certified cell, and the halving rounds then sample the
+        # full-grid search's midpoints: a failing coarse round opens the cells where the argmin
+        # of xs can lie, any other the cells it did not certify.  No verdict or witness bit moves
+        held, failed, points = 0, 0, []
         for a, b in list(_mc_pairs(7, 300)) + list(_netting_pairs(8, 300)):
             xs = orders._MC_HALF if orders._symmetric(a) and orders._symmetric(b) else orders._MC_GRID
             rows = orders._net_rows(a.rows, b.rows)
-            sizes = {"new": [], "old": []}
+            calls = {"new": [], "old": []}
 
             def counted(key):
-                return lambda pts: sizes[key].append(pts.size) or orders._mc_samples(rows, pts)
+                return lambda pts: calls[key].append(pts) or orders._mc_samples(rows, pts)
 
             new = orders._dc_search(counted("new"), xs, orders._MIN_CELL, orders._MC_CELLS)
             old = golden_oracle.full_grid_dc_search(counted("old"), xs, orders._MIN_CELL, orders._MC_CELLS)
             assert _same_bits(new, old), (a, b)
-            if len(sizes["new"]) == 1:  # the coarse round decided
+            coarse_fails, inside = _open_coarse_interior(functools.partial(orders._mc_samples, rows), xs)
+            assert calls["new"][0].tobytes() == xs[:: orders._COARSE].tobytes(), (a, b)
+            if not inside.size:  # nothing open: the coarse round held
+                assert new.holds and len(calls["new"]) == 1, (a, b)
                 continue
-            searched += 1
-            assert sizes["new"][0] == xs[:: orders._COARSE].size, (a, b)
-            if orders._mc_samples(rows, xs[:: orders._COARSE])[1].min() < -orders.VERDICT_TOL:
-                narrowed += 1
-                assert new.fails and len(sizes["new"]) == 2 and sum(sizes["new"]) <= xs.size, (a, b)
-                points.append((sum(sizes["new"]), xs.size))
+            assert calls["new"][1].tobytes() == xs[inside].tobytes(), (a, b)
+            assert [c.tobytes() for c in calls["new"][2:]] == [c.tobytes() for c in calls["old"][1:]], (a, b)
+            if coarse_fails:
+                failed += 1
+                assert new.fails and len(calls["new"]) == 2, (a, b)
             else:
-                assert sizes["new"][1:] == sizes["old"] and sizes["old"][0] == xs.size, (a, b)
-        assert searched > 300 and narrowed > 300
-        new_points, grid_points = np.sum(points, axis=0)
-        assert new_points < grid_points / 4
-        print(f"{narrowed} of {searched} searches narrowed: {new_points} of {grid_points} points")
+                held += 1
+            points.append((inside.size, xs.size - xs[:: orders._COARSE].size))
+        assert failed > 300 and held > 20
+        open_points, grid_points = np.sum(points, axis=0)
+        assert open_points < grid_points / 4
+        print(f"{failed} failing and {held} holding coarse rounds sampled {open_points} of {grid_points} points")
 
     def test_symmetric_channels(self):
         shuffled = Channel(ETA_PAIR_A.to_channel().rows[:, [1, 0, 2, 3]])  # not the flat layout
@@ -1539,14 +1556,16 @@ class TestIsMoreCapable:
         monkeypatch.setattr(
             orders, "_mutual_information_and_slope", lambda rows, xs: sizes.append(xs.size) or slope(rows, xs)
         )
-        full_rounds = 0
+        open_rounds = 0
         for n in (256, 512, 1024):
             for seed in range(6):
                 w, i, rng = _general_outputs(n, seed)
                 t = float(rng.uniform(0.1, 0.9))
                 split = np.hstack((np.delete(w, i, axis=1), w[:, [i]] * t, w[:, [i]] * (1.0 - t)))
                 a, b = Channel(w), Channel(split / split.sum(axis=1, keepdims=True))
-                columns = sum(side.shape[1] for side in orders._net_rows(a.rows, b.rows))
+                rows = orders._net_rows(a.rows, b.rows)
+                columns = sum(side.shape[1] for side in rows)
+                inside = _open_coarse_interior(functools.partial(orders._mc_samples, rows), orders._MC_GRID)[1]
                 sizes.clear()
                 tracemalloc.start()
                 try:
@@ -1554,13 +1573,15 @@ class TestIsMoreCapable:
                     assert tracemalloc.get_traced_memory()[1] < 64e6
                 finally:
                     tracemalloc.stop()
-                # the coarse pass comes first; where it certifies nothing, the whole grid follows
+                # the coarse pass comes first; where it leaves cells open, one round of the grid
+                # points inside them follows, in slices, and then the halving rounds
+                step = orders._TERMS // 4 // max(columns, 1)
+                slices = [min(step, inside.size - j) for j in range(0, inside.size, step)]
                 assert sizes[0] == orders._MC_GRID[:: orders._COARSE].size
-                if sizes[1:]:
-                    assert sizes[1] == min(orders._MC_GRID.size, orders._TERMS // 4 // max(columns, 1))
-                    full_rounds += 1
+                assert sizes[1 : 1 + len(slices)] == slices
+                open_rounds += len(slices) > 0
                 assert max(sizes) * columns <= orders._TERMS // 4
-        assert full_rounds >= 12
+        assert open_rounds >= 12
 
 
 class TestIsDegraded:
