@@ -247,6 +247,8 @@ def _emit_csv(header, first, columns, out):
         sys.stdout.write(text)
 
 
+MAX_GRID = 2**20  # the most points a sweep takes: at the cap, its CSV text alone is some 50 MB
+
 _SWEEP_INPUTS = {  # quantity: (file count, the files in words)
     "criterion": (2, "two channel files"),
     "fi-bounds": (1, "one channel file"),
@@ -257,6 +259,8 @@ _SWEEP_INPUTS = {  # quantity: (file count, the files in words)
 def cmd_sweep(args):
     if args.grid < 1:
         raise DegenerateParameterError(f"grid_size must be at least 1, got {args.grid}")
+    if args.grid > MAX_GRID:
+        raise DegenerateParameterError(f"grid_size must be at most {MAX_GRID}, got {args.grid}")
     if not math.isfinite(args.tmax):
         raise LeakageOutOfRangeError(f"--tmax must be finite, got {args.tmax!r}")
     count, in_words = _SWEEP_INPUTS[args.quantity]
@@ -285,49 +289,56 @@ def cmd_sweep(args):
 # ----------------------------------------------------------------------
 
 
-def build_parser():
+_COMMANDS = (  # name, help, handler, and each argument as (flags, add_argument keywords)
+    ("analyze", "print every coefficient of a channel file", cmd_analyze, [(("channel",), {})]),
+    ("compare", "decide the partial orders between two channels", cmd_compare, [
+        (("channel_a",), {}),
+        (("channel_b",), {}),
+        (("--order",), dict(choices=("deg", "ln", "mc", "all"), default="all")),
+    ]),
+    ("extremal", "construct the matched BSC/BEC representatives", cmd_extremal, [
+        (("channel",), {}),
+        (("--kind",), dict(choices=("eta", "alpha", "capacity"), required=True)),
+        (("--out",), dict(default=None, help="directory for the matched channel files")),
+    ]),
+    ("paper-check", "replay the reference-result regression suite", cmd_paper_check, [
+        (("--list",), dict(action="store_true", help="list check ids without running")),
+        (("--only",), dict(default=None, help="run only checks whose id starts with this")),
+    ]),
+    ("sweep", "emit CSV sweeps of comparison quantities", cmd_sweep, [
+        (("--quantity",), dict(choices=("criterion", "fi-bounds", "mi-diff"), required=True)),
+        (("channels",), dict(nargs="+")),
+        (("--grid",), dict(type=int, default=999)),
+        (("--tmax",), dict(type=float, default=1.2)),
+        (("--out",), dict(default=None)),
+    ]),
+)
+
+
+def build_parser(command=None):
+    """The top-level parser with the sub-parser of `command` only, or with all five when `command`
+    names none of them.  For a call whose first argument is `command`, both print the same bytes: the
+    `metavar` spells the top-level usage as the full parser's choices do, and the two errors that print
+    the argument's name instead (no command, an unknown one) never reach the one-command parser."""
+    commands = [c for c in _COMMANDS if c[0] == command] or _COMMANDS
     parser = argparse.ArgumentParser(
         prog="bisochan",
         description="Coefficients, partial orders, and extremal constructions "
         "for binary-input channels.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="print every coefficient of a channel file")
-    p.add_argument("channel")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("compare", help="decide the partial orders between two channels")
-    p.add_argument("channel_a")
-    p.add_argument("channel_b")
-    p.add_argument("--order", choices=("deg", "ln", "mc", "all"), default="all")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("extremal", help="construct the matched BSC/BEC representatives")
-    p.add_argument("channel")
-    p.add_argument("--kind", choices=("eta", "alpha", "capacity"), required=True)
-    p.add_argument("--out", default=None, help="directory for the matched channel files")
-    p.set_defaults(func=cmd_extremal)
-
-    p = sub.add_parser("paper-check", help="replay the reference-result regression suite")
-    p.add_argument("--list", action="store_true", help="list check ids without running")
-    p.add_argument("--only", default=None, help="run only checks whose id starts with this")
-    p.set_defaults(func=cmd_paper_check)
-
-    p = sub.add_parser("sweep", help="emit CSV sweeps of comparison quantities")
-    p.add_argument("--quantity", choices=("criterion", "fi-bounds", "mi-diff"), required=True)
-    p.add_argument("channels", nargs="+")
-    p.add_argument("--grid", type=int, default=999)
-    p.add_argument("--tmax", type=float, default=1.2)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
-
+    metavar = None if commands is _COMMANDS else "{" + ",".join(c[0] for c in _COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, func, arguments in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

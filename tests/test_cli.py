@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -667,6 +668,91 @@ class TestExtremal:
         assert proc.returncode == 141 and proc.stderr == b""
 
 
+def _outcome(argv):
+    """`main(argv)`'s exit code, or its `SystemExit` code, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+_PARSER_CASES = [
+    [], ["-h"], ["-h", "analyze"], ["analyz"],
+    *([name, "-h"] for name, *_ in cli._COMMANDS),
+    ["analyze"], ["compare", "A"], ["extremal", "A"], ["sweep", "--quantity", "criterion"],
+    ["compare", "A", "B", "--order", "x"], ["extremal", "A", "--kind", "x"],
+    ["sweep", "--quantity", "x", "A"], ["sweep", "--quantity", "criterion", "A", "B", "--grid", "x"],
+    ["analyze", "A", "--bogus"], ["compare", "A", "B", "--grid", "5"],
+    ["compare", "A", "B", "--ord", "mc"], ["paper-check", "--lis"],
+    ["analyze", "--", "A"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("columns", ["80", "40"])
+    @pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+    def test_output_matches_the_parser_of_every_command(
+        self, argv, columns, eta_file_a, eta_file_b, monkeypatch
+    ):
+        # a narrow terminal wraps the top-level usage that "unrecognized arguments" prints
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = [{"A": eta_file_a, "B": eta_file_b}.get(a, a) for a in argv]
+        got = _outcome(argv)
+        every_command = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: every_command())
+        assert got == _outcome(argv)
+
+    def test_parser_of_every_command_keeps_its_texts(self, monkeypatch):
+        # the reference above is today's full parser; these are its texts that a `metavar` or a
+        # fixed `usage=` on it would change
+        monkeypatch.setenv("COLUMNS", "80")
+        usage = "usage: bisochan [-h] {analyze,compare,extremal,paper-check,sweep} ...\n"
+        error = usage + "bisochan: error: "
+        assert _outcome([]) == (("SystemExit", 2), "", error + "the following arguments are required: command\n")
+        code, out, err = _outcome(["analyz"])
+        assert (code, out) == (("SystemExit", 2), "")
+        assert err.startswith(error + "argument command: invalid choice: ")
+        code, out, err = _outcome(["-h"])
+        assert (code, err) == (("SystemExit", 0), "")
+        assert out.startswith(usage) and "\n  {analyze,compare,extremal,paper-check,sweep}\n" in out
+        for name, *_ in cli._COMMANDS:
+            assert _outcome([name, "-h"])[1].startswith(f"usage: bisochan {name} [-h]")
+
+    def test_each_call_builds_two_parsers(self, eta_file_a, eta_file_b, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        calls = [
+            ["analyze", eta_file_a],
+            ["compare", eta_file_a, eta_file_b, "--order", "deg"],
+            ["extremal", eta_file_a, "--kind", "eta"],
+            ["paper-check", "--list"],
+            ["sweep", "--quantity", "criterion", eta_file_a, eta_file_b, "--grid", "3"],
+        ]
+        assert sorted(argv[0] for argv in calls) == sorted(name for name, *_ in cli._COMMANDS)
+        for argv in calls:
+            built.clear()
+            assert main(argv) == 0
+            assert len(built) == 2, argv
+        built.clear()
+        monkeypatch.setattr(sys, "argv", ["bisochan", *calls[0]])
+        assert main() == 0  # the console script's path: the command comes from sys.argv
+        assert len(built) == 2
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert len(built) == 6
+
+
 class TestPaperCheck:
     def test_list(self, capsys):
         assert main(["paper-check", "--list"]) == 0
@@ -836,6 +922,19 @@ class TestSweep:
         missing = str(tmp_path / "missing.txt")
         assert main(["sweep", "--quantity", "mi-diff", missing, missing, "--grid", "0"]) == 4
         assert capsys.readouterr().err.startswith("precondition violated: grid_size")
+
+    @pytest.mark.parametrize("grid", [10**20, 2**63 - 1, cli.MAX_GRID + 1])
+    def test_grid_above_the_cap_exits_4_without_allocating_it(self, tmp_path, grid):
+        missing = str(tmp_path / "missing.txt")
+        tracemalloc.start()
+        try:
+            code, out, err = _outcome(["sweep", "--quantity", "criterion", missing, missing, "--grid", str(grid)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "")
+        assert err == f"precondition violated: grid_size must be at most {cli.MAX_GRID}, got {grid}\n"
+        assert peak < 1e6
 
 
 def _per_value_csv(header, columns):
