@@ -51,7 +51,6 @@ from .coefficients import (
     h2_inv,
     kl_generator,
     maximal_leakage,
-    mutual_information,
     mutual_information_grid,
     tv_generator,
 )

@@ -21,6 +21,7 @@ from .coefficients import (
     h2,
 )
 from .errors import LeakageOutOfRangeError
+from .extremal import CLASSES
 
 
 def secrecy_capacity_vs_bec(w):
@@ -41,9 +42,7 @@ def secrecy_capacity_vs_bsc(w):
     negatives flagged to the caller by sign.
     """
     b = canonicalize_biso(w)
-    eta = eta_kl_biso(b)
-    p = (1.0 - math.sqrt(eta)) / 2.0
-    return capacity_biso(b) - 1.0 + h2(p)
+    return capacity_biso(b) - 1.0 + h2(CLASSES["eta_kl"].bsc_p(eta_kl_biso(b)))
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +158,7 @@ def fi_curve_bounds(w, t):
         raise LeakageOutOfRangeError(f"budget t must be nonnegative, got {float(bad[0])!r}")
     b = canonicalize_biso(w)
     eta = eta_kl_biso(b)
-    p_eta = (1.0 - math.sqrt(eta)) / 2.0
+    p_eta = CLASSES["eta_kl"].bsc_p(eta)
     residual = (_residual if ts.size <= _MEMO_POINTS else _residual.__wrapped__)(ts.tobytes(), ts.shape)
     lower = 1.0 - _h2_grid(p_eta * (1.0 - residual) + (1.0 - p_eta) * residual)
     upper = eta * np.minimum(ts, 1.0)

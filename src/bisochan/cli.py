@@ -7,6 +7,7 @@ deterministic; numbers print with 12 significant digits.
 """
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -36,6 +37,7 @@ from .errors import (
 )
 from .extremal import ChannelClass, _matched, general_binary_dominated, match_extremal
 from .orders import (
+    DEFAULT_GRID,
     CriterionViolation,
     InfeasibilityCertificate,
     is_degraded,
@@ -229,25 +231,27 @@ def cmd_paper_check(args):
 @functools.lru_cache(maxsize=4)
 def _grid_column(grid, tmax_hex=None):
     """A sweep's first column, read-only, and its `_fmt` text: k / (grid + 1), or the budgets 0 to tmax,
-    keyed by `float.hex(tmax)` so that -0 and 0 keep their own columns; kept up to `_MEMO_POINTS` points."""
+    keyed by `float.hex(tmax)` so that -0 and 0 keep their own columns; kept up to `_MEMO_POINTS` points.
+    A larger grid comes with the column in place of its text, which `_emit_csv` formats block by block."""
     column = np.linspace(0.0, float.fromhex(tmax_hex), grid) if tmax_hex else np.arange(1, grid + 1) / (grid + 1.0)
     column.flags.writeable = False
-    return column, tuple(_fmt(v) for v in column.tolist())
+    return column, (tuple(_fmt(v) for v in column.tolist()) if grid <= _MEMO_POINTS else column)
 
 
 def _emit_csv(header, first, columns, out):
-    """Write the header and one row per index: `first`'s text, then the columns' values as `_fmt` prints them."""
+    """Write the header and one row per index: `first`'s text, or its values, then the columns' values
+    as `_fmt` prints them.  Rows are formatted and written `_MEMO_POINTS` at a time, so a kept grid's
+    text is one block and a larger sweep holds no more than one block's text."""
     row = ",".join(["%s"] + ["%.12g"] * len(columns))
-    values = zip(first, *(c.tolist() for c in columns))
-    text = "".join([header + "\n"] + [row % v + "\n" for v in values])
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(first), _MEMO_POINTS):
+            block = slice(start, start + _MEMO_POINTS)
+            heads = first[block] if isinstance(first, tuple) else [_fmt(v) for v in first[block].tolist()]
+            fh.write("".join([row % v + "\n" for v in zip(heads, *(c[block].tolist() for c in columns))]))
 
 
-MAX_GRID = 2**20  # the most points a sweep takes: at the cap, its CSV text alone is some 50 MB
+MAX_GRID = 2**20  # the most points a sweep takes: at the cap, its CSV is some 50 MB
 
 _SWEEP_INPUTS = {  # quantity: (file count, the files in words)
     "criterion": (2, "two channel files"),
@@ -263,6 +267,8 @@ def cmd_sweep(args):
         raise DegenerateParameterError(f"grid_size must be at most {MAX_GRID}, got {args.grid}")
     if not math.isfinite(args.tmax):
         raise LeakageOutOfRangeError(f"--tmax must be finite, got {args.tmax!r}")
+    if args.tmax < 0.0:  # -0 is a budget grid of zeros
+        raise LeakageOutOfRangeError(f"--tmax must be nonnegative, got {args.tmax!r}")
     count, in_words = _SWEEP_INPUTS[args.quantity]
     if len(args.channels) != count:
         print(f"{args.quantity} sweep needs exactly {in_words}", file=sys.stderr)
@@ -308,7 +314,7 @@ _COMMANDS = (  # name, help, handler, and each argument as (flags, add_argument 
     ("sweep", "emit CSV sweeps of comparison quantities", cmd_sweep, [
         (("--quantity",), dict(choices=("criterion", "fi-bounds", "mi-diff"), required=True)),
         (("channels",), dict(nargs="+")),
-        (("--grid",), dict(type=int, default=999)),
+        (("--grid",), dict(type=int, default=DEFAULT_GRID)),
         (("--tmax",), dict(type=float, default=1.2)),
         (("--out",), dict(default=None)),
     ]),

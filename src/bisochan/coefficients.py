@@ -194,14 +194,6 @@ def maximal_leakage(channel):
 # ----------------------------------------------------------------------
 
 
-def mutual_information(channel, p):
-    """I(X:Y) in bits for input law P(X=0) = p; clipped at 0 against roundoff."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRangeError(f"input probability must lie in [0, 1], got {p!r}")
-    return float(mutual_information_grid(channel, np.array([p]))[0])
-
-
 def mutual_information_grid(channel, ps):
     """Vectorized mutual information over an array of input probabilities.
 

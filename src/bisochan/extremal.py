@@ -9,6 +9,7 @@ tests and degrading maps, and the reverse (BSC-anchored) coefficients.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,15 @@ from .errors import (
 from .orders import OrderVerdict, is_degraded, is_less_noisy
 from .search import bisect_threshold
 
-KINDS = ("capacity", "eta_kl", "alpha")
+# each class kind: the channel's coefficient, and the matched BSC crossover (the p <= 1/2 branch)
+# and BEC erasure of a class value c
+_Class = namedtuple("_Class", "coefficient bsc_p bec_eps")
+CLASSES = {
+    "capacity": _Class(capacity, lambda c: h2_inv(1.0 - c), lambda c: 1.0 - c),
+    "eta_kl": _Class(eta_kl, lambda c: (1.0 - math.sqrt(c)) / 2.0, lambda c: 1.0 - c),
+    "alpha": _Class(doeblin_alpha, lambda c: c / 2.0, lambda c: c),
+}
+KINDS = tuple(CLASSES)
 CLASS_TOL = 1e-9  # how far the class constants of two dimension-3 channels may differ
 
 
@@ -69,19 +78,13 @@ class ExtremalMatch:
 
 def channel_class(channel, kind):
     """Compute the class constant of a channel for the given kind."""
-    if kind == "alpha":
-        value = doeblin_alpha(channel)
-    elif kind == "eta_kl":
-        value = eta_kl(channel)
-    elif kind == "capacity":
-        value = capacity(channel)
-    else:
+    if kind not in CLASSES:
         raise ParameterOutOfRangeError(f"unknown class kind {kind!r}")
-    return ChannelClass(kind, float(value))
+    return ChannelClass(kind, float(CLASSES[kind].coefficient(channel)))
 
 
 def match_extremal(channel, kind):
-    """BSC/BEC parameters with the same coefficient as the channel.
+    """BSC/BEC parameters with the same coefficient as the channel, by the formulas of `CLASSES`:
 
     eta_kl:   p = (1 - sqrt(eta)) / 2 (the p <= 1/2 branch), eps = 1 - eta.
     alpha:    p = alpha / 2, eps = alpha.
@@ -91,18 +94,9 @@ def match_extremal(channel, kind):
 
 
 def _matched(cls):
-    """The ExtremalMatch of one class constant, by the formulas of `match_extremal`."""
-    c = cls.value
-    if cls.kind == "eta_kl":
-        p = (1.0 - math.sqrt(c)) / 2.0
-        eps = 1.0 - c
-    elif cls.kind == "alpha":
-        p = c / 2.0
-        eps = c
-    else:
-        p = h2_inv(1.0 - c)
-        eps = 1.0 - c
-    return ExtremalMatch(cls, float(p), float(eps))
+    """The ExtremalMatch of one class constant."""
+    matched = CLASSES[cls.kind]
+    return ExtremalMatch(cls, float(matched.bsc_p(cls.value)), float(matched.bec_eps(cls.value)))
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +292,7 @@ def verify_reverse_alpha(biso):
 def verify_reverse_beta(biso):
     """Smallest 4p(1-p) with the channel less noisy than BSC(p), bisected from a bracket at 1 - eta_kl."""
     biso = canonicalize_biso(biso)
-    guess = (1.0 - math.sqrt(eta_kl_biso(biso))) / 2.0
+    guess = CLASSES["eta_kl"].bsc_p(eta_kl_biso(biso))
     # (p, 1 - p) is the canonical BSC(p) for p < 1/2, valid as built
     p_star = _reverse_threshold(lambda p: p >= 0.5 or is_less_noisy(biso, BisoChannel._valid(np.array([[p, 1.0 - p]]))).holds, guess)
     return 4.0 * p_star * (1.0 - p_star)

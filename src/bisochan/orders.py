@@ -27,9 +27,9 @@ from .errors import DegenerateParameterError, NumericalInstabilityError
 
 VERDICT_TOL = 1e-9
 DEFAULT_GRID = 999
-_HALF_GRID = np.arange(1, DEFAULT_GRID // 2 + 2) / (DEFAULT_GRID + 1.0)  # the default grid up to 1/2
 _MC_GRID = np.arange(DEFAULT_GRID + 2) / (DEFAULT_GRID + 1.0)  # the default grid with 0 and 1
 _MC_HALF = _MC_GRID[: DEFAULT_GRID // 2 + 2]  # its points up to 1/2, which the less-noisy search takes too
+_HALF_GRID = _MC_HALF[1:]  # the default grid up to 1/2
 _MIN_CELL = 1e-12  # a more-capable cell this narrow that is not certified is undetermined
 _MC_CELLS = 2**17  # more-capable cells open at once, at most
 _TERMS = 2**22  # less-noisy cells open at once times columns, at most; a quarter bounds a more-capable slice

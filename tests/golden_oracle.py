@@ -29,7 +29,8 @@ import numpy as np
 
 from bisochan import orders
 from bisochan.channels import as_channel, canonicalize_biso, make_bsc
-from bisochan.coefficients import _h2_grid, h2, mutual_information, mutual_information_grid
+from bisochan.coefficients import _h2_grid, h2, mutual_information_grid
+from bisochan.errors import ParameterOutOfRangeError
 from bisochan.orders import VERDICT_TOL, CriterionViolation, OrderVerdict
 from bisochan.search import bisect_threshold
 
@@ -116,7 +117,10 @@ def verdict_from_minimum(best_x, best_v, f):
 
 def mutual_information_difference(p_channel, q_channel, x):
     """I(X:Y_P) - I(X:Y_Q) at input bias x in [0, 1] (both channels see the same law)."""
-    return mutual_information(p_channel, x) - mutual_information(q_channel, x)
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ParameterOutOfRangeError(f"input probability must lie in [0, 1], got {x!r}")
+    return float(mutual_information_grid(p_channel, [x])[0] - mutual_information_grid(q_channel, [x])[0])
 
 
 def verify_reverse_gamma(biso):

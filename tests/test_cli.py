@@ -3,6 +3,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -775,6 +776,20 @@ class TestPaperCheck:
         assert "[FAIL]" in out
         assert "0.77455" in out
 
+    def test_full_run_prints_the_pinned_rows(self, capsys):
+        # the pooled run: two known discrepancies fail, and check 10 prints its bisections' values
+        assert main(["paper-check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "39/41 checks passed"
+        fails = [line for line in lines if line.startswith("[FAIL]")]
+        assert len(fails) == 2
+        assert re.match(r"\[FAIL\] 08-[a-z-]+ +guessing probability of F at bias 0\.29:", fails[0])
+        assert re.match(r"\[FAIL\] 11-[a-z-]+ +max MI difference of capacity-matched Z vs BSC:", fails[1])
+        check_10 = [line for line in lines if line.startswith("[PASS] 10-reverse-coefficients ")]
+        assert [line for line in check_10 if "(1 - eta_tv)" in line and "computed 1.16413914175e-07" in line]
+        assert [line for line in check_10 if "(1 - eta_kl)" in line and "computed 1.90093643049e-07" in line]
+        assert sum(line.startswith("[PASS] 12-order-hierarchy ") for line in lines) == 2
+
 
 class TestSweep:
     def test_criterion_crosses_zero_in_reported_window(self, eta_file_a, eta_file_b, capsys):
@@ -918,6 +933,16 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.startswith("precondition violated: ")
 
+    @pytest.mark.parametrize("case", ["fi-bounds at one point", "criterion", "missing file"])
+    def test_negative_tmax_exits_4_before_reading_files(self, case, eta_file_a, eta_file_b, tmp_path):
+        argv = {
+            "fi-bounds at one point": ["fi-bounds", eta_file_a, "--grid", "1"],
+            "criterion": ["criterion", eta_file_a, eta_file_b],
+            "missing file": ["fi-bounds", str(tmp_path / "missing.txt")],
+        }[case]
+        expected = (4, "", "precondition violated: --tmax must be nonnegative, got -1.0\n")
+        assert _outcome(["sweep", "--quantity", *argv, "--tmax", "-1"]) == expected
+
     def test_grid_checked_before_reading_files(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")
         assert main(["sweep", "--quantity", "mi-diff", missing, missing, "--grid", "0"]) == 4
@@ -1047,6 +1072,36 @@ class TestCsvRendering:
         assert cli._grid_column.cache_info().hits == applications._residual.cache_info().hits == 1
         checks.check_applications()  # its 81 budgets, once per channel
         assert applications._residual.cache_info().hits > 1
+
+    @pytest.mark.parametrize("quantity", ["criterion", "fi-bounds"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_rows_either_side_of_a_block_are_the_per_value_bytes(self, quantity, offset, tmp_path, capsys):
+        # `_emit_csv` writes `_MEMO_POINTS` rows at a time; a larger grid's first column is formatted per block
+        grid, out = applications._MEMO_POINTS + offset, tmp_path / "s.csv"
+        paths = _PAIR if quantity == "criterion" else _PAIR[:1]
+        argv = ["sweep", "--quantity", quantity, *paths, "--grid", str(grid)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--out", str(out)]) == 0
+        assert printed == out.read_text(encoding="utf-8") == _fresh_sweep(quantity, paths, grid, 1.2)
+        assert printed.count("\n") == grid + 1
+
+    def test_a_large_sweep_holds_no_more_than_its_columns(self, tmp_path):
+        # the 12 MB of CSV text of a 2^18-point criterion sweep take a block's memory at a time
+        grid, chans, out = 2**18, [load_channel(p) for p in _PAIR], str(tmp_path / "sweep.csv")
+        tracemalloc.start()
+        try:
+            fwd = less_noisy_criterion(*chans, np.arange(1, grid + 1) / (grid + 1.0))
+            rev = 0.0 - fwd
+            columns = tracemalloc.get_traced_memory()[1]
+            del fwd, rev
+            tracemalloc.reset_peak()
+            assert main(["sweep", "--quantity", "criterion", *_PAIR, "--grid", str(grid), "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < columns + 4e6
+        assert os.path.getsize(out) > 12e6
 
     def test_memoized_grid_is_read_only(self):
         column, text = cli._grid_column(9)

@@ -40,7 +40,7 @@ from bisochan import (
     verify_reverse_alpha,
     verify_reverse_beta,
 )
-from bisochan import checks, extremal
+from bisochan import checks, coefficients, extremal
 from bisochan.checks import (
     ALPHA_PAIR_F,
     ETA_PAIR_A,
@@ -101,6 +101,22 @@ class TestMatchExtremal:
     def test_unknown_kind(self):
         with pytest.raises(ParameterOutOfRangeError):
             channel_class(make_bsc(0.1), "nope")
+
+    def test_class_table_gives_the_stated_formulas_bitwise(self):
+        # `match_extremal`'s formulas written out, on BISO and general binary-input channels
+        rng = np.random.default_rng(32)
+        chans = [random_biso(rng) for _ in range(100)] + [checks.random_binary_channel(rng) for _ in range(100)]
+        for ch in chans:
+            eta, alpha, cap = coefficients.eta_kl(ch), doeblin_alpha(ch), coefficients.capacity(ch)
+            expected = {
+                "eta_kl": (eta, (1.0 - math.sqrt(eta)) / 2.0, 1.0 - eta),
+                "alpha": (alpha, alpha / 2.0, alpha),
+                "capacity": (cap, h2_inv(1.0 - cap), 1.0 - cap),
+            }
+            for kind, values in expected.items():
+                m = match_extremal(ch, kind)
+                got = (m.channel_class.value, m.bsc_p, m.bec_eps)
+                assert [float(v).hex() for v in got] == [float(v).hex() for v in values]
 
     def test_coefficient_match_invariant(self):
         rng = np.random.default_rng(31)
@@ -203,6 +219,13 @@ class TestDim3LessNoisy:
         with pytest.raises(DimensionTooLargeError):
             dim3_less_noisy_compare(ETA_PAIR_A, ETA_PAIR_A)
 
+    def test_uninformative_channels_hold_both_ways_at_ratio_zero(self):
+        # eta = 0: neither channel has an untied pair, so each ratio is that of an empty pair, 0
+        f, g = BisoChannel([(0.5, 0.5)]), BisoChannel([(0.25, 0.25), (0.25, 0.25)])
+        for a, b in ((f, g), (g, f)):
+            verdict = dim3_less_noisy_compare(a, b)
+            assert verdict.holds and verdict.witness == extremal.Dim3Ratios(0.0, 0.0)
+
     def test_bec_like_dominates_bsc_of_equal_eta(self):
         eta = 0.36
         bsc = canonicalize_biso(make_bsc((1 - math.sqrt(eta)) / 2))
@@ -260,6 +283,12 @@ class TestDim3DegradingMap:
     def test_two_output_route(self):
         deg = dim3_degrading_map(canonicalize_biso(make_bsc(0.2)), canonicalize_biso(make_bsc(0.2)))
         np.testing.assert_allclose(compose(deg.upper, deg.map).rows, deg.lower.rows, atol=1e-12)
+
+    def test_uninformative_channels_compose_exactly(self):
+        f, g = BisoChannel([(0.5, 0.5)]), BisoChannel([(0.25, 0.25), (0.25, 0.25)])
+        for a, b in ((f, g), (g, f)):
+            deg = dim3_degrading_map(a, b)
+            assert compose(deg.upper, deg.map).rows.tobytes() == deg.lower.rows.tobytes()
 
     def test_class_mismatch(self):
         f = random_dim3_equal_alpha(np.random.default_rng(38), 0.4)
