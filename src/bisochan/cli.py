@@ -17,7 +17,6 @@ import numpy as np
 
 from .applications import _MEMO_POINTS, fi_curve_bounds
 from .channels import (
-    as_channel,
     canonicalize_biso,
     format_channel,
     is_biso,
@@ -210,15 +209,12 @@ def cmd_paper_check(args):
         print(f"no checks match id prefix {args.only!r}", file=sys.stderr)
         return EXIT_PRECONDITION
     width = max(len(r.check_id) for r in rows)
-    failures = 0
     for r in rows:
-        status = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            failures += 1
         print(
-            f"[{status}] {r.check_id:<{width}}  {r.description}: "
+            f"[{'PASS' if r.passed else 'FAIL'}] {r.check_id:<{width}}  {r.description}: "
             f"expected {_fmt(r.expected)} +- {_fmt(r.tolerance)}, computed {_fmt(r.computed)}"
         )
+    failures = sum(not r.passed for r in rows)
     print(f"{len(rows) - failures}/{len(rows)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILURE
 
@@ -228,35 +224,45 @@ def cmd_paper_check(args):
 # ----------------------------------------------------------------------
 
 
+def _column(grid, tmax_hex):
+    """A sweep's first column: k / (grid + 1), or the budgets 0 to tmax, named by `float.hex` to keep -0 apart."""
+    return np.linspace(0.0, float.fromhex(tmax_hex), grid) if tmax_hex else np.arange(1, grid + 1) / (grid + 1.0)
+
+
 @functools.lru_cache(maxsize=4)
 def _grid_column(grid, tmax_hex=None):
-    """A sweep's first column, read-only, and its `_fmt` text: k / (grid + 1), or the budgets 0 to tmax,
-    keyed by `float.hex(tmax)` so that -0 and 0 keep their own columns; kept up to `_MEMO_POINTS` points.
-    A larger grid comes with the column in place of its text, which `_emit_csv` formats block by block."""
-    column = np.linspace(0.0, float.fromhex(tmax_hex), grid) if tmax_hex else np.arange(1, grid + 1) / (grid + 1.0)
+    """`_column`, read-only, and its `_fmt` text, kept for one-block grids (up to `_MEMO_POINTS` points)."""
+    column = _column(grid, tmax_hex)
     column.flags.writeable = False
-    return column, (tuple(_fmt(v) for v in column.tolist()) if grid <= _MEMO_POINTS else column)
+    return column, tuple(_fmt(v) for v in column.tolist())
 
 
-def _emit_csv(header, first, columns, out):
-    """Write the header and one row per index: `first`'s text, or its values, then the columns' values
-    as `_fmt` prints them.  Rows are formatted and written `_MEMO_POINTS` at a time, so a kept grid's
-    text is one block and a larger sweep holds no more than one block's text."""
-    row = ",".join(["%s"] + ["%.12g"] * len(columns))
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(first), _MEMO_POINTS):
-            block = slice(start, start + _MEMO_POINTS)
-            heads = first[block] if isinstance(first, tuple) else [_fmt(v) for v in first[block].tolist()]
-            fh.write("".join([row % v + "\n" for v in zip(heads, *(c[block].tolist() for c in columns))]))
+def _csv_rows(heads, columns):
+    """One CSV row per index: the text `heads`, then the columns' values as `_fmt` prints them."""
+    row = ",".join(["%s"] + ["%.12g"] * len(columns)) + "\n"
+    return "".join([row % v for v in zip(heads, *(c.tolist() for c in columns))])
+
+
+def _sweep_rows(quantity, chans, xs, text):
+    """A sweep's CSV rows at the points or budgets xs, led by `text`, or else by xs as `_fmt` prints them."""
+    if quantity == "criterion":
+        fwd = less_noisy_criterion(*chans, xs)
+        columns = fwd, 0.0 - fwd  # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned
+    elif quantity == "fi-bounds":
+        pts = fi_curve_bounds(chans[0], xs)
+        columns = pts.lower, pts.upper
+    else:  # mi-diff
+        mi_a, mi_b = (mutual_information_grid(ch, xs) for ch in chans)
+        columns = mi_a, mi_b, mi_a - mi_b
+    return _csv_rows(text or ["%.12g" % v for v in xs.tolist()], columns)
 
 
 MAX_GRID = 2**20  # the most points a sweep takes: at the cap, its CSV is some 50 MB
 
-_SWEEP_INPUTS = {  # quantity: (file count, the files in words)
-    "criterion": (2, "two channel files"),
-    "fi-bounds": (1, "one channel file"),
-    "mi-diff": (2, "two channel files"),
+_SWEEP_INPUTS = {  # quantity: (file count, the files in words, CSV header)
+    "criterion": (2, "two channel files", "q,forward,reverse"),
+    "fi-bounds": (1, "one channel file", "t,lower,upper"),
+    "mi-diff": (2, "two channel files", "x,mi_a,mi_b,difference"),
 }
 
 
@@ -269,24 +275,18 @@ def cmd_sweep(args):
         raise LeakageOutOfRangeError(f"--tmax must be finite, got {args.tmax!r}")
     if args.tmax < 0.0:  # -0 is a budget grid of zeros
         raise LeakageOutOfRangeError(f"--tmax must be nonnegative, got {args.tmax!r}")
-    count, in_words = _SWEEP_INPUTS[args.quantity]
+    count, in_words, header = _SWEEP_INPUTS[args.quantity]
     if len(args.channels) != count:
         print(f"{args.quantity} sweep needs exactly {in_words}", file=sys.stderr)
         return EXIT_PRECONDITION
     chans = [_load(f) for f in args.channels]
-    column = _grid_column if args.grid <= _MEMO_POINTS else _grid_column.__wrapped__
-    xs, text = column(args.grid, args.tmax.hex() if args.quantity == "fi-bounds" else None)
-    if args.quantity == "criterion":
-        fwd = less_noisy_criterion(*chans, xs)
-        # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned
-        header, columns = "q,forward,reverse", (fwd, 0.0 - fwd)
-    elif args.quantity == "fi-bounds":
-        pts = fi_curve_bounds(chans[0], xs)
-        header, columns = "t,lower,upper", (pts.lower, pts.upper)
-    else:  # mi-diff
-        mi_a, mi_b = (mutual_information_grid(as_channel(ch), xs) for ch in chans)
-        header, columns = "x,mi_a,mi_b,difference", (mi_a, mi_b, mi_a - mi_b)
-    _emit_csv(header, text, columns, args.out)
+    tmax_hex = args.tmax.hex() if args.quantity == "fi-bounds" else None
+    xs, text = _grid_column(args.grid, tmax_hex) if args.grid <= _MEMO_POINTS else (_column(args.grid, tmax_hex), None)
+    blocks = (_sweep_rows(args.quantity, chans, xs[i : i + _MEMO_POINTS], text) for i in range(0, args.grid, _MEMO_POINTS))
+    first = next(blocks)  # a channel the quantity rejects raises here, before the output is opened
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(header + "\n" + first)
+        fh.writelines(blocks)
     return EXIT_OK
 
 

@@ -283,8 +283,7 @@ def capacity_biso(biso):
     s = p + q
     keep = s > 0.0
     delta = np.where(keep, p / np.where(keep, s, 1.0), 0.0)
-    hterm = _entropy_bits(np.stack([delta, 1.0 - delta], axis=-1))
-    return min(max(1.0 - float((s * np.where(keep, hterm, 0.0)).sum()), 0.0), 1.0)
+    return min(max(1.0 - float((s * _h2_grid(delta)).sum()), 0.0), 1.0)  # h2 is 0 where s = 0
 
 
 def eta_kl(channel):

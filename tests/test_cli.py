@@ -31,7 +31,7 @@ from bisochan import (
 )
 from bisochan import applications, checks, cli, orders
 from bisochan.channels import format_channel, make_bsc, make_z
-from bisochan.cli import _emit_csv, _fmt, main
+from bisochan.cli import _csv_rows, _fmt, main
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -413,6 +413,20 @@ class TestCompare:
         cell = "  uncertified cell at parameter 0 with lower bound -0.00689059718401"
         assert capsys.readouterr().out.splitlines() == [
             "less-noisy A>=B: undetermined", cell, "less-noisy B>=A: undetermined", cell,
+        ]
+
+    def test_undetermined_toward_zero_prints_the_cell_at_zero(self, tmp_path, capsys):
+        # net noiseless mass -0.1, but no q of the ladder toward 0 gives a double below -1e-9: the
+        # cell (0, 5e-324] is undetermined, with a lower bound of -inf
+        paths = [tmp_path / "w.txt", tmp_path / "v.txt"]
+        paths[0].write_text("biso 0.1 0.0 5e-324 0.5 0.3 0.1\n")
+        paths[1].write_text("biso 0.3 0.0 0.4 0.3\n")
+        assert main(["compare", *map(str, paths), "--order", "ln"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "less-noisy A>=B: undetermined",
+            "  uncertified cell at parameter 0 with lower bound -inf",
+            "less-noisy B>=A: fails",
+            "  violation at parameter 0.001 with value -400.4004004",
         ]
 
     def test_symmetric_more_capable_witnesses_lie_in_the_lower_half(self, capsys):
@@ -897,6 +911,14 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("precondition violated:")
 
+    def test_fi_bounds_of_a_non_biso_file_creates_no_out_file_past_one_block(self, z_file, tmp_path, capsys):
+        # the first block is computed before the output is opened, so its NotBisoError leaves no file
+        out = tmp_path / "f.csv"
+        assert main(["sweep", "--quantity", "fi-bounds", z_file, "--grid", "10000", "--out", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("precondition violated:")
+
     def test_csv_rows_recompute_to_printed_precision(self, eta_file_a, eta_file_b, capsys):
         assert main(
             ["sweep", "--quantity", "criterion", eta_file_a, eta_file_b, "--grid", "49"]
@@ -968,22 +990,22 @@ def _per_value_csv(header, columns):
 
 
 def _render(header, columns):
-    """`_emit_csv` of the columns, the first as text as `cli._grid_column` gives it."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _emit_csv(header, tuple(_fmt(v) for v in columns[0].tolist()), columns[1:], None)
-    return buf.getvalue()
+    """The header and `_csv_rows` of the columns, the first as text as `cli._grid_column` gives it."""
+    return header + "\n" + _csv_rows(tuple(_fmt(v) for v in columns[0].tolist()), columns[1:])
 
 
 def _fresh_sweep(quantity, paths, grid, tmax):
-    """A criterion or fi-bounds sweep's CSV from columns computed with the memos cleared."""
+    """A sweep's CSV from whole-grid columns computed with the memos cleared."""
     cli._grid_column.cache_clear()
     applications._residual.cache_clear()
     chans = [load_channel(p) for p in paths]
+    xs = np.arange(1, grid + 1) / (grid + 1.0)
     if quantity == "criterion":
-        xs = np.arange(1, grid + 1) / (grid + 1.0)
         fwd = less_noisy_criterion(*chans, xs)
         return _per_value_csv("q,forward,reverse", (xs, fwd, 0.0 - fwd))
+    if quantity == "mi-diff":
+        mi_a, mi_b = (mutual_information_grid(as_channel(c), xs) for c in chans)
+        return _per_value_csv("x,mi_a,mi_b,difference", (xs, mi_a, mi_b, mi_a - mi_b))
     ts = np.linspace(0.0, tmax, grid)
     pts = fi_curve_bounds(canonicalize_biso(chans[0]), ts)
     return _per_value_csv("t,lower,upper", (ts, pts.lower, pts.upper))
@@ -1052,7 +1074,9 @@ class TestCsvRendering:
     def test_grids_past_the_memo_size_are_not_kept(self, tmp_path):
         # a process keeps the grid-only work of grids up to _MEMO_POINTS points, 999-point sweeps
         # and check 13's 81 budgets among them, and computes larger grids at each sweep: a
-        # 200,000-point mi-diff sweep and a fi-bounds sweep of that size leave under 1 MB allocated
+        # 200,000-point mi-diff sweep and a fi-bounds sweep of that size leave under 1 MB allocated.
+        # `fi_curve_bounds` is handed one block of budgets at a time, and its memo keeps the last
+        # four blocks, none of which is read again
         assert 999 <= applications._MEMO_POINTS < 200_000
         cli._grid_column.cache_clear()
         applications._residual.cache_clear()
@@ -1066,19 +1090,20 @@ class TestCsvRendering:
         finally:
             tracemalloc.stop()
         assert kept < 1e6
-        assert cli._grid_column.cache_info().currsize == applications._residual.cache_info().currsize == 0
+        assert cli._grid_column.cache_info().currsize == applications._residual.cache_info().hits == 0
         for grid in (applications._MEMO_POINTS, 999, applications._MEMO_POINTS):
             assert main(["sweep", "--quantity", "fi-bounds", _PAIR[0], "--grid", str(grid), "--out", out]) == 0
         assert cli._grid_column.cache_info().hits == applications._residual.cache_info().hits == 1
         checks.check_applications()  # its 81 budgets, once per channel
         assert applications._residual.cache_info().hits > 1
 
-    @pytest.mark.parametrize("quantity", ["criterion", "fi-bounds"])
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("quantity", ["criterion", "fi-bounds", "mi-diff"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, applications._MEMO_POINTS + 1])
     def test_rows_either_side_of_a_block_are_the_per_value_bytes(self, quantity, offset, tmp_path, capsys):
-        # `_emit_csv` writes `_MEMO_POINTS` rows at a time; a larger grid's first column is formatted per block
+        # `cmd_sweep` computes and writes `_MEMO_POINTS` rows at a time; a larger grid's first column is
+        # formatted per block, and the last of 8,193 rows is a block of one point
         grid, out = applications._MEMO_POINTS + offset, tmp_path / "s.csv"
-        paths = _PAIR if quantity == "criterion" else _PAIR[:1]
+        paths = _PAIR[:1] if quantity == "fi-bounds" else _PAIR
         argv = ["sweep", "--quantity", quantity, *paths, "--grid", str(grid)]
         assert main(argv) == 0
         printed = capsys.readouterr().out
@@ -1087,21 +1112,21 @@ class TestCsvRendering:
         assert printed.count("\n") == grid + 1
 
     def test_a_large_sweep_holds_no_more_than_its_columns(self, tmp_path):
-        # the 12 MB of CSV text of a 2^18-point criterion sweep take a block's memory at a time
-        grid, chans, out = 2**18, [load_channel(p) for p in _PAIR], str(tmp_path / "sweep.csv")
-        tracemalloc.start()
-        try:
-            fwd = less_noisy_criterion(*chans, np.arange(1, grid + 1) / (grid + 1.0))
-            rev = 0.0 - fwd
-            columns = tracemalloc.get_traced_memory()[1]
-            del fwd, rev
-            tracemalloc.reset_peak()
-            assert main(["sweep", "--quantity", "criterion", *_PAIR, "--grid", str(grid), "--out", out]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < columns + 4e6
-        assert os.path.getsize(out) > 12e6
+        # a 2^18-point sweep holds its first column (2 MB, built through one temporary of its size)
+        # and one block's columns and text (about 1 MB at 4,096 points), not its result columns
+        # (4 to 6 MB) nor its 11 to 17 MB of CSV text
+        grid, out = 2**18, str(tmp_path / "sweep.csv")
+        for quantity in ("criterion", "fi-bounds", "mi-diff"):
+            argv = ["sweep", "--quantity", quantity, *(_PAIR[:1] if quantity == "fi-bounds" else _PAIR), "--out", out]
+            assert main([*argv, "--grid", "8"]) == 0  # imports and first-call setup, not counted
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--grid", str(grid)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 8 * grid + 2e6, quantity
+            assert os.path.getsize(out) > {"fi-bounds": 11e6}.get(quantity, 12e6)
 
     def test_memoized_grid_is_read_only(self):
         column, text = cli._grid_column(9)

@@ -11,6 +11,7 @@ import bisochan
 from bisochan import (
     BisoChannel,
     Channel,
+    ChannelClass,
     ClassMismatchError,
     DegenerateParameterError,
     DimensionTooLargeError,
@@ -101,6 +102,15 @@ class TestMatchExtremal:
     def test_unknown_kind(self):
         with pytest.raises(ParameterOutOfRangeError):
             channel_class(make_bsc(0.1), "nope")
+
+    @pytest.mark.parametrize("kind, value", [("eta", 0.5), ("alpha", 1.5), ("alpha", -0.1), ("alpha", math.nan)])
+    def test_channel_class_rejects_an_unknown_kind_or_a_value_outside_the_unit_interval(self, kind, value):
+        # "eta" is the CLI's spelling of the kind, not a kind
+        with pytest.raises(ParameterOutOfRangeError):
+            ChannelClass(kind, value)
+
+    def test_channel_class_takes_the_ends_of_the_unit_interval(self):
+        assert ChannelClass("capacity", 0.0).value == 0.0 and ChannelClass("eta_kl", 1.0).value == 1.0
 
     def test_class_table_gives_the_stated_formulas_bitwise(self):
         # `match_extremal`'s formulas written out, on BISO and general binary-input channels

@@ -26,6 +26,7 @@ from bisochan import (
     make_bec,
     make_bsc,
     make_z,
+    parse_channel,
 )
 from bisochan import checks, extremal, orders
 from bisochan.channels import as_channel
@@ -584,6 +585,22 @@ class TestIsLessNoisy:
         verdict = orders._toward_zero(rows)
         assert time.perf_counter() - start < 0.5
         assert verdict.fails and verdict.witness.parameter < 1e-290
+
+    def test_toward_zero_with_no_double_witness_is_undetermined(self):
+        # K = -0.1, but W's (0.5, 5e-324) pair acts as noiseless mass down to q near 1e-323: along
+        # the ladder the criterion is at least 800 down to q near 5.7e-309, +inf at 2.8e-309, then
+        # NaN, so no q of it is below -1e-9.  The exact referee fails the pair, yet its criterion is at
+        # least -1e-9 at every q of the ladder: no double witnesses the failure
+        w, v = (parse_channel(text) for text in ("biso 0.1 0.0 5e-324 0.5 0.3 0.1", "biso 0.3 0.0 0.4 0.3"))
+        rows = [canonicalize_biso(ch).to_channel().rows for ch in (w, v)]
+        assert orders._rho_samples(orders._net_rows(*rows), np.zeros(1))[1, 0] == pytest.approx(-0.1)
+        vals = orders._criterion(orders._flat_rows(*rows), orders._TOWARD_ZERO)
+        assert vals[:1014].min() >= 800.0 and vals[1014] == math.inf and np.isnan(vals[1015:]).all()
+        assert orders._TOWARD_ZERO[1014] == pytest.approx(2.8e-309, rel=0.01)
+        assert _same_bits(is_less_noisy(w, v), orders.OrderVerdict("undetermined", CriterionViolation(0.0, -math.inf)))
+        w_pairs, v_pairs = (canonicalize_biso(ch).pairs for ch in (w, v))
+        assert not exact_oracle.is_less_noisy(w_pairs, v_pairs)
+        assert all(exact_oracle.criterion(w_pairs, v_pairs, q) >= -exact_oracle.TOL for q in orders._TOWARD_ZERO)
 
     def test_slopes_near_the_least_normal_q_bound_no_cell_from_a_false_tangent(self):
         # a noiseless column's slope is -d; as term * (d / D), d / D = 1 / q overflowed near
