@@ -137,7 +137,7 @@ def _residual(key, shape):
     return residual
 
 
-def fi_curve_bounds(w, t):
+def fi_curve_bounds(w, t, *, memo=True):
     """Lower and upper bounds on the budgeted-information curve of a BISO channel.
 
     lower = 1 - h2(p_eta * h2_inv(max(1 - t, 0))) with p_eta = (1 - sqrt(eta)) / 2,
@@ -147,10 +147,11 @@ def fi_curve_bounds(w, t):
     t may be a float or an array of budgets; eta and p_eta are computed once
     and h2 is inverted over the whole array with the same 60 halvings as
     `h2_inv`, once per budget array: the last few of up to `_MEMO_POINTS`
-    budgets are kept by value and shape.  lower and upper are new arrays at
-    every call.  The lower bounds may differ from the per-budget scalar
-    formula by an ulp, since numpy's log2 and math.log2 round differently on
-    a few inputs; the upper bounds are equal.
+    budgets are kept by value and shape, unless memo is false, as for budgets
+    that will not be seen again.  lower and upper are new arrays at every
+    call.  The lower bounds may differ from the per-budget scalar formula by
+    an ulp, since numpy's log2 and math.log2 round differently on a few
+    inputs; the upper bounds are equal.
     """
     ts = np.asarray(t, dtype=float)
     bad = ts[~(ts >= 0.0)]  # negative or NaN
@@ -159,7 +160,7 @@ def fi_curve_bounds(w, t):
     b = canonicalize_biso(w)
     eta = eta_kl_biso(b)
     p_eta = CLASSES["eta_kl"].bsc_p(eta)
-    residual = (_residual if ts.size <= _MEMO_POINTS else _residual.__wrapped__)(ts.tobytes(), ts.shape)
+    residual = (_residual if memo and ts.size <= _MEMO_POINTS else _residual.__wrapped__)(ts.tobytes(), ts.shape)
     lower = 1.0 - _h2_grid(p_eta * (1.0 - residual) + (1.0 - p_eta) * residual)
     upper = eta * np.minimum(ts, 1.0)
     if ts.ndim == 0:

@@ -209,12 +209,15 @@ def cmd_paper_check(args):
         print(f"no checks match id prefix {args.only!r}", file=sys.stderr)
         return EXIT_PRECONDITION
     width = max(len(r.check_id) for r in rows)
+    failures = 0
     for r in rows:
+        status = "PASS" if r.passed else "FAIL"
+        if not r.passed:
+            failures += 1
         print(
-            f"[{'PASS' if r.passed else 'FAIL'}] {r.check_id:<{width}}  {r.description}: "
+            f"[{status}] {r.check_id:<{width}}  {r.description}: "
             f"expected {_fmt(r.expected)} +- {_fmt(r.tolerance)}, computed {_fmt(r.computed)}"
         )
-    failures = sum(not r.passed for r in rows)
     print(f"{len(rows) - failures}/{len(rows)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILURE
 
@@ -229,12 +232,16 @@ def _column(grid, tmax_hex):
     return np.linspace(0.0, float.fromhex(tmax_hex), grid) if tmax_hex else np.arange(1, grid + 1) / (grid + 1.0)
 
 
+def _block(xs):
+    """Points or budgets xs, made read-only, and their CSV text: each as `_fmt` prints it."""
+    xs.flags.writeable = False
+    return xs, tuple(["%.12g" % v for v in xs.tolist()])
+
+
 @functools.lru_cache(maxsize=4)
 def _grid_column(grid, tmax_hex=None):
-    """`_column`, read-only, and its `_fmt` text, kept for one-block grids (up to `_MEMO_POINTS` points)."""
-    column = _column(grid, tmax_hex)
-    column.flags.writeable = False
-    return column, tuple(_fmt(v) for v in column.tolist())
+    """`_block` of the whole `_column`, kept for one-block grids (up to `_MEMO_POINTS` points)."""
+    return _block(_column(grid, tmax_hex))
 
 
 def _csv_rows(heads, columns):
@@ -243,18 +250,19 @@ def _csv_rows(heads, columns):
     return "".join([row % v for v in zip(heads, *(c.tolist() for c in columns))])
 
 
-def _sweep_rows(quantity, chans, xs, text):
-    """A sweep's CSV rows at the points or budgets xs, led by `text`, or else by xs as `_fmt` prints them."""
+def _sweep_rows(quantity, chans, xs, text, memo):
+    """A sweep's CSV rows at the points or budgets xs, led by their `text`; fi-bounds memoizes xs if `memo`."""
     if quantity == "criterion":
         fwd = less_noisy_criterion(*chans, xs)
-        columns = fwd, 0.0 - fwd  # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned
+        # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned
+        columns = fwd, 0.0 - fwd
     elif quantity == "fi-bounds":
-        pts = fi_curve_bounds(chans[0], xs)
+        pts = fi_curve_bounds(chans[0], xs, memo=memo)
         columns = pts.lower, pts.upper
     else:  # mi-diff
         mi_a, mi_b = (mutual_information_grid(ch, xs) for ch in chans)
         columns = mi_a, mi_b, mi_a - mi_b
-    return _csv_rows(text or ["%.12g" % v for v in xs.tolist()], columns)
+    return _csv_rows(text, columns)
 
 
 MAX_GRID = 2**20  # the most points a sweep takes: at the cap, its CSV is some 50 MB
@@ -281,12 +289,17 @@ def cmd_sweep(args):
         return EXIT_PRECONDITION
     chans = [_load(f) for f in args.channels]
     tmax_hex = args.tmax.hex() if args.quantity == "fi-bounds" else None
-    xs, text = _grid_column(args.grid, tmax_hex) if args.grid <= _MEMO_POINTS else (_column(args.grid, tmax_hex), None)
-    blocks = (_sweep_rows(args.quantity, chans, xs[i : i + _MEMO_POINTS], text) for i in range(0, args.grid, _MEMO_POINTS))
-    first = next(blocks)  # a channel the quantity rejects raises here, before the output is opened
+    memo = args.grid <= _MEMO_POINTS  # one block, whose column, text and h2 inversion are kept
+    if memo:
+        blocks = [_grid_column(args.grid, tmax_hex)]
+    else:
+        column = _column(args.grid, tmax_hex)
+        blocks = map(_block, np.split(column, range(_MEMO_POINTS, args.grid, _MEMO_POINTS)))
+    rows = (_sweep_rows(args.quantity, chans, xs, text, memo) for xs, text in blocks)
+    first = next(rows)  # a channel the quantity rejects raises here, before the output is opened
     with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(header + "\n" + first)
-        fh.writelines(blocks)
+        fh.writelines(rows)
     return EXIT_OK
 
 

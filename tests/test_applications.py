@@ -269,6 +269,15 @@ class TestFICurveBounds:
             assert pts.lower.view(np.int64).tolist() == fresh.lower.view(np.int64).tolist()
             assert pts.upper.tobytes() == fresh.upper.tobytes()
 
+    def test_memo_false_neither_reads_nor_fills_the_memo(self):
+        w = canonicalize_biso(make_bsc(0.11))
+        applications._residual.cache_clear()
+        kept = fi_curve_bounds(w, _BUDGETS)
+        unkept = [fi_curve_bounds(w, ts, memo=False) for ts in (_BUDGETS, _BUDGETS * 0.5)]
+        assert applications._residual.cache_info()[:] == (0, 1, 4, 1)  # hits, misses, maxsize, currsize
+        assert unkept[0].lower.tobytes() == kept.lower.tobytes()
+        assert unkept[0].upper.tobytes() == kept.upper.tobytes()
+
     def test_long_curve_is_fast(self):
         w = random_biso(np.random.default_rng(57))
         ts = np.linspace(0.0, 1.2, 10_000)

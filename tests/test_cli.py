@@ -990,8 +990,8 @@ def _per_value_csv(header, columns):
 
 
 def _render(header, columns):
-    """The header and `_csv_rows` of the columns, the first as text as `cli._grid_column` gives it."""
-    return header + "\n" + _csv_rows(tuple(_fmt(v) for v in columns[0].tolist()), columns[1:])
+    """The header and `_csv_rows` of the columns, the first as text as `cli._block` gives it."""
+    return header + "\n" + _csv_rows(cli._block(columns[0].copy())[1], columns[1:])
 
 
 def _fresh_sweep(quantity, paths, grid, tmax):
@@ -1074,9 +1074,7 @@ class TestCsvRendering:
     def test_grids_past_the_memo_size_are_not_kept(self, tmp_path):
         # a process keeps the grid-only work of grids up to _MEMO_POINTS points, 999-point sweeps
         # and check 13's 81 budgets among them, and computes larger grids at each sweep: a
-        # 200,000-point mi-diff sweep and a fi-bounds sweep of that size leave under 1 MB allocated.
-        # `fi_curve_bounds` is handed one block of budgets at a time, and its memo keeps the last
-        # four blocks, none of which is read again
+        # 200,000-point mi-diff sweep and a fi-bounds sweep of that size leave under 1 MB allocated
         assert 999 <= applications._MEMO_POINTS < 200_000
         cli._grid_column.cache_clear()
         applications._residual.cache_clear()
@@ -1090,7 +1088,7 @@ class TestCsvRendering:
         finally:
             tracemalloc.stop()
         assert kept < 1e6
-        assert cli._grid_column.cache_info().currsize == applications._residual.cache_info().hits == 0
+        assert cli._grid_column.cache_info().currsize == applications._residual.cache_info().currsize == 0
         for grid in (applications._MEMO_POINTS, 999, applications._MEMO_POINTS):
             assert main(["sweep", "--quantity", "fi-bounds", _PAIR[0], "--grid", str(grid), "--out", out]) == 0
         assert cli._grid_column.cache_info().hits == applications._residual.cache_info().hits == 1
