@@ -39,10 +39,12 @@ from .orders import (
     DEFAULT_GRID,
     CriterionViolation,
     InfeasibilityCertificate,
+    _criterion,
+    _criterion_rows,
+    _flat_rows,
     is_degraded,
     is_less_noisy,
     is_more_capable,
-    less_noisy_criterion,
 )
 
 EXIT_OK = 0
@@ -233,9 +235,9 @@ def _column(grid, tmax_hex):
 
 
 def _block(xs):
-    """Points or budgets xs, made read-only, and their CSV text: each as `_fmt` prints it."""
+    """Floats xs, such as a block's points or budgets, made read-only, and their text: one `%` prints each as `_fmt`."""
     xs.flags.writeable = False
-    return xs, tuple(["%.12g" % v for v in xs.tolist()])
+    return xs, tuple(("%.12g\n" * len(xs) % tuple(xs.tolist())).splitlines())
 
 
 @functools.lru_cache(maxsize=4)
@@ -244,25 +246,36 @@ def _grid_column(grid, tmax_hex=None):
     return _block(_column(grid, tmax_hex))
 
 
+def _fields(*columns):
+    """The columns' values row after row, in one tuple: the operand of a row template repeated per row."""
+    fields = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        fields[i :: len(columns)] = column
+    return tuple(fields)
+
+
 def _csv_rows(heads, columns):
-    """One CSV row per index: the text `heads`, then the columns' values as `_fmt` prints them."""
+    """One CSV row per index, from one `%`: the text `heads`, then the columns' values as `_fmt` prints them."""
     row = ",".join(["%s"] + ["%.12g"] * len(columns)) + "\n"
-    return "".join([row % v for v in zip(heads, *(c.tolist() for c in columns))])
+    return row * len(heads) % _fields(heads, *(c.tolist() for c in columns))
 
 
-def _sweep_rows(quantity, chans, xs, text, memo):
-    """A sweep's CSV rows at the points or budgets xs, led by their `text`; fi-bounds memoizes xs if `memo`."""
-    if quantity == "criterion":
-        fwd = less_noisy_criterion(*chans, xs)
-        # the criterion is antisymmetric in the pair; 0 - x keeps a zero unsigned
-        columns = fwd, 0.0 - fwd
-    elif quantity == "fi-bounds":
-        pts = fi_curve_bounds(chans[0], xs, memo=memo)
-        columns = pts.lower, pts.upper
-    else:  # mi-diff
-        mi_a, mi_b = (mutual_information_grid(ch, xs) for ch in chans)
-        columns = mi_a, mi_b, mi_a - mi_b
-    return _csv_rows(text, columns)
+def _criterion_csv_rows(heads, fwd):
+    """`_csv_rows(heads, (fwd, 0.0 - fwd))`, each |fwd| formatted once: the reverse is the forward digits."""
+    _, text = _block(np.abs(fwd))
+    kind = (np.signbit(fwd) & ~np.isnan(fwd)) + 2 * (fwd > 0.0)  # 1 for -0 too; 0 for +0 and NaN, unsigned in both
+    return "".join(map(("%s,%s,%s\n", "%s,-%s,%s\n", "%s,%s,-%s\n").__getitem__, kind.tolist())) % _fields(heads, text, text)
+
+
+def _sweep_rows(quantity, inputs, xs, text, memo):
+    """A sweep's CSV rows at xs, led by their `text`, of `inputs`: the criterion's `_flat_rows`, else the channels."""
+    if quantity == "criterion":  # xs lie in (0, 1): `less_noisy_criterion`'s range check has nothing to reject
+        return _criterion_csv_rows(text, _criterion(inputs, xs))
+    if quantity == "fi-bounds":  # memoized by xs if `memo`
+        pts = fi_curve_bounds(inputs[0], xs, memo=memo)
+        return _csv_rows(text, (pts.lower, pts.upper))
+    mi_a, mi_b = (mutual_information_grid(ch, xs) for ch in inputs)  # mi-diff
+    return _csv_rows(text, (mi_a, mi_b, mi_a - mi_b))
 
 
 MAX_GRID = 2**20  # the most points a sweep takes: at the cap, its CSV is some 50 MB
@@ -288,6 +301,8 @@ def cmd_sweep(args):
         print(f"{args.quantity} sweep needs exactly {in_words}", file=sys.stderr)
         return EXIT_PRECONDITION
     chans = [_load(f) for f in args.channels]
+    if args.quantity == "criterion":  # derived once, not once per block
+        chans = _flat_rows(*map(_criterion_rows, chans))
     tmax_hex = args.tmax.hex() if args.quantity == "fi-bounds" else None
     memo = args.grid <= _MEMO_POINTS  # one block, whose column, text and h2 inversion are kept
     if memo:

@@ -933,12 +933,19 @@ class TestSweep:
             assert format(less_noisy_criterion(v, w, q), ".12g") == rev_str
 
     def test_reverse_column_is_the_negated_forward_one(self, capsys):
+        # reverse = 0 - forward: the forward digits with the sign flipped, but a zero or NaN prints unsigned
+        # in both columns; the last sweep, a channel against itself, is +0 at every q
         files = [str(DEMO_DATA / "eta_pair_a.txt"), str(DEMO_DATA / "eta_pair_b.txt")]
-        assert main(["sweep", "--quantity", "criterion", *files]) == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
-        assert len(rows) == 999
-        for _, fwd_str, rev_str in rows:
-            assert rev_str == (fwd_str[1:] if fwd_str.startswith("-") else "-" + fwd_str)
+        for pair in (files, files[:1] * 2):
+            assert main(["sweep", "--quantity", "criterion", *pair]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+            assert len(rows) == 999
+            for _, fwd_str, rev_str in rows:
+                if fwd_str.startswith("-"):
+                    assert rev_str == fwd_str[1:]
+                else:
+                    assert rev_str == (fwd_str if fwd_str in ("0", "nan") else "-" + fwd_str)
+        assert {tuple(row[1:]) for row in rows} == {("0", "0")}
         # the one criterion sweep computes on its grid stands for the reverse one bit for bit
         w, v = (canonicalize_biso(load_channel(f)) for f in files)
         xs = np.arange(1, 1000) / 1000.0
@@ -1029,6 +1036,18 @@ class TestCsvRendering:
     def test_row_formatter_matches_fmt(self, rows):
         columns = [np.array(c, dtype=float) for c in zip(*rows)] if rows else [np.array([])] * 3
         assert _render("a,b,c", columns) == _per_value_csv("a,b,c", columns)
+
+    @given(st.lists(st.floats()))
+    @example([-0.0])
+    @example([0.0])
+    @example([float(np.copysign(np.nan, -1.0))])
+    @example([5e-324, -5e-324])
+    @example([123456789012.5, 1e16])
+    def test_criterion_rows_print_the_reverse_from_the_forward_digits(self, values):
+        fwd = np.array(values, dtype=float)
+        qs = np.arange(1, fwd.size + 1) / (fwd.size + 1.0)
+        printed = "q,forward,reverse\n" + cli._criterion_csv_rows(cli._block(qs)[1], fwd)
+        assert printed == _per_value_csv("q,forward,reverse", (qs, fwd, 0.0 - fwd))
 
     @pytest.mark.parametrize(
         "quantity, names",
